@@ -50,14 +50,16 @@ class DivergenceEstimate:
     def __post_init__(self):
         if self.method not in (QUADRATURE, MONTE_CARLO):
             raise ValueError(f"unknown estimator method {self.method!r}")
+        if np.isnan(self.value):
+            raise ValueError("divergence estimate is NaN")
         if self.value < -_NEG_TOL:
             raise ValueError(f"divergence estimate {self.value!r} is negative beyond round-off")
         if self.value < 0.0:
             object.__setattr__(self, "value", 0.0)
         if (self.std_error is None) == (self.method == MONTE_CARLO):
             raise ValueError("std_error must be present exactly for monte_carlo estimates")
-        if self.std_error is not None and self.std_error < 0:
-            raise ValueError("std_error must be nonnegative")
+        if self.std_error is not None and not self.std_error >= 0:
+            raise ValueError(f"std_error must be nonnegative, got {self.std_error!r}")
 
 
 def _check_window(q: GaussianMixture1D, spec: QuadratureSpec) -> None:

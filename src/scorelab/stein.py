@@ -22,7 +22,12 @@ from .scorematch import MONTE_CARLO, QUADRATURE, DivergenceEstimate
 L2_Q_WEIGHTED = "l2_q_weighted"
 L2_UNWEIGHTED = "l2_unweighted"
 
-_KSD_BLOCK = 512
+# Edge of the square tiles the Gaussian pair sums walk.  A tile's three
+# 256 x 256 float64 arrays (1.5 MB) stay in cache; 256 was the fastest of
+# 128 to 512 for KSD at N = 10,000 on a Xeon with 4 MB of L2 per core.  The
+# sums use elementwise numpy and plain einsum, never BLAS, so their bytes do
+# not depend on the thread count.
+_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -78,17 +83,22 @@ def _witness_norm_sq(q, p, function_class, spec):
     return quad_integrate(integrand, spec)
 
 
+def _witness(q, p, grid, function_class):
+    grid = np.asarray(grid, dtype=float)
+    values = score(p, grid) - score(q, grid)
+    if function_class == L2_UNWEIGHTED:
+        values = pdf(q, grid) * values
+    norm_sq = _witness_norm_sq(q, p, function_class, quadrature_window(q, p))
+    if norm_sq <= 0.0:
+        return WitnessTable(grid, np.zeros_like(grid), 1.0, function_class, True)
+    return WitnessTable(grid, values, 1.0 / np.sqrt(norm_sq), function_class)
+
+
 def witness_weighted(
     q: GaussianMixture1D, p: GaussianMixture1D, grid: np.ndarray
 ) -> WitnessTable:
     """Optimal witness in the q-weighted L2 class: score_p - score_q."""
-    grid = np.asarray(grid, dtype=float)
-    values = score(p, grid) - score(q, grid)
-    spec = quadrature_window(q, p)
-    norm_sq = _witness_norm_sq(q, p, L2_Q_WEIGHTED, spec)
-    if norm_sq <= 0.0:
-        return WitnessTable(grid, np.zeros_like(grid), 1.0, L2_Q_WEIGHTED, True)
-    return WitnessTable(grid, values, 1.0 / np.sqrt(norm_sq), L2_Q_WEIGHTED)
+    return _witness(q, p, grid, L2_Q_WEIGHTED)
 
 
 def witness_unweighted(
@@ -99,13 +109,7 @@ def witness_unweighted(
     The data-density derivative q' equals q * score_q (chain rule), so the
     witness is q times the score difference.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = pdf(q, grid) * (score(p, grid) - score(q, grid))
-    spec = quadrature_window(q, p)
-    norm_sq = _witness_norm_sq(q, p, L2_UNWEIGHTED, spec)
-    if norm_sq <= 0.0:
-        return WitnessTable(grid, np.zeros_like(grid), 1.0, L2_UNWEIGHTED, True)
-    return WitnessTable(grid, values, 1.0 / np.sqrt(norm_sq), L2_UNWEIGHTED)
+    return _witness(q, p, grid, L2_UNWEIGHTED)
 
 
 def stein_discrepancy(
@@ -128,20 +132,27 @@ def stein_discrepancy(
     return DivergenceEstimate(float(np.sqrt(norm_sq)), QUADRATURE, spec.nodes)
 
 
-def _stein_kernel_block(xi, si, xj, sj, h2):
-    # u_p(x, y) = s(x)s(y)k + s(x) dk/dy + s(y) dk/dx + d2k/dxdy, Gaussian k
+def _upper_tiles(n: int):
+    """Bounds (a, b, c, e) of the tiles [a:b) x [c:e) that cover the upper
+    triangle of an n x n pair matrix, in the fixed order the pair sums use."""
+    for a in range(0, n, _TILE):
+        b = min(a + _TILE, n)
+        for c in range(a, n, _TILE):
+            yield a, b, c, min(c + _TILE, n)
+
+
+def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float):
+    """Differences d = xi - xj and Gaussian kernel k on the tile xi x xj.
+
+    dk/dy at (xi, xj) is k * d / h2 and dk/dx its negative.  k is symmetric
+    in the pair and k * d antisymmetric, so a tile also gives the mirrored
+    pairs.
+    """
     d = xi[:, None] - xj[None, :]
-    d2 = d * d
-    k = np.exp(d2 / (-2.0 * h2))
-    out = si[:, None] * sj[None, :]
-    d *= si[:, None] - sj[None, :]
-    d /= h2
-    out += d
-    out += 1.0 / h2
-    d2 /= h2 * h2
-    out -= d2
-    out *= k
-    return out
+    k = d * d
+    k /= -2.0 * h2
+    np.exp(k, out=k)
+    return d, k
 
 
 def ksd_vstat(
@@ -150,28 +161,41 @@ def ksd_vstat(
     """V-statistic kernel Stein discrepancy of samples against model p.
 
     Averages the Stein kernel u_p over all N^2 ordered pairs.  u_p is
-    symmetric, so only the upper triangle is evaluated, in fixed row blocks
-    over the sorted samples; the sort fixes a canonical summation order, so
-    the value is bit-for-bit invariant under permutation of the input.  The
-    reported std_error uses the nondegenerate asymptotic approximation
+    symmetric, so only the upper triangle of the sorted samples is walked,
+    in fixed square tiles small enough to stay in cache; each off-diagonal
+    tile's column sums stand in for its mirrored pairs.  The sort and the
+    fixed tile order give a canonical summation order, so the value is
+    bit-for-bit invariant under permutation of the input.  The reported
+    std_error uses the nondegenerate asymptotic approximation
     2 * std(row means) / sqrt(N).
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     if xs.size == 0:
         raise ValueError("samples must be nonempty")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("samples must be finite")
     n = xs.size
     s = score(p, xs)
     h2 = kernel.bandwidth**2
     row_sums = np.zeros(n)
-    for a in range(0, n, _KSD_BLOCK):
-        b = min(a + _KSD_BLOCK, n)
-        block = _stein_kernel_block(xs[a:b], s[a:b], xs[a:], s[a:], h2)
-        w = b - a
-        # keep j >= i only; the mirrored part is added back via column sums
-        block[:, :w][np.tril_indices(w, k=-1)] = 0.0
-        row_sums[a:b] += block.sum(axis=1)
-        row_sums[a:] += block.sum(axis=0)
-        row_sums[a:b] -= np.diagonal(block[:, :w])
+    for a, b, c, e in _upper_tiles(n):
+        d, k = _gauss_tile(xs[a:b], xs[c:e], h2)
+        si, sj = s[a:b], s[c:e]
+        # u_p = s_i s_j k + (s_i - s_j) dk/dy + d2k/dxdy, where dk/dy = kd / h2
+        # and d2k/dxdy = (k - kd2 / h2) / h2; d is overwritten by kd2 = k d^2
+        kd = k * d
+        kd2 = np.multiply(d, kd, out=d)
+        row_sums[a:b] += (
+            si * (np.einsum("ij,j->i", k, sj) + np.einsum("ij->i", kd) / h2)
+            - np.einsum("ij,j->i", kd, sj) / h2
+            + (np.einsum("ij->i", k) - np.einsum("ij->i", kd2) / h2) / h2
+        )
+        if c != a:
+            row_sums[c:e] += (
+                sj * (np.einsum("ij,i->j", k, si) - np.einsum("ij->j", kd) / h2)
+                + np.einsum("ij,i->j", kd, si) / h2
+                + (np.einsum("ij->j", k) - np.einsum("ij->j", kd2) / h2) / h2
+            )
     value = float(row_sums.sum() / (n * n))
     if n > 1:
         row_means = row_sums / n

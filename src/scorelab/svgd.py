@@ -1,9 +1,11 @@
 """Stein variational gradient descent for a particle ensemble.
 
 Updates are synchronous: all directions are computed from the current
-ensemble, then applied at once with a fixed step size.  Per-particle
-contributions are summed in a canonical (value-sorted) order, which makes
-the update bit-exactly equivariant under particle permutation.
+ensemble, then applied at once with a fixed step size.  Each step sorts the
+particles once, sums the kernel terms over the sorted positions in the fixed
+tiles of the KSD pair sums, and scatters the sums back to the particles;
+particles at equal positions get equal sums.  This canonical order makes the
+update bit-exactly equivariant under particle permutation.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixture import GaussianMixture1D, score, temper_score
-from .numerics import RngStream
-from .stein import KernelSpec
+from .stein import KernelSpec, _gauss_tile, _upper_tiles
 
 
 @dataclass
@@ -75,13 +76,23 @@ class SvgdConfig:
 
 def _direction_from_scores(x: np.ndarray, s: np.ndarray, kernel: KernelSpec) -> np.ndarray:
     h2 = kernel.bandwidth**2
-    d = x[:, None] - x[None, :]
-    k = np.exp(-d * d / (2.0 * h2))
-    contrib = k * (s[None, :] + d / h2)
-    # canonical summation: sorting the addends makes the row sums independent
-    # of particle ordering at the bit level
-    contrib.sort(axis=1)
-    return contrib.sum(axis=1) / x.size
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs, ss = x[order], s[order]
+    phi = np.zeros(n)
+    for a, b, c, e in _upper_tiles(n):
+        d, k = _gauss_tile(xs[a:b], xs[c:e], h2)
+        # phi_i sums s_j k + dk/dy over j, with dk/dy = k d / h2
+        phi[a:b] += np.einsum("ij,j->i", k, ss[c:e]) + np.einsum("ij,ij->i", k, d) / h2
+        if c != a:
+            phi[c:e] += np.einsum("ij,i->j", k, ss[a:b]) - np.einsum("ij,ij->j", k, d) / h2
+    # equal positions on both sides of a tile edge are summed in different
+    # orders; each run of equal positions takes the sums of its first member
+    run_start = np.r_[True, xs[1:] != xs[:-1]]
+    first = np.maximum.accumulate(np.where(run_start, np.arange(n), 0))
+    out = np.empty_like(phi)
+    out[order] = phi[first] / n
+    return out
 
 
 def svgd_direction(
@@ -99,16 +110,13 @@ def svgd_run(
     init: ParticleEnsemble,
     target: GaussianMixture1D,
     cfg: SvgdConfig,
-    rng: RngStream | None = None,
 ) -> tuple[ParticleEnsemble, list[tuple[int, np.ndarray]]]:
     """Iterate positions <- positions + step * direction.
 
     Returns the final ensemble and the list of recorded (iteration,
-    positions) snapshots (empty unless cfg.snapshot_every is set).  The rng
-    argument is accepted for interface symmetry with the stochastic
-    samplers; the plain update itself is deterministic.
+    positions) snapshots (empty unless cfg.snapshot_every is set).  The
+    update is deterministic, so the run takes no random stream.
     """
-    del rng
     x = init.positions.copy()
     snapshots: list[tuple[int, np.ndarray]] = []
 

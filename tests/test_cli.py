@@ -304,15 +304,16 @@ class TestCliContract:
         assert tree_bytes(tmp_path / "out_a") == tree_bytes(tmp_path / "out_b")
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path / "a.cfg", FISHER.format(out=tmp_path / "ignored"))
-        assert cli.main(["fisher-sweep", "--config", cfg, "--out", str(tmp_path / "t1")]) == 0
-        assert (
-            cli.main(
-                ["fisher-sweep", "--config", cfg, "--out", str(tmp_path / "t4"), "--threads", "4"]
-            )
-            == 0
-        )
-        assert tree_bytes(tmp_path / "t1") == tree_bytes(tmp_path / "t4")
+        for command, template, threads in (
+            ("fisher-sweep", FISHER, "4"),
+            ("ksd-run", KSD, "2"),
+            ("svgd-run", SVGD, "2"),
+        ):
+            cfg = write_config(tmp_path / f"{command}.cfg", template.format(out=tmp_path / "ignored"))
+            one, many = tmp_path / f"{command}_t1", tmp_path / f"{command}_t{threads}"
+            assert cli.main([command, "--config", cfg, "--out", str(one), "--threads", "1"]) == 0
+            assert cli.main([command, "--config", cfg, "--out", str(many), "--threads", threads]) == 0
+            assert tree_bytes(one) == tree_bytes(many), command
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         bad = write_config(tmp_path / "bad.cfg", "[experiment]\ncommand = ksd-run\n")

@@ -34,6 +34,12 @@ class TestDivergenceEstimate:
         with pytest.raises(ValueError, match="std_error"):
             sl.DivergenceEstimate(1.0, "monte_carlo", 64)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            sl.DivergenceEstimate(float("nan"), "quadrature", 64)
+        with pytest.raises(ValueError, match="std_error"):
+            sl.DivergenceEstimate(1.0, "monte_carlo", 64, std_error=float("nan"))
+
 
 class TestFisherDivergence:
     def test_identical_arguments_vanish(self):

@@ -3,6 +3,7 @@ import pytest
 
 import scorelab as sl
 from conftest import random_mixture_pairs
+from scorelab.stein import _TILE as TILE
 
 N01 = sl.gaussian(0.0, 1.0)
 N04 = sl.gaussian(0.0, 2.0)  # variance 4
@@ -149,6 +150,28 @@ class TestKsd:
         b = sl.ksd_vstat(xs, sl.two_component(0.9, -5, 5, 1), kernel).value
         assert abs(a - b) < 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2 * TILE + 37])
+    @pytest.mark.parametrize("bandwidth", [1.0, 0.7])
+    def test_tiles_agree_with_dense_evaluation(self, n, bandwidth):
+        # several tiles with a ragged last one, against every ordered pair
+        # formed at once in input order
+        p = sl.two_component(0.3, -1.5, 2.0, 1.0)
+        xs = sl.sample(p, n, sl.make_stream(4, 0))
+        s = sl.score(p, xs)
+        h2 = bandwidth**2
+        d = xs[:, None] - xs[None, :]
+        k = np.exp(-d * d / (2 * h2))
+        u = k * (s[:, None] * s[None, :] + (s[:, None] - s[None, :]) * d / h2 + 1 / h2 - d * d / h2**2)
+        row_means = u.mean(axis=1)
+        est = sl.ksd_vstat(xs, p, sl.KernelSpec(bandwidth))
+        assert est.value == pytest.approx(float(u.mean()), rel=1e-13)
+        if n > 1:
+            dense_se = 2.0 * row_means.std(ddof=1) / np.sqrt(n)
+            assert est.std_error == pytest.approx(dense_se, rel=1e-12)
+        else:
+            assert est.value == pytest.approx(s[0] ** 2 + 1 / h2, rel=1e-15)
+            assert est.std_error == 0.0
+
     def test_agrees_with_dense_evaluation(self):
         xs = sl.sample(N01, 400, sl.make_stream(2, 0))
         s = sl.score(N01, xs)
@@ -165,6 +188,14 @@ class TestKsd:
         b = sl.ksd_vstat(xs[perm], N04, sl.KernelSpec(1.0))
         assert a.value == b.value
 
+    def test_multi_tile_permutation_invariance_is_bit_exact(self):
+        p = sl.two_component(0.3, -1.5, 2.0, 1.0)
+        xs = sl.sample(p, 2 * TILE + 37, sl.make_stream(5, 0))
+        perm = np.random.default_rng(10).permutation(xs.size)
+        a = sl.ksd_vstat(xs, p, sl.KernelSpec(1.0))
+        b = sl.ksd_vstat(xs[perm], p, sl.KernelSpec(1.0))
+        assert (a.value, a.std_error) == (b.value, b.std_error)
+
     def test_decreases_with_sample_size(self):
         kernel = sl.KernelSpec(1.0)
         small, large = [], []
@@ -178,6 +209,11 @@ class TestKsd:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             sl.ksd_vstat(np.array([]), N01, sl.KernelSpec(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            sl.ksd_vstat(np.array([0.0, bad]), N01, sl.KernelSpec(1.0))
 
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):

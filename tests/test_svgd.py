@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import scorelab as sl
+from scorelab.stein import _TILE as TILE
 
 KERNEL = sl.KernelSpec(1.0)
 TARGET = sl.two_component(0.5, -4, 4, 1)
@@ -31,6 +32,32 @@ class TestDirection:
         x = sl.sample(TARGET, 64, rng)
         perm = np.random.default_rng(4).permutation(x.size)
         d = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
+        d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
+        assert np.array_equal(d_perm, d[perm])
+
+    @pytest.mark.parametrize("n", [200, 2 * TILE + 37])
+    def test_tiles_match_sort_per_row_sum(self, n):
+        # the earlier formula: each particle's N contributions sorted, then
+        # summed; the tiled sums agree with it to rounding
+        rng = sl.make_stream(8, 1)
+        x = 3.0 * rng.standard_normal(n)
+        s = sl.score(TARGET, x)
+        d = x[:, None] - x[None, :]
+        contrib = np.exp(-d * d / 2.0) * (s[None, :] + d)
+        contrib.sort(axis=1)
+        reference = contrib.sum(axis=1) / x.size
+        got = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
+        assert np.max(np.abs(got - reference)) <= 1e-15
+        perm = np.random.default_rng(5).permutation(x.size)
+        d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
+        assert np.array_equal(d_perm, got[perm])
+
+    def test_equal_positions_across_a_tile_edge_move_together(self):
+        x = np.sort(3.0 * sl.make_stream(8, 2).standard_normal(2 * TILE + 37))
+        x[TILE] = x[TILE + 1] = x[TILE - 1]
+        d = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
+        assert d[TILE - 1] == d[TILE] == d[TILE + 1]
+        perm = np.random.default_rng(6).permutation(x.size)
         d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
         assert np.array_equal(d_perm, d[perm])
 
