@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr
 
 from .numerics import DEFAULT_NODES, QuadratureSpec, RngStream
 
@@ -116,8 +115,28 @@ def _component_logs(m: GaussianMixture1D, x: np.ndarray) -> np.ndarray:
     return np.log(m.weights) - np.log(m.stds) - 0.5 * (_LOG_2PI + z * z)
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis, bit for bit as scipy computes it.
+
+    The m entries equal to the row maximum leave the sum s of the shifted
+    exponentials and enter as log1p(s / m) + log(m) + max, which keeps the
+    largest terms exact (Blanchard, Higham & Higham 2021).  Taking out only
+    one maximum changes the last bit on rows with tied maxima.  The maxima
+    are zeroed after the exponential, so a row of -inf gives -inf and a row
+    with +inf gives +inf without a NaN in between.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = a.max(axis=-1, keepdims=True)
+        is_max = a == a_max
+        e = np.exp(a - a_max)
+        e[is_max] = 0.0
+        m = is_max.sum(axis=-1, keepdims=True)
+        # s / m keeps s = 0 as 0, since m >= 1 on every row without NaN
+        return (np.log1p(e.sum(axis=-1, keepdims=True) / m) + np.log(m) + a_max)[..., 0]
+
+
 def _logpdf(m: GaussianMixture1D, x: np.ndarray) -> np.ndarray:
-    return logsumexp(_component_logs(m, x), axis=-1)
+    return _logsumexp(_component_logs(m, x))
 
 
 def _responsibilities(m: GaussianMixture1D, x: np.ndarray) -> np.ndarray:
@@ -217,11 +236,16 @@ def sample(m: GaussianMixture1D, n: int, rng: RngStream) -> np.ndarray:
     return m.means[idx] + m.stds[idx] * rng.standard_normal(n)
 
 
+def _norm_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
 def mass_inside(m: GaussianMixture1D, lower: float, upper: float) -> float:
     """Exact probability mass of the mixture inside [lower, upper]."""
-    zlo = (lower - m.means) / m.stds
-    zhi = (upper - m.means) / m.stds
-    return float(np.dot(m.weights, ndtr(zhi) - ndtr(zlo)))
+    total = 0.0
+    for w, mu, sd in zip(m.weights.tolist(), m.means.tolist(), m.stds.tolist()):
+        total += w * (_norm_cdf((upper - mu) / sd) - _norm_cdf((lower - mu) / sd))
+    return total
 
 
 def quadrature_window(

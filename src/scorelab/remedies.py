@@ -10,12 +10,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .mixture import GaussianMixture1D, _logpdf, quadrature_window
+from .mixture import _LOG_2PI, GaussianMixture1D, _logpdf, _logsumexp, quadrature_window
 from .numerics import QuadratureSpec, RngStream, quad_integrate
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
+from .stein import _TILE
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,21 @@ def kde_fit(samples: np.ndarray, bandwidth_rule: str | float = "silverman") -> K
 
 
 def kde_log_pdf(model: KdeModel, x) -> float | np.ndarray:
-    """Log of the KDE density via log-sum-exp over the centers."""
+    """Log of the KDE density via log-sum-exp over the centers.
+
+    The points are taken in blocks of _TILE, so the temporaries hold
+    _TILE x centers entries, not len(x) x centers.  Each point's sum does
+    not depend on the blocking.
+    """
     xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    z = (xs[..., None] - model.centers) / model.bandwidth
-    logs = -0.5 * (z * z) - np.log(model.bandwidth) - 0.5 * _LOG_2PI
-    out = logsumexp(logs, axis=-1) - np.log(model.centers.size)
-    return float(out) if scalar else out
+    flat = xs.reshape(-1)
+    out = np.empty(flat.size)
+    for a in range(0, flat.size, _TILE):
+        b = a + _TILE
+        z = (flat[a:b, None] - model.centers) / model.bandwidth
+        logs = -0.5 * (z * z) - np.log(model.bandwidth) - 0.5 * _LOG_2PI
+        out[a:b] = _logsumexp(logs) - np.log(model.centers.size)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,8 @@ def moment_discrepancy(
     xs = np.asarray(samples, dtype=float)
     if xs.size == 0:
         raise ValueError("samples must be nonempty")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("samples must be finite")
     if spec is None:
         spec = quadrature_window(model)
     out = []

@@ -102,6 +102,8 @@ def fisher_divergence_mc(
     xs = np.asarray(q_samples, dtype=float)
     if xs.size == 0:
         raise ValueError("q_samples must be nonempty")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("samples must be finite")
     diff = score(q, xs) - score(p, xs)
     sq = diff * diff
     value = float(sq.mean())

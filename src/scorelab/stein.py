@@ -141,15 +141,29 @@ def _upper_tiles(n: int):
             yield a, b, c, min(c + _TILE, n)
 
 
-def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float):
-    """Differences d = xi - xj and Gaussian kernel k on the tile xi x xj.
+def _tile_work(n: int, count: int) -> np.ndarray:
+    """Workspace of `count` tile slabs for the pair sums over n points.
+
+    One call or one run owns it and reuses it on every tile; a ragged last
+    tile uses the [:rows, :cols] corner of each slab.  Allocating per tile
+    instead releases the arrays to the allocator, which can return them to
+    the system and fault the pages back in on the next tile.
+    """
+    t = min(n, _TILE)
+    return np.empty((count, t, t))
+
+
+def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
+    """Differences d = xi - xj and Gaussian kernel k on the tile xi x xj,
+    written into the first two slabs of `work`.
 
     dk/dy at (xi, xj) is k * d / h2 and dk/dx its negative.  k is symmetric
     in the pair and k * d antisymmetric, so a tile also gives the mirrored
     pairs.
     """
-    d = xi[:, None] - xj[None, :]
-    k = d * d
+    rows, cols = xi.size, xj.size
+    d = np.subtract(xi[:, None], xj[None, :], out=work[0, :rows, :cols])
+    k = np.multiply(d, d, out=work[1, :rows, :cols])
     k /= -2.0 * h2
     np.exp(k, out=k)
     return d, k
@@ -162,10 +176,11 @@ def ksd_vstat(
 
     Averages the Stein kernel u_p over all N^2 ordered pairs.  u_p is
     symmetric, so only the upper triangle of the sorted samples is walked,
-    in fixed square tiles small enough to stay in cache; each off-diagonal
-    tile's column sums stand in for its mirrored pairs.  The sort and the
-    fixed tile order give a canonical summation order, so the value is
-    bit-for-bit invariant under permutation of the input.  The reported
+    in fixed square tiles small enough to stay in cache, all in one
+    workspace allocated per call; each off-diagonal tile's column sums stand
+    in for its mirrored pairs.  The sort and the fixed tile order give a
+    canonical summation order, so the value is bit-for-bit invariant under
+    permutation of the input.  The reported
     std_error uses the nondegenerate asymptotic approximation
     2 * std(row means) / sqrt(N).
     """
@@ -178,12 +193,13 @@ def ksd_vstat(
     s = score(p, xs)
     h2 = kernel.bandwidth**2
     row_sums = np.zeros(n)
+    work = _tile_work(n, 3)
     for a, b, c, e in _upper_tiles(n):
-        d, k = _gauss_tile(xs[a:b], xs[c:e], h2)
+        d, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
         si, sj = s[a:b], s[c:e]
         # u_p = s_i s_j k + (s_i - s_j) dk/dy + d2k/dxdy, where dk/dy = kd / h2
         # and d2k/dxdy = (k - kd2 / h2) / h2; d is overwritten by kd2 = k d^2
-        kd = k * d
+        kd = np.multiply(k, d, out=work[2, : b - a, : e - c])
         kd2 = np.multiply(d, kd, out=d)
         row_sums[a:b] += (
             si * (np.einsum("ij,j->i", k, sj) + np.einsum("ij->i", kd) / h2)

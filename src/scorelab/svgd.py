@@ -3,9 +3,10 @@
 Updates are synchronous: all directions are computed from the current
 ensemble, then applied at once with a fixed step size.  Each step sorts the
 particles once, sums the kernel terms over the sorted positions in the fixed
-tiles of the KSD pair sums, and scatters the sums back to the particles;
-particles at equal positions get equal sums.  This canonical order makes the
-update bit-exactly equivariant under particle permutation.
+tiles of the KSD pair sums, in a tile workspace that a run allocates once,
+and scatters the sums back to the particles; particles at equal positions
+get equal sums.  This canonical order makes the update bit-exactly
+equivariant under particle permutation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixture import GaussianMixture1D, score, temper_score
-from .stein import KernelSpec, _gauss_tile, _upper_tiles
+from .stein import KernelSpec, _gauss_tile, _tile_work, _upper_tiles
 
 
 @dataclass
@@ -74,14 +75,16 @@ class SvgdConfig:
             object.__setattr__(self, "beta_schedule", betas)
 
 
-def _direction_from_scores(x: np.ndarray, s: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+def _direction_from_scores(
+    x: np.ndarray, s: np.ndarray, kernel: KernelSpec, work: np.ndarray
+) -> np.ndarray:
     h2 = kernel.bandwidth**2
     n = x.size
     order = np.argsort(x, kind="stable")
     xs, ss = x[order], s[order]
     phi = np.zeros(n)
     for a, b, c, e in _upper_tiles(n):
-        d, k = _gauss_tile(xs[a:b], xs[c:e], h2)
+        d, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
         # phi_i sums s_j k + dk/dy over j, with dk/dy = k d / h2
         phi[a:b] += np.einsum("ij,j->i", k, ss[c:e]) + np.einsum("ij,ij->i", k, d) / h2
         if c != a:
@@ -103,7 +106,8 @@ def svgd_direction(
     For particle x': phi(x') = mean_n [ score(x_n) k(x', x_n) + d/dx_n k(x', x_n) ],
     the kernel-smoothed score plus the repulsion term.
     """
-    return _direction_from_scores(ensemble.positions, score(target, ensemble.positions), kernel)
+    x = ensemble.positions
+    return _direction_from_scores(x, score(target, x), kernel, _tile_work(x.size, 2))
 
 
 def svgd_run(
@@ -115,9 +119,11 @@ def svgd_run(
 
     Returns the final ensemble and the list of recorded (iteration,
     positions) snapshots (empty unless cfg.snapshot_every is set).  The
-    update is deterministic, so the run takes no random stream.
+    update is deterministic, so the run takes no random stream.  The kernel
+    sums of every step reuse one tile workspace allocated for the run.
     """
     x = init.positions.copy()
+    work = _tile_work(x.size, 2)
     snapshots: list[tuple[int, np.ndarray]] = []
 
     if cfg.beta_schedule is not None:
@@ -138,7 +144,7 @@ def svgd_run(
             beta = float(beta_at[t])
             s = temper_score(target, beta, x)
             eps = cfg.step_size / beta if cfg.rescale_step else cfg.step_size
-        x = x + eps * _direction_from_scores(x, s, cfg.kernel)
+        x = x + eps * _direction_from_scores(x, s, cfg.kernel, work)
         bad = np.flatnonzero(~np.isfinite(x))
         if bad.size:
             raise FloatingPointError(

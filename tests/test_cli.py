@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +299,18 @@ class TestCommands:
 
 
 class TestCliContract:
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = (
+            "import sys, scorelab.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "[]"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.cfg", SVGD.format(out=tmp_path / "out_a"))
         cfg_b = write_config(tmp_path / "b.cfg", SVGD.format(out=tmp_path / "out_b"))

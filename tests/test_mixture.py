@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 import scorelab as sl
 from conftest import random_mixture
+from scorelab.mixture import _logsumexp
 
 STANDARD = sl.gaussian(0.0, 1.0)
 
@@ -283,3 +285,41 @@ class TestSample:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             sl.sample(STANDARD, 0, sl.make_stream(0, 0))
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 2000])
+    def test_matches_scipy_bit_for_bit(self, k):
+        rs = np.random.default_rng(k)
+        a = rs.normal(0.0, 30.0, (600, k))
+        a[::5, -1] = a[::5, 0]  # tied maxima when column 0 is the largest
+        a[1::5] = a[1::5, :1]  # all-equal rows
+        a[2::5] += 690.0  # exponents near +700
+        a[3::5] -= 690.0  # and near -700
+        assert _logsumexp(a).tobytes() == logsumexp(a, axis=-1).tobytes()
+        for row in a[:20]:
+            assert _logsumexp(row).tobytes() == np.float64(logsumexp(row)).tobytes()
+
+    def test_tied_maximum(self):
+        # taking out a single maximum gives -0.45644281894376826 here
+        a = np.array([-1.15, -8.256, -1.15])
+        assert float(_logsumexp(a)) == float(logsumexp(a)) == -0.45644281894376837
+
+    def test_nonfinite_entries_follow_scipy(self):
+        inf = np.inf
+        a = np.array([[inf, 0.0], [inf, -inf], [-inf, -inf], [-inf, 3.0], [np.nan, 1.0]])
+        assert _logsumexp(a).tobytes() == logsumexp(a, axis=-1).tobytes()
+
+
+class TestMassInside:
+    def test_matches_normal_cdf(self):
+        rs = np.random.default_rng(17)
+        for _ in range(50):
+            m = random_mixture(rs)
+            lower, upper = np.sort(rs.uniform(-8.0, 8.0, 2))
+            ref = np.dot(m.weights, norm.cdf(upper, m.means, m.stds) - norm.cdf(lower, m.means, m.stds))
+            assert abs(sl.mass_inside(m, lower, upper) - ref) <= 1e-15
+
+    def test_whole_line(self):
+        m = sl.two_component(0.3, -2.0, 2.0, 1.0)
+        assert sl.mass_inside(m, -math.inf, math.inf) == 1.0

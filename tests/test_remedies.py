@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import scorelab as sl
+from scorelab.stein import _TILE as TILE
 
 N01 = sl.gaussian(0.0, 1.0)
 
@@ -40,6 +42,20 @@ class TestKde:
         xs = sl.sample(N01, 100_000, sl.make_stream(2, 0))
         model = sl.kde_fit(xs, "silverman")
         assert sl.kde_log_pdf(model, 0.0) == pytest.approx(math.log(0.39894), abs=0.02)
+
+    @pytest.mark.parametrize("n", [None, 1, TILE, TILE + 1, 2000])
+    def test_row_blocks_match_one_shot_formula(self, n):
+        rng = sl.make_stream(6, 0)
+        model = sl.kde_fit(sl.sample(sl.two_component(0.3, -2, 2, 1), 2000, rng))
+        x = 1.7 if n is None else 3.0 * rng.standard_normal(n)
+        z = (np.asarray(x)[..., None] - model.centers) / model.bandwidth
+        logs = -0.5 * (z * z) - np.log(model.bandwidth) - 0.5 * math.log(2 * math.pi)
+        expected = logsumexp(logs, axis=-1) - np.log(model.centers.size)
+        got = sl.kde_log_pdf(model, x)
+        if n is None:
+            assert isinstance(got, float) and got == float(expected)
+        else:
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestCmlLoss:
@@ -149,6 +165,10 @@ class TestMomentDiscrepancy:
             sl.moment_discrepancy(N01, np.array([1.0]), [])
         with pytest.raises(ValueError):
             sl.moment_discrepancy(N01, np.array([]), [1])
+
+    def test_nonfinite_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            sl.moment_discrepancy(N01, np.array([0.0, np.nan]), [1])
 
 
 class TestEntropyGradient:

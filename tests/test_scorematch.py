@@ -105,6 +105,10 @@ class TestFisherDivergenceMc:
         with pytest.raises(ValueError):
             sl.fisher_divergence_mc(np.array([]), N01, N01)
 
+    def test_nonfinite_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            sl.fisher_divergence_mc(np.array([0.0, np.inf]), N01, N04)
+
 
 class TestSmObjective:
     def test_matched_model_value(self):

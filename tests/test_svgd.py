@@ -72,6 +72,17 @@ class TestRun:
         assert final.positions[0] == x
         assert final.iteration == 40
 
+    def test_run_equals_direction_loop(self):
+        # the run reuses one tile workspace across steps; ragged tiles and
+        # stale slab contents must not change a bit
+        x0 = 3.0 * sl.make_stream(8, 3).standard_normal(2 * TILE + 37)
+        cfg = sl.SvgdConfig(kernel=sl.KernelSpec(0.8), step_size=0.1, iterations=20)
+        final, _ = sl.svgd_run(sl.ParticleEnsemble(x0), TARGET, cfg)
+        x = x0
+        for _ in range(20):
+            x = x + 0.1 * sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, cfg.kernel)
+        assert np.array_equal(final.positions, x)
+
     def test_translation_equivariance(self):
         c = 2.0
         rng = sl.make_stream(9, 0)
