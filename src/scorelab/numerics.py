@@ -40,8 +40,9 @@ def _evaluate_on_grid(f, xs: np.ndarray) -> np.ndarray:
         ys = np.asarray(f(xs), dtype=float)
         if ys.shape != xs.shape:
             raise TypeError
-    except Exception:
-        # f only supports scalars
+    except TypeError:
+        # f only supports scalars, as math.exp does; any other error is a
+        # fault in f and propagates
         ys = np.array([float(f(x)) for x in xs])
     bad = np.flatnonzero(~np.isfinite(ys))
     if bad.size:
@@ -59,9 +60,10 @@ def quad_integrate(f, spec: QuadratureSpec) -> float:
     """Composite-Simpson approximation of the integral of f over the spec grid.
 
     f may accept a scalar or a vector; vectorized evaluation is attempted
-    first.  When the node count is even (odd interval count), the last
-    interval is integrated with the cubic through the final four points, so
-    polynomials of degree <= 3 stay exact for every node count.
+    first, and a TypeError from it, or a result of another shape, falls back
+    to one call per node.  When the node count is even (odd interval count),
+    the last interval is integrated with the cubic through the final four
+    points, so polynomials of degree <= 3 stay exact for every node count.
     """
     xs = spec.grid()
     ys = _evaluate_on_grid(f, xs)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import norm
 
 import scorelab as sl
 from conftest import random_mixture
-from scorelab.mixture import _logsumexp
+from scorelab.mixture import _LOG_2PI, _logsumexp
 
 STANDARD = sl.gaussian(0.0, 1.0)
 
@@ -127,6 +129,121 @@ class TestScoreDerivative:
             for x in np.linspace(spec.lower, spec.upper, 21):
                 fd = sl.finite_diff(lambda t: sl.score(m, t), x)
                 assert abs(sl.score_derivative(m, x) - fd) < 1e-6
+
+
+# The (..., K) layout with reductions over the last axis, as the library
+# evaluated mixtures before it moved to (K, ...) with reductions over axis 0.
+# The expressions are the same, so for K <= 7 the two must agree bit for bit.
+def _oracle_logs(m, x):
+    z = (x[..., None] - m.means) / m.stds
+    return np.log(m.weights) - np.log(m.stds) - 0.5 * (_LOG_2PI + z * z)
+
+
+def _oracle_responsibilities(m, x):
+    logs = _oracle_logs(m, x)
+    logs = logs - logs.max(axis=-1, keepdims=True)
+    w = np.exp(logs)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _oracle_score(m, x):
+    comp = -(x[..., None] - m.means) / m.stds**2
+    return np.sum(_oracle_responsibilities(m, x) * comp, axis=-1)
+
+
+def _oracle_score_derivative(m, x):
+    r = _oracle_responsibilities(m, x)
+    z = (x[..., None] - m.means) / m.stds
+    mean_score = np.sum(r * (-z / m.stds), axis=-1)
+    return np.sum(r * (z * z - 1.0) / m.stds**2, axis=-1) - mean_score**2
+
+
+ORACLES = {
+    sl.score: _oracle_score,
+    sl.pdf: lambda m, x: np.exp(logsumexp(_oracle_logs(m, x), axis=-1)),
+    sl.log_unnorm: lambda m, x: logsumexp(_oracle_logs(m, x), axis=-1) + m.log_offset,
+    sl.score_derivative: _oracle_score_derivative,
+}
+
+
+def _wide_mixture(rs, k):
+    raw = rs.uniform(0.05, 1.0, k)
+    return sl.GaussianMixture1D(raw / raw.sum(), rs.uniform(-30, 30, k), rs.uniform(0.2, 3.0, k), 1.5)
+
+
+def _positions(rs, m, shape):
+    # out to 37 widths past the outer means, where the exponents reach -700,
+    # plus a midpoint between two means
+    pad = 37.0 * m.stds.max()
+    lo, hi = m.means.min() - pad, m.means.max() + pad
+    x = rs.uniform(lo, hi, shape)
+    flat = x.reshape(-1)
+    flat[:3] = [lo, hi, (m.means[0] + m.means[-1]) / 2][: flat.size]
+    return x
+
+
+def _assert_bits_match_oracle(m, x):
+    for f, oracle in ORACLES.items():
+        got, want = np.asarray(f(m, x)), np.asarray(oracle(m, np.asarray(x, dtype=float)))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f.__name__
+
+
+class TestComponentMajorLayout:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_bits_match_last_axis_oracle(self, k):
+        rs = np.random.default_rng(100 + k)
+        for _ in range(10):
+            m = _wide_mixture(rs, k)
+            for n in (1, 7, 200, 4097):
+                _assert_bits_match_oracle(m, _positions(rs, m, n))
+            _assert_bits_match_oracle(m, _positions(rs, m, (16, 9)))
+            for x in _positions(rs, m, 3).tolist():
+                _assert_bits_match_oracle(m, x)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_bits_match_at_tied_midpoints(self, k):
+        # equal weights and widths at even means: each midpoint between
+        # neighbours ties two component logs exactly
+        means = 4.0 * (np.arange(k) - (k - 1) / 2)
+        m = sl.GaussianMixture1D(np.full(k, 1.0 / k), means, np.ones(k))
+        mids = (means[:-1] + means[1:]) / 2
+        logs, i = _oracle_logs(m, mids), np.arange(k - 1)
+        assert np.array_equal(logs[i, i], logs[i, i + 1])
+        _assert_bits_match_oracle(m, mids)
+        _assert_bits_match_oracle(m, np.concatenate([mids, np.linspace(-60, 60, 201)]))
+        for x in mids.tolist():
+            _assert_bits_match_oracle(m, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k),
+                st.lists(st.floats(-50.0, 50.0), min_size=k, max_size=k),
+                st.lists(st.floats(0.05, 10.0), min_size=k, max_size=k),
+            )
+        ),
+        st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=40),
+    )
+    def test_bits_match_on_generated_mixtures(self, params, xs):
+        raw, means, stds = (np.array(v) for v in params)
+        m = sl.GaussianMixture1D(raw / raw.sum(), means, stds)
+        _assert_bits_match_oracle(m, np.array(xs))
+        _assert_bits_match_oracle(m, xs[0])
+
+    @pytest.mark.parametrize("k", [8, 12, 16])
+    def test_many_components_agree_to_last_bits(self, k):
+        # numpy sums a contiguous last axis of 8 or more with eight partial
+        # sums, so only the last bits may differ
+        rs = np.random.default_rng(200 + k)
+        for _ in range(10):
+            m = _wide_mixture(rs, k)
+            x = _positions(rs, m, 4097)
+            for f, oracle in ORACLES.items():
+                want = oracle(m, x)
+                tol = 1e-13 * max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(f(m, x) - want)) <= tol, f.__name__
 
 
 class TestScoreLimit:
@@ -287,18 +404,30 @@ class TestSample:
             sl.sample(STANDARD, 0, sl.make_stream(0, 0))
 
 
+def _lse_rows(k):
+    rs = np.random.default_rng(k)
+    a = rs.normal(0.0, 30.0, (600, k))
+    a[::5, -1] = a[::5, 0]  # tied maxima when column 0 is the largest
+    a[1::5] = a[1::5, :1]  # all-equal rows
+    a[2::5] += 690.0  # exponents near +700
+    a[3::5] -= 690.0  # and near -700
+    return a
+
+
 class TestLogSumExp:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 2000])
     def test_matches_scipy_bit_for_bit(self, k):
-        rs = np.random.default_rng(k)
-        a = rs.normal(0.0, 30.0, (600, k))
-        a[::5, -1] = a[::5, 0]  # tied maxima when column 0 is the largest
-        a[1::5] = a[1::5, :1]  # all-equal rows
-        a[2::5] += 690.0  # exponents near +700
-        a[3::5] -= 690.0  # and near -700
+        a = _lse_rows(k)
         assert _logsumexp(a).tobytes() == logsumexp(a, axis=-1).tobytes()
         for row in a[:20]:
             assert _logsumexp(row).tobytes() == np.float64(logsumexp(row)).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_axis_zero_matches_scipy_last_axis(self, k):
+        a = _lse_rows(k)
+        want = logsumexp(a, axis=-1).tobytes()
+        assert _logsumexp(a.T, axis=0).tobytes() == want
+        assert _logsumexp(np.ascontiguousarray(a.T), axis=0).tobytes() == want
 
     def test_tied_maximum(self):
         # taking out a single maximum gives -0.45644281894376826 here

@@ -38,6 +38,17 @@ class TestQuadrature:
         got = quad_integrate(lambda x: math.exp(-x), QuadratureSpec(0, 1, 129))
         assert got == pytest.approx(1 - math.exp(-1), abs=1e-10)
 
+    def test_vectorized_error_propagates_without_scalar_retries(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.ndim(x))
+            raise ValueError("broken integrand")
+
+        with pytest.raises(ValueError, match="broken integrand"):
+            quad_integrate(f, QuadratureSpec(0, 1, 129))
+        assert calls == [1]
+
     def test_nonfinite_value_names_the_node(self):
         def f(x):
             return np.where(x > 0.5, np.inf, 1.0)
