@@ -61,7 +61,10 @@ def quad_integrate(f, spec: QuadratureSpec) -> float:
 
     f may accept a scalar or a vector; vectorized evaluation is attempted
     first, and a TypeError from it, or a result of another shape, falls back
-    to one call per node.  When the node count is even (odd interval count),
+    to one call per node.  Any other error on the array propagates, so a
+    scalar-only integrand must raise TypeError on arrays (as math.exp does)
+    or be wrapped in np.vectorize; `lambda x: x if x > 0 else 0.0` raises
+    ValueError on an array and is not retried.  When the node count is even (odd interval count),
     the last interval is integrated with the cubic through the final four
     points, so polynomials of degree <= 3 stay exact for every node count.
     """

@@ -49,6 +49,12 @@ class TestQuadrature:
             quad_integrate(f, QuadratureSpec(0, 1, 129))
         assert calls == [1]
 
+    def test_branching_scalar_integrand_needs_vectorize(self):
+        f = lambda x: x if x > 0 else 0.0
+        with pytest.raises(ValueError, match="truth value"):
+            quad_integrate(f, QuadratureSpec(-1, 1, 129))
+        assert quad_integrate(np.vectorize(f), QuadratureSpec(-1, 1, 129)) == pytest.approx(0.5, abs=1e-14)
+
     def test_nonfinite_value_names_the_node(self):
         def f(x):
             return np.where(x > 0.5, np.inf, 1.0)

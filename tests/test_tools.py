@@ -15,12 +15,19 @@ def _load_diff_outputs():
 
 
 class TestDiffOutputs:
-    def test_same_source_has_no_differences(self):
-        argv = [sys.executable, str(DIFF_OUTPUTS), str(ROOT / "src"), str(ROOT / "src"),
-                "--commands", "score-plot", "--seeds", "8"]
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "4 runs per side, 16 files per side, 0 differences" in proc.stdout
+    def test_same_source_has_no_differences(self, tmp_path):
+        tool = _load_diff_outputs()
+        cfgs = tool.write_configs(tool.configs([8], ["score-plot"]), tmp_path / "configs")
+        for side in ("base", "change"):
+            assert tool.run_side(ROOT / "src", cfgs, [1, 2], tmp_path / side) == []
+        assert sum(1 for p in (tmp_path / "base").rglob("*") if p.is_file()) == 16
+        assert tool.compare_trees(tmp_path / "base", tmp_path / "change") == []
+
+    def test_rejects_a_tree_without_scorelab(self, tmp_path):
+        argv = [sys.executable, str(DIFF_OUTPUTS), str(ROOT / "src"), str(tmp_path / "missing")]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "no scorelab package under" in proc.stderr
 
     def test_reports_differing_and_missing_files(self, tmp_path):
         base, change = tmp_path / "base", tmp_path / "change"

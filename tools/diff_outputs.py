@@ -7,7 +7,8 @@ Runs every `lab` command on its default config and on the configs the
 `python -m scorelab.cli` with PYTHONPATH set to BASE_SRC and then to
 CHANGE_SRC.  Prints every file that differs, is missing on one side, or
 belongs to a run that failed, and exits 1 if there is any; 0 otherwise.
-`--commands` restricts the run to some commands.
+Exits 2 if either source tree holds no `scorelab` package, since the child
+would otherwise import an installed scorelab and compare it with itself.
 """
 
 from __future__ import annotations
@@ -116,17 +117,14 @@ def main(argv=None) -> int:
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--seeds", type=_ints, default=[8, 9], help="workload seeds, e.g. 8,9")
     parser.add_argument("--threads", type=_ints, default=[1, 2], help="thread counts, e.g. 1,2")
-    parser.add_argument("--commands", default=",".join(COMMANDS),
-                        help="comma-separated subset of the lab commands")
     args = parser.parse_args(argv)
-    commands = [c.strip() for c in args.commands.split(",") if c.strip()]
-    unknown = set(commands) - set(COMMANDS)
-    if unknown:
-        parser.error(f"unknown commands: {sorted(unknown)}")
+    for src in (args.base_src, args.change_src):
+        if not (src / "scorelab" / "__init__.py").is_file():
+            parser.error(f"no scorelab package under {src}")
 
     with tempfile.TemporaryDirectory(prefix="diff_outputs_") as tmp:
         work = Path(tmp)
-        cfgs = write_configs(configs(args.seeds, commands), work / "configs")
+        cfgs = write_configs(configs(args.seeds, COMMANDS), work / "configs")
         problems = []
         for side, src in (("base", args.base_src), ("change", args.change_src)):
             failed = run_side(src, cfgs, args.threads, work / side)

@@ -110,8 +110,12 @@ def main(argv=None) -> int:
     parser.add_argument("--label", default="change", help="key of this run in the file")
     args = parser.parse_args(argv)
 
-    sys.path.insert(0, str(args.src.resolve()))
+    src = args.src.resolve()
+    sys.path.insert(0, str(src))
     import scorelab as sl
+
+    if not Path(sl.__file__).resolve().is_relative_to(src):
+        parser.error(f"scorelab was imported from {sl.__file__}, not from {src}")
 
     timed = {}
     for name, fn in rows(sl).items():
