@@ -53,6 +53,7 @@ from .stein import (
     KernelSpec,
     WitnessTable,
     ksd_vstat,
+    ksd_vstats,
     stein_discrepancy,
     witness_unweighted,
     witness_weighted,
@@ -90,6 +91,7 @@ __all__ = [
     "kde_fit",
     "kde_log_pdf",
     "ksd_vstat",
+    "ksd_vstats",
     "langevin_step",
     "log_unnorm",
     "make_stream",

@@ -5,8 +5,9 @@ Usage: lab <command> --config <path> [--out <dir>] [--threads N]
 
 Grid cells run independently, each deriving its random stream from
 (seed, cell_index); results are gathered and written in canonical cell
-order, so output bytes do not depend on the thread count.  On failure all
-partially written outputs are removed.
+order, so output bytes do not depend on the thread count.  ksd-run scores
+all its models in one pass over the kernel tiles, so --threads does not
+split it.  On failure all partially written outputs are removed.
 """
 
 from __future__ import annotations
@@ -172,19 +173,16 @@ def _run_ksd(cfg: ExperimentConfig):
     n = cfg.get_int("n", 10_000)
     bandwidth = cfg.get_float("bandwidth", 1.0)
 
-    samples = mx.sample(source, n, make_stream(cfg.seed, 0))
-    kernel = st.KernelSpec(bandwidth)
     labels = list(cfg.models)
-
-    def one(label):
+    models = []
+    for label in labels:
         try:
-            model = mx.from_record(cfg.models[label])
+            models.append(mx.from_record(cfg.models[label]))
         except ValueError as exc:
             raise ConfigError(f"[models] {label}: {exc}") from None
-        est = st.ksd_vstat(samples, model, kernel)
-        return est
 
-    estimates = _map_cells(one, labels, cfg.threads)
+    samples = mx.sample(source, n, make_stream(cfg.seed, 0))
+    estimates = st.ksd_vstats(samples, models, st.KernelSpec(bandwidth))
     content = _csv(
         ["index", "model", "value", "std_error", "n", "bandwidth"],
         [

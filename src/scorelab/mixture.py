@@ -54,7 +54,7 @@ class GaussianMixture1D:
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise ValueError("mixing weights must be positive")
         if abs(float(self.weights.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"mixing weights must sum to 1, got {self.weights.sum()!r}")
+            raise ValueError(f"mixing weights must sum to 1, got {float(self.weights.sum())!r}")
         if not np.all(np.isfinite(self.means)):
             raise ValueError("means must be finite")
         if np.any(self.stds <= 0) or not np.all(np.isfinite(self.stds)):

@@ -169,53 +169,75 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
     return d, k
 
 
-def ksd_vstat(
-    samples: np.ndarray, p: GaussianMixture1D, kernel: KernelSpec
-) -> DivergenceEstimate:
-    """V-statistic kernel Stein discrepancy of samples against model p.
+def ksd_vstats(
+    samples: np.ndarray, models: list[GaussianMixture1D], kernel: KernelSpec
+) -> list[DivergenceEstimate]:
+    """V-statistic kernel Stein discrepancy of one sample set against each
+    of `models`, in one pass over the kernel tiles.
 
     Averages the Stein kernel u_p over all N^2 ordered pairs.  u_p is
     symmetric, so only the upper triangle of the sorted samples is walked,
     in fixed square tiles small enough to stay in cache, all in one
     workspace allocated per call; each off-diagonal tile's column sums stand
-    in for its mirrored pairs.  The sort and the fixed tile order give a
-    canonical summation order, so the value is bit-for-bit invariant under
-    permutation of the input.  The reported
-    std_error uses the nondegenerate asymptotic approximation
-    2 * std(row means) / sqrt(N).
+    in for its mirrored pairs.  The kernel, its derivatives and their
+    score-free row and column sums are formed once per tile; each model
+    adds only its score-weighted sums, so every estimate equals that of a
+    call with the model alone, bit for bit.  The sort and the fixed tile
+    order give a canonical summation order, so every value is bit-for-bit
+    invariant under permutation of the input.  The reported std_error uses
+    the nondegenerate asymptotic approximation 2 * std(row means) / sqrt(N).
     """
+    if not models:
+        raise ValueError("models must be nonempty")
     xs = np.sort(np.asarray(samples, dtype=float))
     if xs.size == 0:
         raise ValueError("samples must be nonempty")
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
     n = xs.size
-    s = score(p, xs)
+    scores = [score(p, xs) for p in models]
     h2 = kernel.bandwidth**2
-    row_sums = np.zeros(n)
+    row_sums = [np.zeros(n) for _ in models]
     work = _tile_work(n, 3)
     for a, b, c, e in _upper_tiles(n):
         d, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
-        si, sj = s[a:b], s[c:e]
         # u_p = s_i s_j k + (s_i - s_j) dk/dy + d2k/dxdy, where dk/dy = kd / h2
         # and d2k/dxdy = (k - kd2 / h2) / h2; d is overwritten by kd2 = k d^2
         kd = np.multiply(k, d, out=work[2, : b - a, : e - c])
         kd2 = np.multiply(d, kd, out=d)
-        row_sums[a:b] += (
-            si * (np.einsum("ij,j->i", k, sj) + np.einsum("ij->i", kd) / h2)
-            - np.einsum("ij,j->i", kd, sj) / h2
-            + (np.einsum("ij->i", k) - np.einsum("ij->i", kd2) / h2) / h2
-        )
+        kd_i = np.einsum("ij->i", kd) / h2
+        base_i = (np.einsum("ij->i", k) - np.einsum("ij->i", kd2) / h2) / h2
         if c != a:
-            row_sums[c:e] += (
-                sj * (np.einsum("ij,i->j", k, si) - np.einsum("ij->j", kd) / h2)
-                + np.einsum("ij,i->j", kd, si) / h2
-                + (np.einsum("ij->j", k) - np.einsum("ij->j", kd2) / h2) / h2
+            kd_j = np.einsum("ij->j", kd) / h2
+            base_j = (np.einsum("ij->j", k) - np.einsum("ij->j", kd2) / h2) / h2
+        for s, sums in zip(scores, row_sums):
+            si, sj = s[a:b], s[c:e]
+            sums[a:b] += (
+                si * (np.einsum("ij,j->i", k, sj) + kd_i)
+                - np.einsum("ij,j->i", kd, sj) / h2
+                + base_i
             )
-    value = float(row_sums.sum() / (n * n))
-    if n > 1:
-        row_means = row_sums / n
-        std_error = float(2.0 * row_means.std(ddof=1) / np.sqrt(n))
-    else:
-        std_error = 0.0
-    return DivergenceEstimate(max(value, 0.0), MONTE_CARLO, n, std_error)
+            if c != a:
+                sums[c:e] += (
+                    sj * (np.einsum("ij,i->j", k, si) - kd_j)
+                    + np.einsum("ij,i->j", kd, si) / h2
+                    + base_j
+                )
+    out = []
+    for sums in row_sums:
+        value = float(sums.sum() / (n * n))
+        if n > 1:
+            row_means = sums / n
+            std_error = float(2.0 * row_means.std(ddof=1) / np.sqrt(n))
+        else:
+            std_error = 0.0
+        out.append(DivergenceEstimate(max(value, 0.0), MONTE_CARLO, n, std_error))
+    return out
+
+
+def ksd_vstat(
+    samples: np.ndarray, p: GaussianMixture1D, kernel: KernelSpec
+) -> DivergenceEstimate:
+    """V-statistic kernel Stein discrepancy of samples against model p; see
+    `ksd_vstats`."""
+    return ksd_vstats(samples, [p], kernel)[0]

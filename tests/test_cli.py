@@ -335,6 +335,15 @@ class TestCliContract:
         assert cli.main(["ksd-run", "--config", bad]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_malformed_model_named_and_leaves_no_outputs(self, tmp_path, capsys):
+        body = KSD.format(out=tmp_path / "out") + "spurious = weights=0.5,0.6; means=-5.0,5.0; stds=1.0,1.0\n"
+        cfg = write_config(tmp_path / "m.cfg", body)
+        assert cli.main(["ksd-run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "[models] spurious:" in err
+        assert "got 1.1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "a.cfg", FISHER.format(out=tmp_path / "out"))
         assert cli.main(["stein-sweep", "--config", cfg]) == 2

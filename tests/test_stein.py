@@ -218,3 +218,41 @@ class TestKsd:
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
             sl.KernelSpec(0.0)
+
+
+class TestKsdVstats:
+    # K = 1, 2 and 3, with the first model repeated
+    MODELS = [
+        sl.gaussian(0.2, 1.3),
+        sl.two_component(0.3, -1.5, 2.0, 1.0),
+        sl.GaussianMixture1D([0.49, 0.49, 0.02], [-1.5, 2.0, 0.3], [1.0, 1.0, 0.5]),
+        sl.gaussian(0.2, 1.3),
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 37])
+    @pytest.mark.parametrize("bandwidth", [1.0, 0.7])
+    def test_equals_one_call_per_model_bit_for_bit(self, n, bandwidth):
+        xs = sl.sample(self.MODELS[1], n, sl.make_stream(6, 0))
+        kernel = sl.KernelSpec(bandwidth)
+        batched = sl.ksd_vstats(xs, self.MODELS, kernel)
+        single = [sl.ksd_vstat(xs, p, kernel) for p in self.MODELS]
+        assert [(e.value, e.std_error, e.resolution) for e in batched] == [
+            (e.value, e.std_error, e.resolution) for e in single
+        ]
+
+    def test_permutation_invariance_is_bit_exact(self):
+        xs = sl.sample(self.MODELS[2], 2 * TILE + 37, sl.make_stream(7, 0))
+        perm = np.random.default_rng(11).permutation(xs.size)
+        kernel = sl.KernelSpec(1.0)
+        a = sl.ksd_vstats(xs, self.MODELS, kernel)
+        b = sl.ksd_vstats(xs[perm], self.MODELS, kernel)
+        assert [(e.value, e.std_error) for e in a] == [(e.value, e.std_error) for e in b]
+
+    def test_empty_model_list_rejected(self):
+        with pytest.raises(ValueError, match="models"):
+            sl.ksd_vstats(np.array([0.0, 1.0]), [], sl.KernelSpec(1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            sl.ksd_vstats(np.array([0.0, bad]), self.MODELS, sl.KernelSpec(1.0))

@@ -4,12 +4,13 @@
 
 Imports scorelab from DIR (default: this checkout's `src`) and times each
 row: mixture evaluation at several sizes, the SVGD direction and run, the
-annealed Langevin run on the `lab` defaults, the KSD V-statistic and the
-KDE.  Every row is warmed up once, then timed in k repeats of `number`
-calls; it records the min and median seconds per call and the CPU seconds
-per call (median).  The rows go under NAME in the JSON file, next to those
-already there, with the host facts, so one file holds parent and change;
-when it holds more than one label, the mins are printed side by side.
+annealed Langevin run on the `lab` defaults, the KSD V-statistic, the KDE,
+and the three models of one `ksd-run`.  Every row is warmed up once, then
+timed in k repeats of `number` calls; it records the min and median seconds
+per call and the CPU seconds per call (median).  The rows go under NAME in
+the JSON file, next to those already there, with the host facts, so one
+file holds parent and change; when it holds more than one label, the mins
+are printed side by side.
 Compare on the min: the host is shared and its medians are noisy.
 """
 
@@ -88,6 +89,18 @@ def rows(sl) -> dict:
     kde = sl.kde_fit(centers)
     points = sl.sample(target, 2000, rng)
     out["kde_log_pdf 2000 x 2000"] = lambda: sl.kde_log_pdf(kde, points)
+    # one ksd-run: true, reweighted and 0.01-spurious models on one sample set;
+    # a tree without ksd_vstats scores them one call each
+    models = [
+        target,
+        sl.two_component(0.9, -4.0, 4.0, 1.0),
+        sl.GaussianMixture1D([0.495, 0.495, 0.01], [-4.0, 4.0, 0.0], [1.0, 1.0, 1.0]),
+    ]
+    samples = sl.sample(target, 10_000, rng)
+    if hasattr(sl, "ksd_vstats"):
+        out["ksd-run models N=10000"] = lambda: sl.ksd_vstats(samples, models, kernel)
+    else:
+        out["ksd-run models N=10000"] = lambda: [sl.ksd_vstat(samples, p, kernel) for p in models]
     return out
 
 
