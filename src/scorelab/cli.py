@@ -7,7 +7,9 @@ Grid cells run independently, each deriving its random stream from
 (seed, cell_index); results are gathered and written in canonical cell
 order, so output bytes do not depend on the thread count.  ksd-run scores
 all its models in one pass over the kernel tiles, so --threads does not
-split it.  On failure all partially written outputs are removed.
+split it.  Each table is built once as named columns: its CSV is formatted
+one column at a time and its plots are drawn from the same columns.  On
+failure all partially written outputs are removed.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from . import remedies as rm
 from . import scorematch as sm
 from . import stein as st
 from . import svgd as sv
-from .config import COMMANDS, ConfigError, ExperimentConfig, load_config
+from .config import COMMANDS, ConfigError, ExperimentConfig, check_label, load_config
 from .numerics import make_stream
 from .svgplot import PlotSpec, render_svg
 
@@ -40,10 +42,21 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+def _column(values) -> list[str]:
+    """One CSV column by the rules of `_cell`; numeric arrays in one pass."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf" and values.itemsize <= 8:
+        return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
+    return [_cell(v) for v in values]
+
+
+def _csv(names, columns) -> str:
+    lines = [",".join(names), *map(",".join, zip(*map(_column, columns)))]
     return "\n".join(lines) + "\n"
+
+
+def _by_rows(names, rows):
+    """A (names, columns) table from row tuples."""
+    return names, list(zip(*rows)) if rows else [()] * len(names)
 
 
 def _map_cells(fn, items, threads: int):
@@ -58,7 +71,8 @@ def _tag(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns ({csv name: content}, [(csv, spec, svg)])
+# command handlers: each returns ({csv name: (column names, columns)},
+# [(csv, spec, svg)]); `run` writes each table and draws its plots from it
 
 
 def _run_score_plot(cfg: ExperimentConfig):
@@ -73,33 +87,30 @@ def _run_score_plot(cfg: ExperimentConfig):
     window = mx.quadrature_window(*mixtures)
     xs = np.linspace(window.lower, window.upper, grid_nodes)
 
-    columns = ["x"]
+    names = ["x"]
     series = [xs]
     for p1, m in zip(pi_grid, mixtures):
-        columns += [f"density_pi{_tag(p1)}", f"score_pi{_tag(p1)}"]
+        names += [f"density_pi{_tag(p1)}", f"score_pi{_tag(p1)}"]
         series += [mx.pdf(m, xs), mx.score(m, xs)]
-    curves = _csv(columns, list(zip(*series)))
 
     p = mx.two_component(witness_pi1, mu1, mu2, sigma)
     q = mx.gaussian(mu1, sigma)
     weighted = st.witness_weighted(q, p, xs)
     unweighted = st.witness_unweighted(q, p, xs)
-    witness = _csv(
+    witness = (
         ["x", "f_weighted", "f_unweighted", "q_pdf", "p_score", "q_score"],
-        list(
-            zip(
-                xs,
-                weighted.normalized(),
-                unweighted.normalized(),
-                mx.pdf(q, xs),
-                mx.score(p, xs),
-                mx.score(q, xs),
-            )
-        ),
+        [
+            xs,
+            weighted.normalized(),
+            unweighted.normalized(),
+            mx.pdf(q, xs),
+            mx.score(p, xs),
+            mx.score(q, xs),
+        ],
     )
 
-    density_cols = tuple(c for c in columns if c.startswith("density_"))
-    score_cols = tuple(c for c in columns if c.startswith("score_"))
+    density_cols = tuple(c for c in names if c.startswith("density_"))
+    score_cols = tuple(c for c in names if c.startswith("score_"))
     plots = [
         (
             "curves.csv",
@@ -112,7 +123,7 @@ def _run_score_plot(cfg: ExperimentConfig):
             "witness.svg",
         ),
     ]
-    return {"curves.csv": curves, "witness.csv": witness}, plots
+    return {"curves.csv": (names, series), "witness.csv": witness}, plots
 
 
 def _run_fisher_sweep(cfg: ExperimentConfig):
@@ -124,7 +135,7 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
         lambda s: sm.blindness_sweep([s], pi_pairs, sigma), separations, cfg.threads
     )
     flat = [r for chunk in rows for r in chunk]
-    content = _csv(
+    table = _by_rows(
         ["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes"],
         [
             (r.separation, r.pi, r.pi_prime, r.j_pp_prime, r.j_q_p, r.method, r.nodes)
@@ -138,7 +149,7 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
             "sweep.svg",
         )
     ]
-    return {"sweep.csv": content}, plots
+    return {"sweep.csv": table}, plots
 
 
 def _run_stein_sweep(cfg: ExperimentConfig):
@@ -155,7 +166,7 @@ def _run_stein_sweep(cfg: ExperimentConfig):
         return (s, pi1, w.value, u.value, spec.nodes)
 
     rows = _map_cells(one, separations, cfg.threads)
-    content = _csv(["separation", "pi1", "sd_weighted", "sd_unweighted", "nodes"], rows)
+    table = _by_rows(["separation", "pi1", "sd_weighted", "sd_unweighted", "nodes"], rows)
     plots = [
         (
             "stein_sweep.csv",
@@ -163,7 +174,7 @@ def _run_stein_sweep(cfg: ExperimentConfig):
             "stein_sweep.svg",
         )
     ]
-    return {"stein_sweep.csv": content}, plots
+    return {"stein_sweep.csv": table}, plots
 
 
 def _run_ksd(cfg: ExperimentConfig):
@@ -176,6 +187,7 @@ def _run_ksd(cfg: ExperimentConfig):
     labels = list(cfg.models)
     models = []
     for label in labels:
+        check_label(f"[models] {label}", label)
         try:
             models.append(mx.from_record(cfg.models[label]))
         except ValueError as exc:
@@ -183,7 +195,7 @@ def _run_ksd(cfg: ExperimentConfig):
 
     samples = mx.sample(source, n, make_stream(cfg.seed, 0))
     estimates = st.ksd_vstats(samples, models, st.KernelSpec(bandwidth))
-    content = _csv(
+    table = _by_rows(
         ["index", "model", "value", "std_error", "n", "bandwidth"],
         [
             (i, label, est.value, est.std_error, est.resolution, bandwidth)
@@ -193,7 +205,7 @@ def _run_ksd(cfg: ExperimentConfig):
     plots = [
         ("ksd.csv", PlotSpec("lines", x="index", y=("value",), title="ksd by model"), "ksd.svg")
     ]
-    return {"ksd.csv": content}, plots
+    return {"ksd.csv": table}, plots
 
 
 def _run_svgd(cfg: ExperimentConfig):
@@ -230,24 +242,28 @@ def _run_svgd(cfg: ExperimentConfig):
     window = mx.quadrature_window(
         *[mx.two_component(p1, mu1, mu2, sigma) for p1 in pi1_grid]
     )
-    files: dict[str, str] = {}
+    files = {}
     plots = []
     summary_rows = []
     for (p1, mu0, s0), (init, final, snapshots) in zip(grid, results):
         tag = f"pi{_tag(p1)}_mu{_tag(mu0)}_sd{_tag(s0)}"
         summary_rows.append((cfg.seed, mu0, s0, p1, sv.mode_fraction(final, threshold)))
-        files[f"snapshots_{tag}.csv"] = _csv(
+        # svgd_run always records the final positions, so snapshots is nonempty
+        files[f"snapshots_{tag}.csv"] = (
             ["iteration", "particle_id", "position"],
             [
-                (it, pid, pos)
-                for it, positions in snapshots
-                for pid, pos in enumerate(positions)
+                np.repeat([it for it, _ in snapshots], particles),
+                np.tile(np.arange(particles), len(snapshots)),
+                np.concatenate([positions for _, positions in snapshots]),
             ],
         )
-        files[f"positions_{tag}.csv"] = _csv(
+        files[f"positions_{tag}.csv"] = (
             ["phase", "particle_id", "position"],
-            [("initial", pid, pos) for pid, pos in enumerate(init.positions)]
-            + [("final", pid, pos) for pid, pos in enumerate(final.positions)],
+            [
+                ["initial"] * particles + ["final"] * particles,
+                np.tile(np.arange(particles), 2),
+                np.concatenate((init.positions, final.positions)),
+            ],
         )
         plots.append(
             (
@@ -263,7 +279,7 @@ def _run_svgd(cfg: ExperimentConfig):
                 f"hist_{tag}.svg",
             )
         )
-    files["summary.csv"] = _csv(
+    files["summary.csv"] = _by_rows(
         ["seed", "mu0", "sigma0", "pi1", "final_mode_fraction"], summary_rows
     )
     return files, plots
@@ -297,9 +313,9 @@ def _run_langevin(cfg: ExperimentConfig):
 
     window = mx.quadrature_window(target)
     files = {
-        "levels.csv": _csv(["level", "sigma_j", "step", "mode_fraction"], trace_rows),
-        "final.csv": _csv(
-            ["particle_id", "position"], list(enumerate(ensemble.positions))
+        "levels.csv": _by_rows(["level", "sigma_j", "step", "mode_fraction"], trace_rows),
+        "final.csv": (
+            ["particle_id", "position"], [np.arange(particles), ensemble.positions]
         ),
     }
     plots = [
@@ -330,7 +346,7 @@ def _run_remedies(cfg: ExperimentConfig):
     model = cfg.get_mixture(
         "model", "weights=0.1,0.9; means=-5.0,5.0; stds=1.0,1.0; log_offset=0.0"
     )
-    scenario = cfg.get_str("scenario", "pi_swap")
+    scenario = check_label("[params] scenario", cfg.get_str("scenario", "pi_swap"))
     n_samples = cfg.get_int("n_samples", 2000)
     pairs = cfg.get_int("pairs", 10_000)
     lambdas = cfg.get_floats("lambdas", "0.1, 1.0, 10.0")
@@ -354,7 +370,7 @@ def _run_remedies(cfg: ExperimentConfig):
         )
         rows.append((scenario, fisher, loss, float(moments[0]), float(moments[1]), lam))
     files = {
-        "report.csv": _csv(
+        "report.csv": _by_rows(
             ["scenario", "fisher_divergence", "cml_loss", "moment_diff_1", "moment_diff_2", "lambda_ml"],
             rows,
         )
@@ -397,12 +413,15 @@ def run(config: ExperimentConfig) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
-        for name, content in files.items():
+        for name, (names, columns) in files.items():
             path = out_dir / name
-            path.write_text(content, encoding="utf-8")
+            path.write_text(_csv(names, columns), encoding="utf-8")
             written.append(path)
         for csv_name, spec, svg_name in plots:
-            written.append(render_svg(out_dir / csv_name, spec, out_dir / svg_name))
+            names, columns = files[csv_name]
+            written.append(
+                render_svg(out_dir / csv_name, spec, out_dir / svg_name, dict(zip(names, columns)))
+            )
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)

@@ -27,8 +27,21 @@ COMMANDS = (
 RANDOMIZED = ("ksd-run", "svgd-run", "langevin-run", "remedies-run")
 
 
+# characters that would break an unquoted CSV cell
+_CSV_UNSAFE = (",", '"', "\r", "\n")
+
+
 class ConfigError(Exception):
     """Invalid experiment config; the message names the offending field."""
+
+
+def check_label(key: str, label: str) -> str:
+    """`label`, if it can be written as one unquoted CSV cell; else a
+    ConfigError naming `key`."""
+    bad = [c for c in _CSV_UNSAFE if c in label]
+    if bad:
+        raise ConfigError(f"{key}: a label must not contain {' or '.join(map(repr, bad))}, got {label!r}")
+    return label
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Deterministic SVG rendering from CSV files.
+"""Deterministic SVG rendering of CSV tables.
 
 Output is plain string-built SVG with a fixed canvas, a fixed tick
 algorithm, and fixed number formatting, so identical inputs produce
-byte-identical files; golden-file comparisons are safe.
+byte-identical files; golden-file comparisons are safe.  A table is drawn
+from its columns, either held in memory by the writer of the CSV or read
+back from the file; both give the same bytes.
 """
 
 from __future__ import annotations
@@ -53,17 +55,30 @@ class PlotSpec:
                 raise ValueError(f"{self.kind} plots need x and at least one y column")
 
 
-def _read_columns(csv_path: Path, names: list[str]) -> dict[str, list[str]]:
+def _read_columns(csv_path: Path) -> dict[str, tuple[str, ...]]:
+    """The CSV's columns by header name, as text."""
     with open(csv_path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for name in names:
-            if name not in header:
-                raise ValueError(f"{csv_path.name}: missing column {name!r}")
-        out: dict[str, list[str]] = {name: [] for name in names}
-        for row in reader:
-            for name in names:
-                out[name].append(row[name])
+        header, *rows = [row for row in csv.reader(handle) if row] or [[]]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{csv_path.name}: a row's field count differs from the header's")
+    columns = dict.fromkeys(header, ())
+    columns.update(zip(header, zip(*rows)))
+    return columns
+
+
+def _numeric(source: str, spec: PlotSpec, columns) -> dict[str, np.ndarray]:
+    """The spec's numeric columns as finite float arrays, once every column
+    the spec names is known to exist.  Text converts as by `float`."""
+    numeric = [spec.value] if spec.kind == "histogram" else [spec.x, *spec.y, *spec.y2]
+    for name in numeric + ([spec.group] if spec.group else []):
+        if name not in columns:
+            raise ValueError(f"{source}: missing column {name!r}")
+    out = {}
+    for name in numeric:
+        values = np.asarray(columns[name], dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{source}: column {name!r} has non-finite values")
+        out[name] = values
     return out
 
 
@@ -89,6 +104,10 @@ def _px(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _coords(xs: np.ndarray, ys: np.ndarray) -> str:
+    return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+
+
 class _Canvas:
     def __init__(self, title: str):
         self.parts = [
@@ -111,15 +130,15 @@ class _Canvas:
             f'stroke="{stroke}" stroke-width="{width:g}"/>'
         )
 
-    def polyline(self, points, stroke, width=1.5):
-        coords = " ".join(f"{_px(x)},{_px(y)}" for x, y in points)
+    def polyline(self, xs: np.ndarray, ys: np.ndarray, stroke, width=1.5):
         self.parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="{width:g}"/>'
+            f'<polyline points="{_coords(xs, ys)}" fill="none" stroke="{stroke}" stroke-width="{width:g}"/>'
         )
 
-    def polygon(self, points, fill, opacity=0.45):
-        coords = " ".join(f"{_px(x)},{_px(y)}" for x, y in points)
-        self.parts.append(f'<polygon points="{coords}" fill="{fill}" fill-opacity="{opacity:g}"/>')
+    def polygon(self, xs: np.ndarray, ys: np.ndarray, fill, opacity=0.45):
+        self.parts.append(
+            f'<polygon points="{_coords(xs, ys)}" fill="{fill}" fill-opacity="{opacity:g}"/>'
+        )
 
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
@@ -132,7 +151,8 @@ class _Scale:
         self.lo, self.hi = lo, hi
         self.px_lo, self.px_hi = px_lo, px_hi
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v):
+        """Pixel position of a value, or elementwise of an array of values."""
         t = (v - self.lo) / (self.hi - self.lo)
         return self.px_lo + t * (self.px_hi - self.px_lo)
 
@@ -175,35 +195,39 @@ def _legend(cv: _Canvas, labels: list[tuple[str, str]]):
         y += 15
 
 
-def render_svg(csv_path: str | Path, spec: PlotSpec, out_path: str | Path | None = None) -> Path:
-    """Render one CSV into a deterministic SVG; returns the output path.
+def render_svg(
+    csv_path: str | Path,
+    spec: PlotSpec,
+    out_path: str | Path | None = None,
+    columns: dict | None = None,
+) -> Path:
+    """Render one CSV table into a deterministic SVG; returns the output path.
 
-    A CSV with zero data rows yields an axes-only plot.  A CSV lacking a
-    column named by the spec is rejected with the missing column named.
+    `columns` maps header names to the table's values when the caller holds
+    them in memory; the file is then not read.  A table with zero data rows
+    yields an axes-only plot.  A table lacking a column named by the spec is
+    rejected with the missing column named, and so is a plotted column with
+    a NaN or an infinity.
     """
     csv_path = Path(csv_path)
     out_path = Path(out_path) if out_path is not None else csv_path.with_suffix(".svg")
-    if spec.kind == "histogram":
-        content = _render_histogram(csv_path, spec)
-    else:
-        content = _render_lines(csv_path, spec)
-    out_path.write_text(content, encoding="utf-8")
+    if columns is None:
+        columns = _read_columns(csv_path)
+    render = _render_histogram if spec.kind == "histogram" else _render_lines
+    out_path.write_text(render(csv_path.name, spec, columns), encoding="utf-8")
     return out_path
 
 
-def _render_lines(csv_path: Path, spec: PlotSpec) -> str:
-    names = [spec.x] + list(spec.y) + list(spec.y2)
-    data = _read_columns(csv_path, names)
+def _render_lines(source: str, spec: PlotSpec, columns) -> str:
+    cols = _numeric(source, spec, columns)
     cv = _Canvas(spec.title)
-    n = len(data[spec.x])
-    if n == 0:
+    xvals = cols[spec.x]
+    if xvals.size == 0:
         xs = _Scale(0.0, 1.0, MARGIN_L, WIDTH - MARGIN_R)
         ys = _Scale(0.0, 1.0, HEIGHT - MARGIN_B, MARGIN_T)
         _axes(cv, xs, ys)
         return cv.render()
 
-    cols = {name: np.array([float(v) for v in data[name]]) for name in names}
-    xvals = cols[spec.x]
     left = np.concatenate([cols[name] for name in spec.y])
     xs = _Scale(*_padded(xvals), MARGIN_L, WIDTH - MARGIN_R)
     ys = _Scale(*_padded(left), HEIGHT - MARGIN_B, MARGIN_T)
@@ -214,32 +238,27 @@ def _render_lines(csv_path: Path, spec: PlotSpec) -> str:
     _axes(cv, xs, ys, right)
 
     labels = []
+    px = xs(xvals)
     series = [(name, ys) for name in spec.y] + [(name, right) for name in spec.y2]
     for idx, (name, scale) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        pts = [(xs(x), scale(y)) for x, y in zip(xvals, cols[name])]
-        cv.polyline(pts, color)
+        cv.polyline(px, scale(cols[name]), color)
         labels.append((name, color))
     _legend(cv, labels)
     cv.text(WIDTH / 2, HEIGHT - 10, spec.x, anchor="middle")
     return cv.render()
 
 
-def _render_histogram(csv_path: Path, spec: PlotSpec) -> str:
-    names = [spec.value] + ([spec.group] if spec.group else [])
-    data = _read_columns(csv_path, names)
+def _render_histogram(source: str, spec: PlotSpec, columns) -> str:
+    values = _numeric(source, spec, columns)[spec.value]
     cv = _Canvas(spec.title)
     edges = np.arange(spec.lo, spec.hi + spec.bin_width * 0.5, spec.bin_width)
     if edges.size < 2:
         edges = np.array([spec.lo, spec.hi])
 
-    values = np.array([float(v) for v in data[spec.value]]) if data[spec.value] else np.array([])
     if spec.group:
-        groups = data[spec.group]
-        order = sorted(set(groups))
-        grouped = [
-            (g, values[np.array([gg == g for gg in groups], dtype=bool)]) for g in order
-        ]
+        order, index = np.unique(np.asarray(columns[spec.group], dtype=str), return_inverse=True)
+        grouped = [(str(g), values[index == i]) for i, g in enumerate(order)]
     else:
         grouped = [("", values)]
 
@@ -249,17 +268,14 @@ def _render_histogram(csv_path: Path, spec: PlotSpec) -> str:
     ys = _Scale(0.0, peak if peak > 0 else 1.0, HEIGHT - MARGIN_B, MARGIN_T)
     _axes(cv, xs, ys)
 
+    # the outline runs base, (left, top) and (right, top) of every bin, base
+    ex = xs(edges)
+    outline_x = np.concatenate(([ex[0]], np.column_stack((ex[:-1], ex[1:])).ravel(), [ex[-1]]))
+    base = ys(0.0)
     labels = []
     for idx, ((gname, _), c) in enumerate(zip(grouped, counts)):
         color = PALETTE[idx % len(PALETTE)]
-        base = ys(0.0)
-        pts = [(xs(float(edges[0])), base)]
-        for b in range(c.size):
-            top = ys(float(c[b]))
-            pts.append((xs(float(edges[b])), top))
-            pts.append((xs(float(edges[b + 1])), top))
-        pts.append((xs(float(edges[-1])), base))
-        cv.polygon(pts, color)
+        cv.polygon(outline_x, np.concatenate(([base], np.repeat(ys(c), 2), [base])), color)
         if gname:
             labels.append((gname, color))
     if labels:

@@ -344,6 +344,28 @@ class TestCliContract:
         assert "got 1.1" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command, body, key",
+        [
+            ("ksd-run", KSD + "a,b = weights=1.0; means=0.0; stds=1.0\n", "[models] a,b"),
+            ("ksd-run", KSD + 'q"uote = weights=1.0; means=0.0; stds=1.0\n', '[models] q"uote'),
+            ("remedies-run", REMEDIES + "scenario = swap, then more\n", "[params] scenario"),
+            ("remedies-run", REMEDIES + "scenario = swap\n  then more\n", "[params] scenario"),
+        ],
+        ids=["model comma", "model quote", "scenario comma", "scenario newline"],
+    )
+    def test_label_that_breaks_a_csv_cell_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, command, body, key
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the labels were checked")
+
+        monkeypatch.setattr(cli.mx, "sample", no_sampling)
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main([command, "--config", cfg]) == 2
+        assert f"{key}: a label must not contain" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "a.cfg", FISHER.format(out=tmp_path / "out"))
         assert cli.main(["stein-sweep", "--config", cfg]) == 2

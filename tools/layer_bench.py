@@ -5,7 +5,10 @@
 Imports scorelab from DIR (default: this checkout's `src`) and times each
 row: mixture evaluation at several sizes, the SVGD direction and run, the
 annealed Langevin run on the `lab` defaults, the KSD V-statistic, the KDE,
-and the three models of one `ksd-run`.  Every row is warmed up once, then
+the three models of one `ksd-run`, and the output layer: the CSV text of
+score-plot's `curves.csv` (4001 rows x 21 columns) and of one svgd-run
+`snapshots_*.csv`, each from the values a handler holds, and the
+`curves.svg` rendered the way `lab` renders it.  Every row is warmed up once, then
 timed in k repeats of `number` calls; it records the min and median seconds
 per call and the CPU seconds per call (median).  The rows go under NAME in
 the JSON file, next to those already there, with the host facts, so one
@@ -18,12 +21,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import inspect
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 K_REPEATS = 5
 REPEAT_S = 0.05  # target length of one repeat; sets `number`
@@ -51,8 +58,9 @@ def _time(fn) -> dict:
     }
 
 
-def rows(sl) -> dict:
-    """Name -> zero-argument callable, for the scorelab module `sl`."""
+def rows(sl, folder: Path) -> dict:
+    """Name -> zero-argument callable, for the scorelab module `sl`; the
+    output rows write their files into `folder`."""
     from scorelab.mixture import _logpdf
 
     rng = sl.make_stream(0, 0)
@@ -101,16 +109,68 @@ def rows(sl) -> dict:
         out["ksd-run models N=10000"] = lambda: sl.ksd_vstats(samples, models, kernel)
     else:
         out["ksd-run models N=10000"] = lambda: [sl.ksd_vstat(samples, p, kernel) for p in models]
+    out.update(_output_rows(sl, rng, folder))
+    return out
+
+
+def _output_rows(sl, rng, folder: Path) -> dict:
+    """The output layer as `lab` runs it.  A tree whose `render_svg` takes no
+    `columns` formats row tuples and renders from the written CSV."""
+    from scorelab.cli import _csv
+    from scorelab.svgplot import PlotSpec, render_svg
+
+    columnwise = "columns" in inspect.signature(render_svg).parameters
+    out = {}
+
+    # score-plot on the sweep workload: 4001 nodes, 10 weights
+    mixtures = [sl.two_component(p1, -4.0, 4.0, 1.0) for p1 in np.linspace(0.05, 0.95, 10)]
+    window = sl.quadrature_window(*mixtures)
+    xs = np.linspace(window.lower, window.upper, 4001)
+    names, series = ["x"], [xs]
+    for i, m in enumerate(mixtures):
+        names += [f"density_{i}", f"score_{i}"]
+        series += [sl.pdf(m, xs), sl.score(m, xs)]
+    if columnwise:
+        out["curves.csv 4001 x 21 text"] = lambda: _csv(names, series)
+    else:
+        out["curves.csv 4001 x 21 text"] = lambda: _csv(names, list(zip(*series)))
+
+    csv_path = folder / "curves.csv"
+    csv_path.write_text(out["curves.csv 4001 x 21 text"](), encoding="utf-8")
+    spec = PlotSpec("dual_axis", x="x", y=tuple(names[1::2]), y2=tuple(names[2::2]))
+    if columnwise:
+        columns = dict(zip(names, series))
+        out["curves.svg render"] = lambda: render_svg(csv_path, spec, folder / "a.svg", columns)
+    else:
+        out["curves.svg render"] = lambda: render_svg(csv_path, spec, folder / "a.svg")
+
+    # one svgd-run cell on the lab defaults: 200 particles, 5 snapshots
+    snapshots = [(500 * k, 3.0 * rng.standard_normal(200)) for k in range(5)]
+    if columnwise:
+        def snapshot_text():
+            return _csv(
+                ["iteration", "particle_id", "position"],
+                [
+                    np.repeat([it for it, _ in snapshots], 200),
+                    np.tile(np.arange(200), len(snapshots)),
+                    np.concatenate([positions for _, positions in snapshots]),
+                ],
+            )
+    else:
+        def snapshot_text():
+            return _csv(
+                ["iteration", "particle_id", "position"],
+                [(it, pid, pos) for it, positions in snapshots for pid, pos in enumerate(positions)],
+            )
+    out["snapshots csv 200 x 5 text"] = snapshot_text
     return out
 
 
 def _host() -> dict:
-    import numpy
-
     return {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": np.__version__,
         "machine": platform.machine(),
     }
 
@@ -131,9 +191,10 @@ def main(argv=None) -> int:
         parser.error(f"scorelab was imported from {sl.__file__}, not from {src}")
 
     timed = {}
-    for name, fn in rows(sl).items():
-        timed[name] = _time(fn)
-        print(f"{name:34s} min {timed[name]['min_s'] * 1e6:12.1f} us", flush=True)
+    with tempfile.TemporaryDirectory(prefix="layer_bench_") as folder:
+        for name, fn in rows(sl, Path(folder)).items():
+            timed[name] = _time(fn)
+            print(f"{name:34s} min {timed[name]['min_s'] * 1e6:12.1f} us", flush=True)
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     data["host"] = _host()
