@@ -7,9 +7,10 @@ Grid cells run independently, each deriving its random stream from
 (seed, cell_index); results are gathered and written in canonical cell
 order, so output bytes do not depend on the thread count.  ksd-run scores
 all its models in one pass over the kernel tiles, so --threads does not
-split it.  Each table is built once as named columns: its CSV is formatted
-one column at a time and its plots are drawn from the same columns.  On
-failure all partially written outputs are removed.
+split it; remedies-run evaluates the reference and model log densities
+once for all its lambdas.  Each table is built once as named columns: its
+CSV is formatted one column at a time and its plots are drawn from the
+same columns.  On failure all partially written outputs are removed.
 """
 
 from __future__ import annotations
@@ -353,22 +354,30 @@ def _run_remedies(cfg: ExperimentConfig):
     reference = cfg.get_str("reference", "kde")
     if reference not in ("kde", "true"):
         raise ConfigError(f"[params] reference must be kde or true, got {reference!r}")
+    if n_samples < 2:
+        raise ConfigError(f"[params] n_samples: needs at least 2 samples, got {n_samples}")
+    if not lambdas:
+        raise ConfigError("[params] lambdas: must list at least one weight")
+    try:
+        rm.CmlConfig(pair_subsample=pairs)
+    except ValueError as exc:
+        raise ConfigError(f"[params] pairs: {exc}") from None
+    try:
+        cml_cfgs = [rm.CmlConfig(lambda_ml=lam, pair_subsample=pairs) for lam in lambdas]
+    except ValueError as exc:
+        raise ConfigError(f"[params] lambdas: {exc}") from None
 
     samples = mx.sample(data, n_samples, make_stream(cfg.seed, 0))
     ml = rm.kde_fit(samples, "silverman") if reference == "kde" else data
     fisher = sm.fisher_divergence(data, model).value
     moments = rm.moment_discrepancy(model, samples, [1, 2])
-
-    rows = []
-    for i, lam in enumerate(lambdas):
-        loss = rm.cml_loss(
-            model,
-            ml,
-            samples,
-            rm.CmlConfig(lambda_ml=lam, pair_subsample=pairs),
-            make_stream(cfg.seed, 1 + i),
-        )
-        rows.append((scenario, fisher, loss, float(moments[0]), float(moments[1]), lam))
+    losses = rm.cml_losses(
+        model, ml, samples, cml_cfgs, [make_stream(cfg.seed, 1 + i) for i in range(len(lambdas))]
+    )
+    rows = [
+        (scenario, fisher, loss, float(moments[0]), float(moments[1]), lam)
+        for lam, loss in zip(lambdas, losses)
+    ]
     files = {
         "report.csv": _by_rows(
             ["scenario", "fisher_divergence", "cml_loss", "moment_diff_1", "moment_diff_2", "lambda_ml"],

@@ -6,14 +6,20 @@ estimator for implicit (pushforward) distributions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .mixture import _LOG_2PI, GaussianMixture1D, _logpdf, _logsumexp, quadrature_window
 from .numerics import QuadratureSpec, RngStream, quad_integrate
-from .stein import _TILE
+
+# Entries per temporary of `kde_log_pdf`: 16384 doubles are 128 KiB, glibc's
+# default mmap threshold.  Larger temporaries go back to the kernel when
+# freed (unmapped, or trimmed from the heap top), and the next block faults
+# their pages in again; smaller ones are reused from the heap.
+_KDE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -27,8 +33,10 @@ class KdeModel:
         centers = np.asarray(self.centers, dtype=float)
         if centers.ndim != 1 or centers.size == 0:
             raise ValueError("centers must be a nonempty 1-D array")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must be finite")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         object.__setattr__(self, "centers", centers)
 
 
@@ -54,15 +62,16 @@ def kde_fit(samples: np.ndarray, bandwidth_rule: str | float = "silverman") -> K
 def kde_log_pdf(model: KdeModel, x) -> float | np.ndarray:
     """Log of the KDE density via log-sum-exp over the centers.
 
-    The points are taken in blocks of _TILE, so the temporaries hold
-    _TILE x centers entries, not len(x) x centers.  Each point's sum does
+    The points are taken in blocks of `_KDE_BLOCK // centers` rows (at
+    least one), so no temporary outgrows the heap.  Each point's sum does
     not depend on the blocking.
     """
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
     out = np.empty(flat.size)
-    for a in range(0, flat.size, _TILE):
-        b = a + _TILE
+    rows = max(1, _KDE_BLOCK // model.centers.size)
+    for a in range(0, flat.size, rows):
+        b = a + rows
         z = (flat[a:b, None] - model.centers) / model.bandwidth
         logs = -0.5 * (z * z) - np.log(model.bandwidth) - 0.5 * _LOG_2PI
         out[a:b] = _logsumexp(logs) - np.log(model.centers.size)
@@ -81,8 +90,8 @@ class CmlConfig:
     pair_subsample: int | None = 10_000
 
     def __post_init__(self):
-        if self.lambda_ml < 0:
-            raise ValueError(f"lambda_ml must be nonnegative, got {self.lambda_ml}")
+        if not (math.isfinite(self.lambda_ml) and self.lambda_ml >= 0):
+            raise ValueError(f"lambda_ml must be finite and nonnegative, got {self.lambda_ml}")
         if self.pair_subsample is not None and self.pair_subsample < 1:
             raise ValueError("pair_subsample must be a positive count or None")
 
@@ -112,17 +121,20 @@ def _sample_pairs(n: int, cfg: CmlConfig, rng: RngStream | None):
     return i, j
 
 
-def cml_loss(
+def cml_losses(
     model: GaussianMixture1D,
     ml: ReferenceDensity,
     samples: np.ndarray,
-    cfg: CmlConfig,
-    rng: RngStream | None = None,
-) -> float:
-    """Pairwise log-density-ratio mismatch against the reference model.
+    cfgs: Sequence[CmlConfig],
+    rngs: Sequence[RngStream | None],
+) -> list[float]:
+    """Pairwise log-density-ratio mismatch against the reference model, one
+    loss per config.
 
     lambda times the sum over ordered sample pairs (i, j), i != j, of
-    (log ml(x_i)/ml(x_j) - log model(x_i)/model(x_j))^2.  The model enters
+    (log ml(x_i)/ml(x_j) - log model(x_i)/model(x_j))^2.  Each config draws
+    its pairs from its own stream in `rngs` (None where it takes all pairs);
+    both log densities are evaluated once for all configs.  The model enters
     only through log-density differences, so its additive log offset cancels
     exactly (bit-for-bit, since the offset is never added before the
     subtraction).  `ml` may be a KdeModel, a mixture used as the true data
@@ -131,11 +143,27 @@ def cml_loss(
     xs = np.asarray(samples, dtype=float)
     if xs.size < 2:
         raise ValueError("cml_loss needs at least 2 samples")
-    i, j = _sample_pairs(xs.size, cfg, rng)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("samples must be finite")
     log_ml = _reference_log_pdf(ml, xs)
     log_model = _logpdf(model, xs)  # offset drops out of the pair differences
-    mismatch = (log_ml[i] - log_ml[j]) - (log_model[i] - log_model[j])
-    return float(cfg.lambda_ml * np.sum(mismatch * mismatch))
+    out = []
+    for cfg, rng in zip(cfgs, rngs, strict=True):
+        i, j = _sample_pairs(xs.size, cfg, rng)
+        mismatch = (log_ml[i] - log_ml[j]) - (log_model[i] - log_model[j])
+        out.append(float(cfg.lambda_ml * np.sum(mismatch * mismatch)))
+    return out
+
+
+def cml_loss(
+    model: GaussianMixture1D,
+    ml: ReferenceDensity,
+    samples: np.ndarray,
+    cfg: CmlConfig,
+    rng: RngStream | None = None,
+) -> float:
+    """The pairwise log-ratio loss of one config; see `cml_losses`."""
+    return cml_losses(model, ml, samples, [cfg], [rng])[0]
 
 
 def moment_discrepancy(

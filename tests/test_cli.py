@@ -366,6 +366,31 @@ class TestCliContract:
         assert f"{key}: a label must not contain" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("lambdas = 0.5, 1.0", "lambdas = -1.0", "[params] lambdas:"),
+            ("lambdas = 0.5, 1.0", "lambdas = 0.5, nan", "[params] lambdas:"),
+            ("lambdas = 0.5, 1.0", "lambdas =", "[params] lambdas:"),
+            ("pairs = 3000", "pairs = 0", "[params] pairs:"),
+            ("n_samples = 600", "n_samples = 1", "[params] n_samples:"),
+        ],
+        ids=["negative lambda", "nan lambda", "no lambdas", "zero pairs", "one sample"],
+    )
+    def test_bad_remedies_param_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, old, new, key
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the params were checked")
+
+        monkeypatch.setattr(cli.mx, "sample", no_sampling)
+        body = REMEDIES.replace(old, new)
+        assert body != REMEDIES
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["remedies-run", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "a.cfg", FISHER.format(out=tmp_path / "out"))
         assert cli.main(["stein-sweep", "--config", cfg]) == 2

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 import scorelab as sl
+from scorelab.remedies import _KDE_BLOCK
 from scorelab.stein import _TILE as TILE
 
 N01 = sl.gaussian(0.0, 1.0)
+ROWS = _KDE_BLOCK // 2000  # rows per KDE block at 2000 centers
 
 
 class TestKde:
@@ -43,10 +46,19 @@ class TestKde:
         model = sl.kde_fit(xs, "silverman")
         assert sl.kde_log_pdf(model, 0.0) == pytest.approx(math.log(0.39894), abs=0.02)
 
-    @pytest.mark.parametrize("n", [None, 1, TILE, TILE + 1, 2000])
-    def test_row_blocks_match_one_shot_formula(self, n):
+    @pytest.mark.parametrize(
+        "n, centers",
+        [
+            *[
+                pytest.param(n, 2000, id=str(n))
+                for n in (None, 1, TILE, TILE + 1, 2000, ROWS - 1, ROWS, ROWS + 1)
+            ],
+            pytest.param(3, _KDE_BLOCK + 1, id="3-one-row-blocks"),
+        ],
+    )
+    def test_row_blocks_match_one_shot_formula(self, n, centers):
         rng = sl.make_stream(6, 0)
-        model = sl.kde_fit(sl.sample(sl.two_component(0.3, -2, 2, 1), 2000, rng))
+        model = sl.kde_fit(sl.sample(sl.two_component(0.3, -2, 2, 1), centers, rng))
         x = 1.7 if n is None else 3.0 * rng.standard_normal(n)
         z = (np.asarray(x)[..., None] - model.centers) / model.bandwidth
         logs = -0.5 * (z * z) - np.log(model.bandwidth) - 0.5 * math.log(2 * math.pi)
@@ -56,6 +68,37 @@ class TestKde:
             assert isinstance(got, float) and got == float(expected)
         else:
             assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_stays_under_one_megabyte(self):
+        rng = sl.make_stream(7, 0)
+        data = sl.two_component(0.3, -2, 2, 1)
+        model = sl.kde_fit(sl.sample(data, 2000, rng))
+        x = sl.sample(data, 2000, rng)
+        tracemalloc.start()
+        try:
+            sl.kde_log_pdf(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_nonfinite_sample_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            sl.kde_fit(np.array([0.0, 1.0, np.nan, 2.0]))
+
+    @pytest.mark.parametrize(
+        "centers, bandwidth",
+        [
+            ([0.0, 1.0], np.nan),
+            ([0.0, 1.0], np.inf),
+            ([0.0, np.nan], 1.0),
+            ([0.0, np.inf], 1.0),
+            ([-np.inf], 1.0),
+        ],
+    )
+    def test_model_rejects_nonfinite(self, centers, bandwidth):
+        with pytest.raises(ValueError, match="finite"):
+            sl.KdeModel(np.array(centers), bandwidth)
 
 
 class TestCmlLoss:
@@ -127,6 +170,68 @@ class TestCmlLoss:
         loss = sl.cml_loss(model, data, xs, sl.CmlConfig(1.0, 10_000), sl.make_stream(11, 0))
         assert loss > 1.0
         assert loss > 1e4 * fisher
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_samples_rejected(self, bad):
+        xs = np.array([0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            sl.cml_loss(N01, N01, xs, sl.CmlConfig(1.0, None))
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_config_rejects_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda_ml"):
+            sl.CmlConfig(lambda_ml=lam)
+
+
+class TestCmlLosses:
+    DATA = sl.two_component(0.9, -5, 5, 1)
+    MODEL = sl.GaussianMixture1D([0.1, 0.9], [-5.0, 5.0], [1.0, 1.0], log_offset=3.5)
+
+    @staticmethod
+    def references(xs):
+        data = TestCmlLosses.DATA
+        return {
+            "kde": sl.kde_fit(xs, "silverman"),
+            "mixture": data,
+            "callable": lambda x: sl.log_unnorm(data, x),
+        }
+
+    @pytest.mark.parametrize("reference", ["kde", "mixture", "callable"])
+    @pytest.mark.parametrize("n", [2, 3, 400])
+    def test_equals_one_cml_loss_per_config(self, reference, n):
+        xs = sl.sample(self.DATA, n, sl.make_stream(20, n))
+        ml = self.references(xs)[reference]
+        cfgs = [
+            sl.CmlConfig(0.1, 1),
+            sl.CmlConfig(1.0, None),
+            sl.CmlConfig(10.0, 500),
+            sl.CmlConfig(2.5, n * (n - 1)),  # the budget covers all pairs
+            sl.CmlConfig(0.0, 7),
+        ]
+        seeds = [21, None, 22, 23, 24]
+
+        def streams():
+            return [None if s is None else sl.make_stream(s, n) for s in seeds]
+
+        batched = sl.cml_losses(self.MODEL, ml, xs, cfgs, streams())
+        single = [sl.cml_loss(self.MODEL, ml, xs, c, r) for c, r in zip(cfgs, streams())]
+        assert len(batched) == len(cfgs)
+        assert all(isinstance(v, float) for v in batched)
+        assert np.array(batched).tobytes() == np.array(single).tobytes()
+
+    def test_empty_config_list(self):
+        assert sl.cml_losses(self.MODEL, self.DATA, np.array([0.0, 1.0]), [], []) == []
+
+    def test_one_stream_per_config(self):
+        with pytest.raises(ValueError):
+            sl.cml_losses(self.MODEL, self.DATA, np.array([0.0, 1.0]), [sl.CmlConfig()], [])
+
+    def test_validates_samples(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            sl.cml_losses(self.MODEL, self.DATA, np.array([0.0]), [], [])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            sl.cml_losses(self.MODEL, self.DATA, np.array([0.0, np.nan]), [], [])
 
 
 class TestMomentDiscrepancy:

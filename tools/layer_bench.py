@@ -5,15 +5,15 @@
 Imports scorelab from DIR (default: this checkout's `src`) and times each
 row: mixture evaluation at several sizes, the SVGD direction and run, the
 annealed Langevin run on the `lab` defaults, the KSD V-statistic, the KDE,
-the three models of one `ksd-run`, and the output layer: the CSV text of
-score-plot's `curves.csv` (4001 rows x 21 columns) and of one svgd-run
-`snapshots_*.csv`, each from the values a handler holds, and the
-`curves.svg` rendered the way `lab` renders it.  Every row is warmed up once, then
-timed in k repeats of `number` calls; it records the min and median seconds
-per call and the CPU seconds per call (median).  The rows go under NAME in
-the JSON file, next to those already there, with the host facts, so one
-file holds parent and change; when it holds more than one label, the mins
-are printed side by side.
+the three models of one `ksd-run`, the three losses of one `remedies-run`,
+and the output layer: the CSV text of score-plot's `curves.csv` (4001 rows
+x 21 columns) and of one svgd-run `snapshots_*.csv`, each from the values a
+handler holds, and the `curves.svg` rendered the way `lab` renders it.
+Every row is warmed up once, then timed in k repeats of `number` calls; it
+records the min and median seconds per call and the CPU seconds per call
+(median).  The rows go under NAME in the JSON file, next to those already
+there, with the host facts, so one file holds parent and change; when it
+holds more than one label, the mins are printed side by side.
 Compare on the min: the host is shared and its medians are noisy.
 """
 
@@ -97,6 +97,23 @@ def rows(sl, folder: Path) -> dict:
     kde = sl.kde_fit(centers)
     points = sl.sample(target, 2000, rng)
     out["kde_log_pdf 2000 x 2000"] = lambda: sl.kde_log_pdf(kde, points)
+    # the losses of one remedies-run: a KDE reference on 2000 samples and
+    # 10,000 pairs per lambda; a tree without cml_losses loops over cml_loss
+    data = sl.two_component(0.9, -5.0, 5.0, 1.0)
+    swapped = sl.two_component(0.1, -5.0, 5.0, 1.0)
+    xs = sl.sample(data, 2000, sl.make_stream(1, 0))  # leaves `rng` to the rows after
+    ref = sl.kde_fit(xs)
+    cml_cfgs = [sl.CmlConfig(lam, 10_000) for lam in (0.1, 1.0, 10.0)]
+
+    def streams():
+        return [sl.make_stream(1, 1 + i) for i in range(len(cml_cfgs))]
+
+    if hasattr(sl, "cml_losses"):
+        out["remedies-run losses 3 lambdas"] = lambda: sl.cml_losses(swapped, ref, xs, cml_cfgs, streams())
+    else:
+        out["remedies-run losses 3 lambdas"] = lambda: [
+            sl.cml_loss(swapped, ref, xs, c, r) for c, r in zip(cml_cfgs, streams())
+        ]
     # one ksd-run: true, reweighted and 0.01-spurious models on one sample set;
     # a tree without ksd_vstats scores them one call each
     models = [
