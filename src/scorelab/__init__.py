@@ -34,7 +34,6 @@ from .remedies import (
     ImplicitModel,
     KdeModel,
     cml_loss,
-    cml_losses,
     entropy_grad_estimate,
     kde_fit,
     kde_log_pdf,
@@ -82,7 +81,6 @@ __all__ = [
     "annealed_langevin_run",
     "blindness_sweep",
     "cml_loss",
-    "cml_losses",
     "entropy_grad_estimate",
     "finite_diff",
     "fisher_divergence",

@@ -7,10 +7,11 @@ Grid cells run independently, each deriving its random stream from
 (seed, cell_index); results are gathered and written in canonical cell
 order, so output bytes do not depend on the thread count.  ksd-run scores
 all its models in one pass over the kernel tiles, so --threads does not
-split it; remedies-run evaluates the reference and model log densities
-once for all its lambdas.  Each table is built once as named columns: its
-CSV is formatted one column at a time and its plots are drawn from the
-same columns.  On failure all partially written outputs are removed.
+split it; remedies-run computes its exact O(n) log-ratio loss once and
+scales it by each of its lambdas.  Each table is built once as named
+columns: its CSV is formatted one column at a time and its plots are drawn
+from the same columns.  On failure all partially written outputs are
+removed.
 """
 
 from __future__ import annotations
@@ -178,12 +179,19 @@ def _run_stein_sweep(cfg: ExperimentConfig):
     return {"stein_sweep.csv": table}, plots
 
 
+def _kernel(cfg: ExperimentConfig) -> st.KernelSpec:
+    try:
+        return st.KernelSpec(cfg.get_float("bandwidth", 1.0))
+    except ValueError as exc:
+        raise ConfigError(f"[params] bandwidth: {exc}") from None
+
+
 def _run_ksd(cfg: ExperimentConfig):
     if not cfg.models:
         raise ConfigError("ksd-run needs a [models] section with one mixture record per key")
     source = cfg.get_mixture("samples_from")
     n = cfg.get_int("n", 10_000)
-    bandwidth = cfg.get_float("bandwidth", 1.0)
+    kernel = _kernel(cfg)
 
     labels = list(cfg.models)
     models = []
@@ -195,11 +203,11 @@ def _run_ksd(cfg: ExperimentConfig):
             raise ConfigError(f"[models] {label}: {exc}") from None
 
     samples = mx.sample(source, n, make_stream(cfg.seed, 0))
-    estimates = st.ksd_vstats(samples, models, st.KernelSpec(bandwidth))
+    estimates = st.ksd_vstats(samples, models, kernel)
     table = _by_rows(
         ["index", "model", "value", "std_error", "n", "bandwidth"],
         [
-            (i, label, est.value, est.std_error, est.resolution, bandwidth)
+            (i, label, est.value, est.std_error, est.resolution, kernel.bandwidth)
             for i, (label, est) in enumerate(zip(labels, estimates))
         ],
     )
@@ -218,12 +226,12 @@ def _run_svgd(cfg: ExperimentConfig):
     particles = cfg.get_int("particles", 200)
     step_size = cfg.get_float("step_size", 0.1)
     iterations = cfg.get_int("iterations", 2000)
-    bandwidth = cfg.get_float("bandwidth", 1.0)
+    kernel = _kernel(cfg)
     snapshot_every = cfg.get_int("snapshot_every", 500)
     threshold = cfg.get_float("threshold", (mu1 + mu2) / 2.0)
 
     run_cfg = sv.SvgdConfig(
-        kernel=st.KernelSpec(bandwidth),
+        kernel=kernel,
         step_size=step_size,
         iterations=iterations,
         snapshot_every=snapshot_every,
@@ -349,7 +357,6 @@ def _run_remedies(cfg: ExperimentConfig):
     )
     scenario = check_label("[params] scenario", cfg.get_str("scenario", "pi_swap"))
     n_samples = cfg.get_int("n_samples", 2000)
-    pairs = cfg.get_int("pairs", 10_000)
     lambdas = cfg.get_floats("lambdas", "0.1, 1.0, 10.0")
     reference = cfg.get_str("reference", "kde")
     if reference not in ("kde", "true"):
@@ -359,11 +366,7 @@ def _run_remedies(cfg: ExperimentConfig):
     if not lambdas:
         raise ConfigError("[params] lambdas: must list at least one weight")
     try:
-        rm.CmlConfig(pair_subsample=pairs)
-    except ValueError as exc:
-        raise ConfigError(f"[params] pairs: {exc}") from None
-    try:
-        cml_cfgs = [rm.CmlConfig(lambda_ml=lam, pair_subsample=pairs) for lam in lambdas]
+        cml_cfgs = [rm.CmlConfig(lambda_ml=lam) for lam in lambdas]
     except ValueError as exc:
         raise ConfigError(f"[params] lambdas: {exc}") from None
 
@@ -371,12 +374,11 @@ def _run_remedies(cfg: ExperimentConfig):
     ml = rm.kde_fit(samples, "silverman") if reference == "kde" else data
     fisher = sm.fisher_divergence(data, model).value
     moments = rm.moment_discrepancy(model, samples, [1, 2])
-    losses = rm.cml_losses(
-        model, ml, samples, cml_cfgs, [make_stream(cfg.seed, 1 + i) for i in range(len(lambdas))]
-    )
+    # the loss is linear in lambda: one unweighted loss serves every lambda
+    unit = rm.cml_loss(model, ml, samples, rm.CmlConfig())
     rows = [
-        (scenario, fisher, loss, float(moments[0]), float(moments[1]), lam)
-        for lam, loss in zip(lambdas, losses)
+        (scenario, fisher, c.lambda_ml * unit, float(moments[0]), float(moments[1]), c.lambda_ml)
+        for c in cml_cfgs
     ]
     files = {
         "report.csv": _by_rows(

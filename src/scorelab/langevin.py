@@ -10,6 +10,7 @@ component locally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +35,14 @@ class NoiseSchedule:
 
     def __post_init__(self):
         sigmas = tuple(float(s) for s in self.sigmas)
-        if not sigmas or any(s <= 0 for s in sigmas):
-            raise ValueError("noise levels must be positive")
+        if not sigmas or not all(math.isfinite(s) and s > 0 for s in sigmas):
+            raise ValueError(f"sigmas: noise levels must be positive and finite, got {sigmas}")
         if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError("noise levels must be strictly decreasing")
         if self.steps_per_level < 1:
             raise ValueError("steps_per_level must be >= 1")
-        if self.base_step <= 0:
-            raise ValueError("base_step must be positive")
+        if not (math.isfinite(self.base_step) and self.base_step > 0):
+            raise ValueError(f"base_step must be positive and finite, got {self.base_step}")
         object.__setattr__(self, "sigmas", sigmas)
 
     def step_at(self, level: int) -> float:
@@ -71,8 +72,8 @@ def langevin_step(x, score_value, eps: float, rng: RngStream):
     Vectorized: x and score_value may be arrays of matching shape, in which
     case one noise draw per entry is consumed from the stream.
     """
-    if eps <= 0:
-        raise ValueError(f"step size must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps: step size must be positive and finite, got {eps}")
     x = np.asarray(x, dtype=float)
     noise = rng.standard_normal(x.shape if x.ndim else None)
     return x + 0.5 * eps * np.asarray(score_value, dtype=float) + np.sqrt(eps) * noise

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -80,20 +80,13 @@ def kde_log_pdf(model: KdeModel, x) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class CmlConfig:
-    """Weight and pair budget for the log-ratio loss.
-
-    `pair_subsample` bounds the number of ordered pairs evaluated (the full
-    i != j sum is quadratic in the sample count); None means all pairs.
-    """
+    """Weight of the log-ratio loss."""
 
     lambda_ml: float = 1.0
-    pair_subsample: int | None = 10_000
 
     def __post_init__(self):
         if not (math.isfinite(self.lambda_ml) and self.lambda_ml >= 0):
             raise ValueError(f"lambda_ml must be finite and nonnegative, got {self.lambda_ml}")
-        if self.pair_subsample is not None and self.pair_subsample < 1:
-            raise ValueError("pair_subsample must be a positive count or None")
 
 
 ReferenceDensity = KdeModel | GaussianMixture1D | Callable[[np.ndarray], np.ndarray]
@@ -107,63 +100,32 @@ def _reference_log_pdf(ml: ReferenceDensity, x: np.ndarray) -> np.ndarray:
     return np.asarray(ml(x), dtype=float)
 
 
-def _sample_pairs(n: int, cfg: CmlConfig, rng: RngStream | None):
-    full = n * (n - 1)
-    if cfg.pair_subsample is None or cfg.pair_subsample >= full:
-        i, j = np.divmod(np.arange(full), n - 1)
-        j = j + (j >= i)
-        return i, j
-    if rng is None:
-        raise ValueError("pair subsampling requires an rng stream")
-    flat = rng.generator.choice(full, size=cfg.pair_subsample, replace=False)
-    i, j = np.divmod(flat, n - 1)
-    j = j + (j >= i)
-    return i, j
-
-
-def cml_losses(
+def cml_loss(
     model: GaussianMixture1D,
     ml: ReferenceDensity,
     samples: np.ndarray,
-    cfgs: Sequence[CmlConfig],
-    rngs: Sequence[RngStream | None],
-) -> list[float]:
-    """Pairwise log-density-ratio mismatch against the reference model, one
-    loss per config.
+    cfg: CmlConfig,
+) -> float:
+    """Pairwise log-density-ratio mismatch against the reference model.
 
-    lambda times the sum over ordered sample pairs (i, j), i != j, of
-    (log ml(x_i)/ml(x_j) - log model(x_i)/model(x_j))^2.  Each config draws
-    its pairs from its own stream in `rngs` (None where it takes all pairs);
-    both log densities are evaluated once for all configs.  The model enters
-    only through log-density differences, so its additive log offset cancels
-    exactly (bit-for-bit, since the offset is never added before the
-    subtraction).  `ml` may be a KdeModel, a mixture used as the true data
-    density, or any callable returning log densities.
+    lambda times the sum over all ordered sample pairs (i, j), i != j, of
+    (log ml(x_i)/ml(x_j) - log model(x_i)/model(x_j))^2.  With
+    d = log ml - log model that sum is sum_{i != j} (d_i - d_j)^2
+    = 2n * sum_i (d_i - mean(d))^2, which is exact and takes O(n) time and
+    memory.  The model enters only through `_logpdf`, which leaves its
+    additive log offset out, so the offset cancels bit for bit.  `ml` may be
+    a KdeModel, a mixture used as the true data density, or any callable
+    returning log densities.
     """
     xs = np.asarray(samples, dtype=float)
     if xs.size < 2:
         raise ValueError("cml_loss needs at least 2 samples")
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
-    log_ml = _reference_log_pdf(ml, xs)
-    log_model = _logpdf(model, xs)  # offset drops out of the pair differences
-    out = []
-    for cfg, rng in zip(cfgs, rngs, strict=True):
-        i, j = _sample_pairs(xs.size, cfg, rng)
-        mismatch = (log_ml[i] - log_ml[j]) - (log_model[i] - log_model[j])
-        out.append(float(cfg.lambda_ml * np.sum(mismatch * mismatch)))
-    return out
-
-
-def cml_loss(
-    model: GaussianMixture1D,
-    ml: ReferenceDensity,
-    samples: np.ndarray,
-    cfg: CmlConfig,
-    rng: RngStream | None = None,
-) -> float:
-    """The pairwise log-ratio loss of one config; see `cml_losses`."""
-    return cml_losses(model, ml, samples, [cfg], [rng])[0]
+    d = _reference_log_pdf(ml, xs) - _logpdf(model, xs)
+    centred = d - d.mean()
+    total = 2 * xs.size * float(np.sum(centred * centred))
+    return cfg.lambda_ml * total
 
 
 def moment_discrepancy(

@@ -11,6 +11,7 @@ the discrepancies equal the attained suprema.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class KernelSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import scorelab as sl
 import scorelab.cli as cli
 from scorelab.config import ConfigError, load_config
 from scorelab.svgplot import PlotSpec, render_svg
@@ -297,6 +298,22 @@ class TestCommands:
         assert float(rows[1]["cml_loss"]) > 1.0
         assert abs(float(rows[0]["moment_diff_1"])) > 3.9
 
+    @pytest.mark.parametrize("reference", ["true", "kde"])
+    def test_remedies_run_writes_lambda_times_exact_loss(self, tmp_path, reference):
+        # the config still carries a `pairs` key, which nothing reads
+        body = REMEDIES.replace("reference = true", f"reference = {reference}")
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["remedies-run", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "out" / "report.csv")
+        # the default records of remedies-run
+        data = sl.GaussianMixture1D([0.9, 0.1], [-5.0, 5.0], [1.0, 1.0])
+        model = sl.GaussianMixture1D([0.1, 0.9], [-5.0, 5.0], [1.0, 1.0])
+        xs = sl.sample(data, 600, sl.make_stream(11, 0))
+        ml = sl.kde_fit(xs, "silverman") if reference == "kde" else data
+        unit = sl.cml_loss(model, ml, xs, sl.CmlConfig())
+        assert [float(r["lambda_ml"]) for r in rows] == [0.5, 1.0]
+        assert [float(r["cml_loss"]) for r in rows] == [lam * unit for lam in (0.5, 1.0)]
+
 
 class TestCliContract:
     def test_import_loads_no_scipy(self):
@@ -372,10 +389,9 @@ class TestCliContract:
             ("lambdas = 0.5, 1.0", "lambdas = -1.0", "[params] lambdas:"),
             ("lambdas = 0.5, 1.0", "lambdas = 0.5, nan", "[params] lambdas:"),
             ("lambdas = 0.5, 1.0", "lambdas =", "[params] lambdas:"),
-            ("pairs = 3000", "pairs = 0", "[params] pairs:"),
             ("n_samples = 600", "n_samples = 1", "[params] n_samples:"),
         ],
-        ids=["negative lambda", "nan lambda", "no lambdas", "zero pairs", "one sample"],
+        ids=["negative lambda", "nan lambda", "no lambdas", "one sample"],
     )
     def test_bad_remedies_param_rejected_before_sampling(
         self, tmp_path, capsys, monkeypatch, old, new, key
@@ -389,6 +405,26 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
         assert cli.main(["remedies-run", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = nan\n")),
+            ("svgd-run", SVGD + "bandwidth = inf\n"),
+            ("svgd-run", SVGD + "bandwidth = 0\n"),
+        ],
+        ids=["ksd nan", "svgd inf", "svgd zero"],
+    )
+    def test_bad_bandwidth_rejected_before_sampling(self, tmp_path, capsys, monkeypatch, command, body):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the bandwidth was checked")
+
+        monkeypatch.setattr(cli.mx, "sample", no_sampling)
+        monkeypatch.setattr(cli, "make_stream", no_sampling)
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main([command, "--config", cfg]) == 2
+        assert "[params] bandwidth: bandwidth must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):

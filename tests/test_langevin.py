@@ -13,6 +13,16 @@ class TestSchedule:
         with pytest.raises(ValueError, match="positive"):
             sl.NoiseSchedule((1.0, 0.0), 10, 0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sigma_rejected(self, bad):
+        with pytest.raises(ValueError, match="sigmas"):
+            sl.NoiseSchedule((bad,), 1, 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_base_step_rejected(self, bad):
+        with pytest.raises(ValueError, match="base_step"):
+            sl.NoiseSchedule((1.0,), 1, bad)
+
     def test_single_level_allowed(self):
         sched = sl.NoiseSchedule((0.5,), 10, 0.01)
         assert sched.step_at(0) == 0.01
@@ -45,6 +55,11 @@ class TestLangevinStep:
     def test_zero_step_rejected(self):
         with pytest.raises(ValueError):
             sl.langevin_step(0.0, 0.0, 0.0, sl.make_stream(0, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_step_rejected(self, bad):
+        with pytest.raises(ValueError, match="eps"):
+            sl.langevin_step(np.zeros(3), np.zeros(3), bad, sl.make_stream(0, 0))
 
     def test_stationarity_on_standard_normal(self):
         rng = sl.make_stream(3, 0)

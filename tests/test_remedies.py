@@ -6,7 +6,8 @@ import pytest
 from scipy.special import logsumexp
 
 import scorelab as sl
-from scorelab.remedies import _KDE_BLOCK
+from scorelab.mixture import _logpdf
+from scorelab.remedies import _KDE_BLOCK, _reference_log_pdf
 from scorelab.stein import _TILE as TILE
 
 N01 = sl.gaussian(0.0, 1.0)
@@ -105,7 +106,7 @@ class TestCmlLoss:
     def test_vanishes_when_model_equals_reference(self):
         m = sl.two_component(0.3, -2, 2, 1)
         xs = sl.sample(m, 200, sl.make_stream(3, 0))
-        cfg = sl.CmlConfig(lambda_ml=1.0, pair_subsample=None)
+        cfg = sl.CmlConfig(lambda_ml=1.0)
         assert sl.cml_loss(m, m, xs, cfg) == 0.0
 
     def test_log_offset_invariance_is_bit_exact(self):
@@ -113,9 +114,9 @@ class TestCmlLoss:
         model = sl.two_component(0.1, -5, 5, 1)
         shifted = sl.GaussianMixture1D(model.weights, model.means, model.stds, log_offset=5.0)
         xs = sl.sample(data, 400, sl.make_stream(4, 0))
-        cfg = sl.CmlConfig(lambda_ml=1.0, pair_subsample=500)
-        a = sl.cml_loss(model, data, xs, cfg, sl.make_stream(5, 0))
-        b = sl.cml_loss(shifted, data, xs, cfg, sl.make_stream(5, 0))
+        cfg = sl.CmlConfig(lambda_ml=1.0)
+        a = sl.cml_loss(model, data, xs, cfg)
+        b = sl.cml_loss(shifted, data, xs, cfg)
         assert a == b
 
     def test_idealized_swap_pair_value(self):
@@ -124,7 +125,7 @@ class TestCmlLoss:
         data = sl.two_component(0.9, -5, 5, 1)
         model = sl.two_component(0.1, -5, 5, 1)
         xs = np.array([-5.0, 5.0])
-        cfg = sl.CmlConfig(lambda_ml=1.0, pair_subsample=None)
+        cfg = sl.CmlConfig(lambda_ml=1.0)
         loss = sl.cml_loss(model, data, xs, cfg)
         assert loss == pytest.approx(2 * (2 * math.log(9.0)) ** 2, rel=1e-9)
         assert loss / 2 == pytest.approx(19.3112, abs=1e-3)
@@ -133,7 +134,7 @@ class TestCmlLoss:
         data = sl.two_component(0.7, -3, 3, 1)
         model = sl.two_component(0.4, -3, 3, 1)
         xs = sl.sample(data, 100, sl.make_stream(6, 0))
-        cfg = sl.CmlConfig(lambda_ml=2.0, pair_subsample=None)
+        cfg = sl.CmlConfig(lambda_ml=2.0)
         a = sl.cml_loss(model, data, xs, cfg)
         b = sl.cml_loss(model, data, xs[::-1].copy(), cfg)
         assert a == pytest.approx(b, rel=1e-12)
@@ -142,21 +143,16 @@ class TestCmlLoss:
         data = sl.two_component(0.9, -5, 5, 1)
         model = sl.two_component(0.1, -5, 5, 1)
         xs = sl.sample(data, 200, sl.make_stream(7, 0))
-        one = sl.cml_loss(model, data, xs, sl.CmlConfig(1.0, None))
-        ten = sl.cml_loss(model, data, xs, sl.CmlConfig(10.0, None))
+        one = sl.cml_loss(model, data, xs, sl.CmlConfig(1.0))
+        ten = sl.cml_loss(model, data, xs, sl.CmlConfig(10.0))
         assert ten == pytest.approx(10 * one, rel=1e-12)
-
-    def test_subsample_requires_stream(self):
-        xs = np.arange(10.0)
-        with pytest.raises(ValueError, match="rng"):
-            sl.cml_loss(N01, N01, xs, sl.CmlConfig(1.0, 5))
 
     def test_kde_reference_accepted(self):
         data = sl.two_component(0.9, -5, 5, 1)
         model = sl.two_component(0.1, -5, 5, 1)
         xs = sl.sample(data, 500, sl.make_stream(8, 0))
         kde = sl.kde_fit(xs, "silverman")
-        loss = sl.cml_loss(model, kde, xs, sl.CmlConfig(1.0, 2000), sl.make_stream(9, 0))
+        loss = sl.cml_loss(model, kde, xs, sl.CmlConfig(1.0))
         assert loss > 1.0
 
     def test_distinguishes_what_fisher_cannot(self):
@@ -167,16 +163,15 @@ class TestCmlLoss:
         fisher = sl.fisher_divergence(data, model).value
         assert fisher == pytest.approx(4.892e-05, rel=1e-3)
         xs = sl.sample(data, 2000, sl.make_stream(10, 0))
-        loss = sl.cml_loss(model, data, xs, sl.CmlConfig(1.0, 10_000), sl.make_stream(11, 0))
+        loss = sl.cml_loss(model, data, xs, sl.CmlConfig(1.0))
         assert loss > 1.0
         assert loss > 1e4 * fisher
-
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_samples_rejected(self, bad):
         xs = np.array([0.0, bad, 1.0])
         with pytest.raises(ValueError, match="samples must be finite"):
-            sl.cml_loss(N01, N01, xs, sl.CmlConfig(1.0, None))
+            sl.cml_loss(N01, N01, xs, sl.CmlConfig(1.0))
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     def test_config_rejects_bad_lambda(self, lam):
@@ -185,6 +180,9 @@ class TestCmlLoss:
 
 
 class TestCmlLosses:
+    """The loss against its ordered-pair definition, and the losses of
+    several weights as `remedies-run` forms them, on each reference kind."""
+
     DATA = sl.two_component(0.9, -5, 5, 1)
     MODEL = sl.GaussianMixture1D([0.1, 0.9], [-5.0, 5.0], [1.0, 1.0], log_offset=3.5)
 
@@ -197,41 +195,47 @@ class TestCmlLosses:
             "callable": lambda x: sl.log_unnorm(data, x),
         }
 
+    def mismatch(self, ml, xs):
+        """d = log ml - log model, formed as `cml_loss` forms it."""
+        return _reference_log_pdf(ml, xs) - _logpdf(self.MODEL, xs)
+
+    @pytest.mark.parametrize("reference", ["kde", "mixture", "callable"])
+    @pytest.mark.parametrize("n", [2, 3, 400])
+    def test_matches_brute_force_pair_sum(self, reference, n):
+        xs = sl.sample(self.DATA, n, sl.make_stream(20, n))
+        ml = self.references(xs)[reference]
+        d = self.mismatch(ml, xs).tolist()
+        exact = math.fsum((d[i] - d[j]) ** 2 for i in range(n) for j in range(n) if i != j)
+        loss = sl.cml_loss(self.MODEL, ml, xs, sl.CmlConfig())
+        assert loss == pytest.approx(exact, rel=1e-13, abs=0)
+
+    def test_matches_dense_pair_sum_at_remedies_defaults(self):
+        xs = sl.sample(self.DATA, 2000, sl.make_stream(0, 0))
+        kde = sl.kde_fit(xs, "silverman")
+        d = self.mismatch(kde, xs)
+        diff = np.subtract.outer(d, d)
+        dense = float(np.sum(diff * diff))
+        loss = sl.cml_loss(self.MODEL, kde, xs, sl.CmlConfig())
+        assert loss == pytest.approx(dense, rel=1e-12)
+
     @pytest.mark.parametrize("reference", ["kde", "mixture", "callable"])
     @pytest.mark.parametrize("n", [2, 3, 400])
     def test_equals_one_cml_loss_per_config(self, reference, n):
+        # remedies-run scales one unweighted loss by each lambda
         xs = sl.sample(self.DATA, n, sl.make_stream(20, n))
         ml = self.references(xs)[reference]
-        cfgs = [
-            sl.CmlConfig(0.1, 1),
-            sl.CmlConfig(1.0, None),
-            sl.CmlConfig(10.0, 500),
-            sl.CmlConfig(2.5, n * (n - 1)),  # the budget covers all pairs
-            sl.CmlConfig(0.0, 7),
-        ]
-        seeds = [21, None, 22, 23, 24]
-
-        def streams():
-            return [None if s is None else sl.make_stream(s, n) for s in seeds]
-
-        batched = sl.cml_losses(self.MODEL, ml, xs, cfgs, streams())
-        single = [sl.cml_loss(self.MODEL, ml, xs, c, r) for c, r in zip(cfgs, streams())]
-        assert len(batched) == len(cfgs)
-        assert all(isinstance(v, float) for v in batched)
-        assert np.array(batched).tobytes() == np.array(single).tobytes()
-
-    def test_empty_config_list(self):
-        assert sl.cml_losses(self.MODEL, self.DATA, np.array([0.0, 1.0]), [], []) == []
-
-    def test_one_stream_per_config(self):
-        with pytest.raises(ValueError):
-            sl.cml_losses(self.MODEL, self.DATA, np.array([0.0, 1.0]), [sl.CmlConfig()], [])
+        cfgs = [sl.CmlConfig(lam) for lam in (0.1, 1.0, 10.0, 2.5, 0.0)]
+        unit = sl.cml_loss(self.MODEL, ml, xs, sl.CmlConfig())
+        scaled = [c.lambda_ml * unit for c in cfgs]
+        single = [sl.cml_loss(self.MODEL, ml, xs, c) for c in cfgs]
+        assert all(isinstance(v, float) for v in single)
+        assert np.array(scaled).tobytes() == np.array(single).tobytes()
 
     def test_validates_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
-            sl.cml_losses(self.MODEL, self.DATA, np.array([0.0]), [], [])
+            sl.cml_loss(self.MODEL, self.DATA, np.array([0.0]), sl.CmlConfig())
         with pytest.raises(ValueError, match="samples must be finite"):
-            sl.cml_losses(self.MODEL, self.DATA, np.array([0.0, np.nan]), [], [])
+            sl.cml_loss(self.MODEL, self.DATA, np.array([0.0, np.nan]), sl.CmlConfig())
 
 
 class TestMomentDiscrepancy:

@@ -219,6 +219,11 @@ class TestKsd:
         with pytest.raises(ValueError):
             sl.KernelSpec(0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_bandwidth_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            sl.KernelSpec(bad)
+
 
 class TestKsdVstats:
     # K = 1, 2 and 3, with the first model repeated

@@ -5,18 +5,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIFF_OUTPUTS = ROOT / "tools" / "diff_outputs.py"
+LAYER_BENCH = ROOT / "tools" / "layer_bench.py"
 
 
-def _load_diff_outputs():
-    spec = importlib.util.spec_from_file_location("diff_outputs", DIFF_OUTPUTS)
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+class TestLayerBench:
+    def test_every_row_runs_on_this_tree(self, tmp_path):
+        import scorelab as sl
+
+        rows = _load(LAYER_BENCH).rows(sl, tmp_path)
+        assert "remedies-run losses 3 lambdas" in rows
+        for fn in rows.values():
+            fn()
+
+
 class TestDiffOutputs:
     def test_same_source_has_no_differences(self, tmp_path):
-        tool = _load_diff_outputs()
+        tool = _load(DIFF_OUTPUTS)
         cfgs = tool.write_configs(tool.configs([8], ["score-plot"]), tmp_path / "configs")
         for side in ("base", "change"):
             assert tool.run_side(ROOT / "src", cfgs, [1, 2], tmp_path / side) == []
@@ -37,7 +48,7 @@ class TestDiffOutputs:
         (base / "run" / "value.csv").write_bytes(b"x\n0.1\n")
         (change / "run" / "value.csv").write_bytes(b"x\n0.10000000000000002\n")
         (change / "run" / "extra.svg").write_bytes(b"<svg/>")
-        assert _load_diff_outputs().compare_trees(base, change) == [
+        assert _load(DIFF_OUTPUTS).compare_trees(base, change) == [
             "only in change: run/extra.svg",
             "differs: run/value.csv",
         ]

@@ -97,23 +97,27 @@ def rows(sl, folder: Path) -> dict:
     kde = sl.kde_fit(centers)
     points = sl.sample(target, 2000, rng)
     out["kde_log_pdf 2000 x 2000"] = lambda: sl.kde_log_pdf(kde, points)
-    # the losses of one remedies-run: a KDE reference on 2000 samples and
-    # 10,000 pairs per lambda; a tree without cml_losses loops over cml_loss
+    # the losses of one remedies-run: a KDE reference on 2000 samples; a tree
+    # with cml_losses draws 10,000 pairs per lambda, a tree without it forms
+    # the exact loss once and scales it by each lambda
     data = sl.two_component(0.9, -5.0, 5.0, 1.0)
     swapped = sl.two_component(0.1, -5.0, 5.0, 1.0)
     xs = sl.sample(data, 2000, sl.make_stream(1, 0))  # leaves `rng` to the rows after
     ref = sl.kde_fit(xs)
-    cml_cfgs = [sl.CmlConfig(lam, 10_000) for lam in (0.1, 1.0, 10.0)]
-
-    def streams():
-        return [sl.make_stream(1, 1 + i) for i in range(len(cml_cfgs))]
-
+    lambdas = (0.1, 1.0, 10.0)
     if hasattr(sl, "cml_losses"):
-        out["remedies-run losses 3 lambdas"] = lambda: sl.cml_losses(swapped, ref, xs, cml_cfgs, streams())
+        cml_cfgs = [sl.CmlConfig(lam, 10_000) for lam in lambdas]
+        out["remedies-run losses 3 lambdas"] = lambda: sl.cml_losses(
+            swapped, ref, xs, cml_cfgs, [sl.make_stream(1, 1 + i) for i in range(len(lambdas))]
+        )
     else:
-        out["remedies-run losses 3 lambdas"] = lambda: [
-            sl.cml_loss(swapped, ref, xs, c, r) for c, r in zip(cml_cfgs, streams())
-        ]
+        cml_cfgs = [sl.CmlConfig(lam) for lam in lambdas]
+
+        def losses():
+            unit = sl.cml_loss(swapped, ref, xs, sl.CmlConfig())
+            return [c.lambda_ml * unit for c in cml_cfgs]
+
+        out["remedies-run losses 3 lambdas"] = losses
     # one ksd-run: true, reweighted and 0.01-spurious models on one sample set;
     # a tree without ksd_vstats scores them one call each
     models = [
