@@ -230,12 +230,15 @@ def _run_svgd(cfg: ExperimentConfig):
     snapshot_every = cfg.get_int("snapshot_every", 500)
     threshold = cfg.get_float("threshold", (mu1 + mu2) / 2.0)
 
-    run_cfg = sv.SvgdConfig(
-        kernel=kernel,
-        step_size=step_size,
-        iterations=iterations,
-        snapshot_every=snapshot_every,
-    )
+    try:
+        run_cfg = sv.SvgdConfig(
+            kernel=kernel,
+            step_size=step_size,
+            iterations=iterations,
+            snapshot_every=snapshot_every,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[params] {exc}") from None
     grid = [(p1, mu0, s0) for p1 in pi1_grid for mu0, s0 in cells]
 
     def one(item):
@@ -309,7 +312,10 @@ def _run_langevin(cfg: ExperimentConfig):
         "threshold", (float(target.means.min()) + float(target.means.max())) / 2.0
     )
 
-    sched = lv.geometric_schedule(sigma_max, sigma_min, levels, steps_per_level, base_step)
+    try:
+        sched = lv.geometric_schedule(sigma_max, sigma_min, levels, steps_per_level, base_step)
+    except ValueError as exc:
+        raise ConfigError(f"[params] {exc}") from None
     trace_rows = []
 
     def observer(level, sigma_j, step, positions):

@@ -40,9 +40,9 @@ class NoiseSchedule:
         if any(b >= a for a, b in zip(sigmas, sigmas[1:])):
             raise ValueError("noise levels must be strictly decreasing")
         if self.steps_per_level < 1:
-            raise ValueError("steps_per_level must be >= 1")
+            raise ValueError("steps_per_level: must be >= 1")
         if not (math.isfinite(self.base_step) and self.base_step > 0):
-            raise ValueError(f"base_step must be positive and finite, got {self.base_step}")
+            raise ValueError(f"base_step: must be positive and finite, got {self.base_step}")
         object.__setattr__(self, "sigmas", sigmas)
 
     def step_at(self, level: int) -> float:
@@ -57,8 +57,11 @@ def geometric_schedule(
     base_step: float = 0.01,
 ) -> NoiseSchedule:
     """Geometrically spaced noise levels from sigma_max down to sigma_min."""
+    for name, sigma in (("sigma_max", sigma_max), ("sigma_min", sigma_min)):
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"{name}: must be positive and finite, got {sigma}")
     if levels < 1:
-        raise ValueError("levels must be >= 1")
+        raise ValueError("levels: must be >= 1")
     if levels == 1:
         sigmas = (float(sigma_max),)
     else:

@@ -6,7 +6,8 @@ optimal witness is proportional to the score difference and the discrepancy
 is the square root of the Fisher divergence; in the unweighted L2 class the
 witness is q * score_p - q' and the discrepancy is its plain L2 norm.  The
 normalisation constants make each witness unit-norm in its own space, so
-the discrepancies equal the attained suprema.
+the discrepancies equal the attained suprema.  The KSD sums reduce each
+kernel tile by BLAS products with centred moment panels (`ksd_vstats`).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ L2_UNWEIGHTED = "l2_unweighted"
 
 # Edge of the square tiles the Gaussian pair sums walk.  A tile's three
 # 256 x 256 float64 arrays (1.5 MB) stay in cache; 256 was the fastest of
-# 128 to 512 for KSD at N = 10,000 on a Xeon with 4 MB of L2 per core.  The
-# sums use elementwise numpy and plain einsum, never BLAS, so their bytes do
-# not depend on the thread count.
+# 128 to 512 for KSD at N = 10,000 on a Xeon with 4 MB of L2 per core.  KSD
+# reduces each tile by BLAS products with thin panels, so its bytes hold
+# only while the BLAS splits no product's inner sum across threads; a test
+# compares them under 1 and 2 BLAS threads.
 _TILE = 256
 
 
@@ -142,8 +144,8 @@ def _upper_tiles(n: int):
             yield a, b, c, min(c + _TILE, n)
 
 
-def _tile_work(n: int, count: int) -> np.ndarray:
-    """Workspace of `count` tile slabs for the pair sums over n points.
+def _tile_work(n: int) -> np.ndarray:
+    """Workspace of the three tile slabs for the pair sums over n points.
 
     One call or one run owns it and reuses it on every tile; a ragged last
     tile uses the [:rows, :cols] corner of each slab.  Allocating per tile
@@ -151,12 +153,12 @@ def _tile_work(n: int, count: int) -> np.ndarray:
     the system and fault the pages back in on the next tile.
     """
     t = min(n, _TILE)
-    return np.empty((count, t, t))
+    return np.empty((3, t, t))
 
 
 def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
-    """Differences d = xi - xj and Gaussian kernel k on the tile xi x xj,
-    written into the first two slabs of `work`.
+    """Differences d = xi - xj, their squares q and the Gaussian kernel k on
+    the tile xi x xj, written into the three slabs of `work`.
 
     dk/dy at (xi, xj) is k * d / h2 and dk/dx its negative.  k is symmetric
     in the pair and k * d antisymmetric, so a tile also gives the mirrored
@@ -164,10 +166,10 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
     """
     rows, cols = xi.size, xj.size
     d = np.subtract(xi[:, None], xj[None, :], out=work[0, :rows, :cols])
-    k = np.multiply(d, d, out=work[1, :rows, :cols])
-    k /= -2.0 * h2
+    q = np.square(d, out=work[1, :rows, :cols])
+    k = np.divide(q, -2.0 * h2, out=work[2, :rows, :cols])
     np.exp(k, out=k)
-    return d, k
+    return d, q, k
 
 
 def ksd_vstats(
@@ -180,13 +182,20 @@ def ksd_vstats(
     symmetric, so only the upper triangle of the sorted samples is walked,
     in fixed square tiles small enough to stay in cache, all in one
     workspace allocated per call; each off-diagonal tile's column sums stand
-    in for its mirrored pairs.  The kernel, its derivatives and their
-    score-free row and column sums are formed once per tile; each model
-    adds only its score-weighted sums, so every estimate equals that of a
-    call with the model alone, bit for bit.  The sort and the fixed tile
-    order give a canonical summation order, so every value is bit-for-bit
-    invariant under permutation of the input.  The reported std_error uses
-    the nondegenerate asymptotic approximation 2 * std(row means) / sqrt(N).
+    in for its mirrored pairs.  A tile is reduced by BLAS products with thin
+    moment panels: with u and v the row and column positions centred on the
+    tile, sum_j k d w = u_i sum_j k w - sum_j k v w, so [1, v] and, per
+    model, [s, v s] against k^T give every row sum ([1, u] and [s, u s]
+    against k the column sums).  Centring bounds the cancellation in that
+    difference by the tile's span, not by |x|.  The sum of k d^2 is read
+    from the tile's squares q: its expansion u^2 K1 - 2u Kv + Kv2 cancels
+    worse (1e-13 against 1e-15 relative at bandwidth 0.05).  One stacked
+    matmul gives each model the BLAS call it would get alone, so every
+    estimate equals that of a call with the model alone, bit for bit.  The
+    sort and the fixed tile order give a canonical summation order, so
+    every value is bit-for-bit invariant under permutation of the input.
+    The reported std_error uses the nondegenerate asymptotic approximation
+    2 * std(row means) / sqrt(N).
     """
     if not models:
         raise ValueError("models must be nonempty")
@@ -196,34 +205,34 @@ def ksd_vstats(
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
     n = xs.size
-    scores = [score(p, xs) for p in models]
+    scores = np.array([score(p, xs) for p in models])
     h2 = kernel.bandwidth**2
-    row_sums = [np.zeros(n) for _ in models]
-    work = _tile_work(n, 3)
+    row_sums = np.zeros((len(models), n))
+    work = _tile_work(n)
     for a, b, c, e in _upper_tiles(n):
-        d, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
-        # u_p = s_i s_j k + (s_i - s_j) dk/dy + d2k/dxdy, where dk/dy = kd / h2
-        # and d2k/dxdy = (k - kd2 / h2) / h2; d is overwritten by kd2 = k d^2
-        kd = np.multiply(k, d, out=work[2, : b - a, : e - c])
-        kd2 = np.multiply(d, kd, out=d)
-        kd_i = np.einsum("ij->i", kd) / h2
-        base_i = (np.einsum("ij->i", k) - np.einsum("ij->i", kd2) / h2) / h2
+        _, q, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
+        # u_p = s_i s_j k + (s_i - s_j) dk/dy + d2k/dxdy, where dk/dy = k d / h2
+        # and d2k/dxdy = (k - k d^2 / h2) / h2
+        mid = (xs[a] + xs[e - 1]) / 2
+        u, v = xs[a:b] - mid, xs[c:e] - mid
+        si, sj = scores[:, a:b], scores[:, c:e]
+        k1, kv = np.stack((np.ones_like(v), v)) @ k.T
+        ks, kvs = np.moveaxis(np.stack((sj, v * sj), axis=1) @ k.T, 1, 0)
+        kd = u * k1 - kv
+        row_sums[:, a:b] += (
+            si * (ks + kd / h2)
+            - (u * ks - kvs) / h2
+            + (k1 - np.einsum("ij,ij->i", k, q) / h2) / h2
+        )
         if c != a:
-            kd_j = np.einsum("ij->j", kd) / h2
-            base_j = (np.einsum("ij->j", k) - np.einsum("ij->j", kd2) / h2) / h2
-        for s, sums in zip(scores, row_sums):
-            si, sj = s[a:b], s[c:e]
-            sums[a:b] += (
-                si * (np.einsum("ij,j->i", k, sj) + kd_i)
-                - np.einsum("ij,j->i", kd, sj) / h2
-                + base_i
+            k1, ku = np.stack((np.ones_like(u), u)) @ k
+            ks, kus = np.moveaxis(np.stack((si, u * si), axis=1) @ k, 1, 0)
+            kd = ku - v * k1
+            row_sums[:, c:e] += (
+                sj * (ks - kd / h2)
+                + (kus - v * ks) / h2
+                + (k1 - np.einsum("ij,ij->j", k, q) / h2) / h2
             )
-            if c != a:
-                sums[c:e] += (
-                    sj * (np.einsum("ij,i->j", k, si) - kd_j)
-                    + np.einsum("ij,i->j", kd, si) / h2
-                    + base_j
-                )
     out = []
     for sums in row_sums:
         value = float(sums.sum() / (n * n))

@@ -58,12 +58,12 @@ class SvgdConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size: must be positive and finite, got {self.step_size}")
         if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+            raise ValueError(f"iterations: must be >= 1, got {self.iterations}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1 when given")
+            raise ValueError("snapshot_every: must be >= 1 when given")
         if self.beta_schedule is not None:
             betas = tuple(float(b) for b in self.beta_schedule)
             if any(not 0.0 < b <= 1.0 for b in betas):
@@ -84,7 +84,7 @@ def _direction_from_scores(
     xs, ss = x[order], s[order]
     phi = np.zeros(n)
     for a, b, c, e in _upper_tiles(n):
-        d, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
+        d, _, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
         # phi_i sums s_j k + dk/dy over j, with dk/dy = k d / h2
         phi[a:b] += np.einsum("ij,j->i", k, ss[c:e]) + np.einsum("ij,ij->i", k, d) / h2
         if c != a:
@@ -107,7 +107,7 @@ def svgd_direction(
     the kernel-smoothed score plus the repulsion term.
     """
     x = ensemble.positions
-    return _direction_from_scores(x, score(target, x), kernel, _tile_work(x.size, 2))
+    return _direction_from_scores(x, score(target, x), kernel, _tile_work(x.size))
 
 
 def svgd_run(
@@ -123,7 +123,7 @@ def svgd_run(
     sums of every step reuse one tile workspace allocated for the run.
     """
     x = init.positions.copy()
-    work = _tile_work(x.size, 2)
+    work = _tile_work(x.size)
     snapshots: list[tuple[int, np.ndarray]] = []
 
     if cfg.beta_schedule is not None:

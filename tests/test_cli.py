@@ -427,6 +427,33 @@ class TestCliContract:
         assert "[params] bandwidth: bandwidth must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_nan_svgd_step_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the step size was checked")
+
+        monkeypatch.setattr(cli, "make_stream", no_sampling)
+        body = SVGD + "step_size = nan\n"
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["svgd-run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [params] step_size: must be positive and finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["sigma_max", "sigma_min", "base_step"])
+    def test_nan_langevin_schedule_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the schedule was checked")
+
+        monkeypatch.setattr(cli, "make_stream", no_sampling)
+        body = LANGEVIN + f"{key} = nan\n"
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["langevin-run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [params] {key}: must be positive and finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "a.cfg", FISHER.format(out=tmp_path / "out"))
         assert cli.main(["stein-sweep", "--config", cfg]) == 2

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,11 +157,16 @@ class TestKsd:
         assert abs(a - b) < 1e-6
 
     @pytest.mark.parametrize("n", [1, 2 * TILE + 37])
-    @pytest.mark.parametrize("bandwidth", [1.0, 0.7])
-    def test_tiles_agree_with_dense_evaluation(self, n, bandwidth):
+    @pytest.mark.parametrize(
+        "bandwidth, shift",
+        [(1.0, 0.0), (0.7, 0.0), (0.05, 0.0), (20.0, 0.0), (1.0, 1e3)],
+        ids=["1.0", "0.7", "0.05", "20.0", "1.0-shift1e3"],
+    )
+    def test_tiles_agree_with_dense_evaluation(self, n, bandwidth, shift):
         # several tiles with a ragged last one, against every ordered pair
-        # formed at once in input order
-        p = sl.two_component(0.3, -1.5, 2.0, 1.0)
+        # formed at once in input order; the tile sums centre their positions,
+        # so samples far from 0 must cost no accuracy
+        p = sl.two_component(0.3, -1.5 + shift, 2.0 + shift, 1.0)
         xs = sl.sample(p, n, sl.make_stream(4, 0))
         s = sl.score(p, xs)
         h2 = bandwidth**2
@@ -164,12 +175,13 @@ class TestKsd:
         u = k * (s[:, None] * s[None, :] + (s[:, None] - s[None, :]) * d / h2 + 1 / h2 - d * d / h2**2)
         row_means = u.mean(axis=1)
         est = sl.ksd_vstat(xs, p, sl.KernelSpec(bandwidth))
-        assert est.value == pytest.approx(float(u.mean()), rel=1e-13)
+        # abs=0: approx's default abs of 1e-12 would swamp rel on values near 1e-3
+        assert est.value == pytest.approx(float(u.mean()), rel=1e-13, abs=0)
         if n > 1:
             dense_se = 2.0 * row_means.std(ddof=1) / np.sqrt(n)
-            assert est.std_error == pytest.approx(dense_se, rel=1e-12)
+            assert est.std_error == pytest.approx(dense_se, rel=1e-12, abs=0)
         else:
-            assert est.value == pytest.approx(s[0] ** 2 + 1 / h2, rel=1e-15)
+            assert est.value == pytest.approx(s[0] ** 2 + 1 / h2, rel=1e-15, abs=0)
             assert est.std_error == 0.0
 
     def test_agrees_with_dense_evaluation(self):
@@ -252,6 +264,32 @@ class TestKsdVstats:
         a = sl.ksd_vstats(xs, self.MODELS, kernel)
         b = sl.ksd_vstats(xs[perm], self.MODELS, kernel)
         assert [(e.value, e.std_error) for e in a] == [(e.value, e.std_error) for e in b]
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the tile sums are BLAS products, and the BLAS reads its thread count
+        # once at load, so each count runs in its own interpreter
+        script = """
+import json, sys
+import scorelab as sl
+records, n = json.loads(sys.argv[1])
+models = [sl.GaussianMixture1D(*r) for r in records]
+xs = sl.sample(models[1], n, sl.make_stream(8, 0))
+for e in sl.ksd_vstats(xs, models, sl.KernelSpec(1.0)):
+    print(float.hex(e.value), float.hex(e.std_error))
+"""
+        records = [[m.weights.tolist(), m.means.tolist(), m.stds.tolist()] for m in self.MODELS]
+        arg = json.dumps([records, 2 * TILE + 37])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = str(Path(sl.__file__).resolve().parents[1])
+            proc = subprocess.run(
+                [sys.executable, "-c", script, arg],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0].count("\n") == len(self.MODELS)
+        assert outputs[0] == outputs[1]
 
     def test_empty_model_list_rejected(self):
         with pytest.raises(ValueError, match="models"):

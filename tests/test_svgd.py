@@ -170,6 +170,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             sl.SvgdConfig(step_size=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_step(self, bad):
+        with pytest.raises(ValueError, match="step_size: must be positive and finite"):
+            sl.SvgdConfig(step_size=bad)
+
 
 class TestModeFraction:
     def test_all_below(self):
