@@ -120,11 +120,9 @@ def annealed_langevin_run(
         eps = sched.step_at(level)
         for step in range(sched.steps_per_level):
             x = langevin_step(x, score(noisy, x), eps, rng)
-            bad = np.flatnonzero(~np.isfinite(x))
-            if bad.size:
-                raise FloatingPointError(
-                    f"non-finite particle {int(bad[0])} at level {level}, step {step}"
-                )
+            if not np.isfinite(x).all():
+                bad = int(np.flatnonzero(~np.isfinite(x))[0])
+                raise FloatingPointError(f"non-finite particle {bad} at level {level}, step {step}")
             total_steps += 1
             if observer is not None:
                 observer(level, sigma_j, step, x)

@@ -119,17 +119,24 @@ def _as_array(x):
     return arr, arr.ndim == 0
 
 
-def _columns(m: GaussianMixture1D, x: np.ndarray):
-    # means and stds as (K, 1, ..., 1), to broadcast against positions x
+def _offsets(m: GaussianMixture1D, x: np.ndarray):
+    # x - mu_k as a (K, ...) array, and the stds as (K, 1, ..., 1) to
+    # broadcast against it
     shape = (-1,) + (1,) * x.ndim
-    return m.means.reshape(shape), m.stds.reshape(shape)
+    return x - m.means.reshape(shape), m.stds.reshape(shape)
 
 
-def _component_logs(m: GaussianMixture1D, x: np.ndarray) -> np.ndarray:
-    # shape (K, ...): log(pi_k) + log N(x; mu_k, sigma_k^2)
-    mu, sd = _columns(m, x)
-    z = (x - mu) / sd
-    return np.log(m.weights).reshape(sd.shape) - np.log(sd) - 0.5 * (_LOG_2PI + z * z)
+def _component_logs(
+    m: GaussianMixture1D, d: np.ndarray, sd: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    # shape (K, ...): log(pi_k) + log N(x; mu_k, sigma_k^2) from d = x - mu_k,
+    # formed in `out`, which may be d itself; in place, each step rounds as
+    # log(pi) - log(sd) - 0.5 * (log(2 pi) + z * z) with z = d / sd does
+    logs = np.divide(d, sd, out=out)
+    np.square(logs, out=logs)
+    logs += _LOG_2PI
+    logs *= 0.5
+    return np.subtract(np.log(m.weights).reshape(sd.shape) - np.log(sd), logs, out=logs)
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -145,7 +152,8 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         a_max = a.max(axis=axis, keepdims=True)
         is_max = a == a_max
-        e = np.exp(a - a_max)
+        e = np.subtract(a, a_max)
+        np.exp(e, out=e)
         e[is_max] = 0.0
         m = is_max.sum(axis=axis)
         # s / m keeps s = 0 as 0, since m >= 1 on every row without NaN
@@ -153,14 +161,16 @@ def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _logpdf(m: GaussianMixture1D, x: np.ndarray) -> np.ndarray:
-    return _logsumexp(_component_logs(m, x), axis=0)
+    d, sd = _offsets(m, x)
+    return _logsumexp(_component_logs(m, d, sd, out=d), axis=0)
 
 
-def _responsibilities(m: GaussianMixture1D, x: np.ndarray) -> np.ndarray:
-    logs = _component_logs(m, x)
-    logs = logs - logs.max(axis=0)
-    w = np.exp(logs)
-    return w / w.sum(axis=0)
+def _responsibilities(logs: np.ndarray) -> np.ndarray:
+    # the component logs turned into responsibilities, in their own buffer
+    logs -= logs.max(axis=0)
+    np.exp(logs, out=logs)
+    logs /= logs.sum(axis=0)
+    return logs
 
 
 def pdf(m: GaussianMixture1D, x) -> float | np.ndarray:
@@ -184,10 +194,13 @@ def score(m: GaussianMixture1D, x) -> float | np.ndarray:
     -(x - mu_k) / sigma_k^2 and never depends on log_offset.
     """
     xs, scalar = _as_array(x)
-    r = _responsibilities(m, xs)
-    mu, sd = _columns(m, xs)
-    comp = -(xs - mu) / sd**2
-    out = np.sum(r * comp, axis=0)
+    d, sd = _offsets(m, xs)
+    r = _responsibilities(_component_logs(m, d, sd, np.empty_like(d)))
+    # r * -(x - mu) / sd^2, in the buffers of r and d
+    comp = np.negative(d, out=d)
+    comp /= sd**2
+    r *= comp
+    out = np.sum(r, axis=0)
     return float(out) if scalar else out
 
 
@@ -201,12 +214,20 @@ def score_derivative(m: GaussianMixture1D, x) -> float | np.ndarray:
     in the test suite before anything downstream relies on it.
     """
     xs, scalar = _as_array(x)
-    r = _responsibilities(m, xs)
-    mu, sd = _columns(m, xs)
-    z = (xs - mu) / sd
-    comp_score = -z / sd
-    mean_score = np.sum(r * comp_score, axis=0)
-    out = np.sum(r * (z * z - 1.0) / sd**2, axis=0) - mean_score**2
+    d, sd = _offsets(m, xs)
+    r = _responsibilities(_component_logs(m, d, sd, np.empty_like(d)))
+    # z = (x - mu) / sd in d's buffer; each product below rounds as
+    # r * (-z / sd) and r * (z * z - 1) / sd^2 do
+    z = np.divide(d, sd, out=d)
+    terms = np.negative(z)
+    terms /= sd
+    terms *= r
+    mean_score = np.sum(terms, axis=0)
+    np.square(z, out=terms)
+    terms -= 1.0
+    terms *= r
+    terms /= sd**2
+    out = np.sum(terms, axis=0) - mean_score**2
     return float(out) if scalar else out
 
 

@@ -26,10 +26,12 @@ L2_UNWEIGHTED = "l2_unweighted"
 
 # Edge of the square tiles the Gaussian pair sums walk.  A tile's three
 # 256 x 256 float64 arrays (1.5 MB) stay in cache; 256 was the fastest of
-# 128 to 512 for KSD at N = 10,000 on a Xeon with 4 MB of L2 per core.  KSD
-# reduces each tile by BLAS products with thin panels, so its bytes hold
-# only while the BLAS splits no product's inner sum across threads; a test
-# compares them under 1 and 2 BLAS threads.
+# 128 to 512 for KSD at N = 10,000 on a Xeon with 4 MB of L2 per core.  A
+# tile is built in five elementwise passes over its slabs, with no outer
+# broadcast and no divide (`_gauss_tile`); the four before the exp together
+# cost about as much as the exp.  KSD reduces each tile by BLAS products with
+# thin panels, so its bytes hold only while the BLAS splits no product's
+# inner sum across threads; a test compares them under 1 and 2 BLAS threads.
 _TILE = 256
 
 
@@ -163,11 +165,23 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
     dk/dy at (xi, xj) is k * d / h2 and dk/dx its negative.  k is symmetric
     in the pair and k * d antisymmetric, so a tile also gives the mirrored
     pairs.
+
+    d is xi copied across the columns, then xj subtracted in place: the
+    same rounded differences as one outer-broadcast subtract, which numpy
+    runs 1.4x to 1.7x slower (55 against 38 us at 200 x 200 and 108 against
+    63 us at 256 x 256 on a 2-core x86_64 host, where the exp of a 256 x 256
+    tile takes 91 us).  The exponent is q * (-0.5 / h2), a multiply over
+    twice as fast as the divide q / (-2 h2).  When 2 h2 is a power of two
+    (bandwidth 1, 0.5 or 2, say) -0.5 / h2 is exact and the product equals
+    the quotient bit for bit; otherwise an exponent can move by an ulp,
+    which moves k by about |exponent| ulps.
     """
     rows, cols = xi.size, xj.size
-    d = np.subtract(xi[:, None], xj[None, :], out=work[0, :rows, :cols])
+    d = work[0, :rows, :cols]
+    d[...] = xi[:, None]
+    np.subtract(d, xj, out=d)
     q = np.square(d, out=work[1, :rows, :cols])
-    k = np.divide(q, -2.0 * h2, out=work[2, :rows, :cols])
+    k = np.multiply(q, -0.5 / h2, out=work[2, :rows, :cols])
     np.exp(k, out=k)
     return d, q, k
 

@@ -4,9 +4,18 @@ Updates are synchronous: all directions are computed from the current
 ensemble, then applied at once with a fixed step size.  Each step sorts the
 particles once, sums the kernel terms over the sorted positions in the fixed
 tiles of the KSD pair sums, in a tile workspace that a run allocates once,
-and scatters the sums back to the particles; particles at equal positions
-get equal sums.  This canonical order makes the update bit-exactly
-equivariant under particle permutation.
+and scatters the sums back to the particles.  This canonical order makes the
+update bit-exactly equivariant under particle permutation.  Particles at
+equal positions get equal sums: the members of a run of equal sorted
+positions can be summed in different orders (as when the run straddles a
+tile edge), so each takes the sums of the run's first member.  A step
+without ties skips that remap.
+
+At N = 200 the ensemble is one tile, and building it (`stein._gauss_tile`)
+is about half of a step, the score included; at bandwidths where 2 h^2 is
+not a power of two the tile's kernel values can move in the last bits (see
+there).  A run checks after each step that every position is finite and
+looks for the first bad particle only when one is not.
 """
 
 from __future__ import annotations
@@ -91,10 +100,12 @@ def _direction_from_scores(
             phi[c:e] += np.einsum("ij,i->j", k, ss[a:b]) - np.einsum("ij,ij->j", k, d) / h2
     # equal positions on both sides of a tile edge are summed in different
     # orders; each run of equal positions takes the sums of its first member
-    run_start = np.r_[True, xs[1:] != xs[:-1]]
-    first = np.maximum.accumulate(np.where(run_start, np.arange(n), 0))
+    tied = xs[1:] == xs[:-1]
+    if tied.any():
+        first = np.maximum.accumulate(np.where(np.r_[True, ~tied], np.arange(n), 0))
+        phi = phi[first]
     out = np.empty_like(phi)
-    out[order] = phi[first] / n
+    out[order] = phi / n
     return out
 
 
@@ -145,10 +156,10 @@ def svgd_run(
             s = temper_score(target, beta, x)
             eps = cfg.step_size / beta if cfg.rescale_step else cfg.step_size
         x = x + eps * _direction_from_scores(x, s, cfg.kernel, work)
-        bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:
+        if not np.isfinite(x).all():
+            bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise FloatingPointError(
-                f"non-finite position at iteration {init.iteration + t}, particle {int(bad[0])}"
+                f"non-finite position at iteration {init.iteration + t}, particle {bad}"
             )
 
     final = ParticleEnsemble(x, init.iteration + cfg.iterations)

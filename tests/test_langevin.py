@@ -150,8 +150,14 @@ class TestAnnealedRun:
     def test_nonfinite_particle_names_level_and_step(self):
         bad = sl.NoiseSchedule((1.0,), 5, 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match=r"level 0, step \d+"):
+            with pytest.raises(FloatingPointError, match=r"particle 0 at level 0, step \d+"):
                 sl.annealed_langevin_run(4, TARGET, bad, sl.make_stream(7, 0))
+            # only particle 2 starts where the score overflows
+            init = np.array([0.0, 0.0, 1e300, 0.0])
+            with pytest.raises(FloatingPointError, match=r"particle 2 at level 0, step 0$"):
+                sl.annealed_langevin_run(
+                    4, TARGET, sl.NoiseSchedule((1.0,), 5, 0.01), sl.make_stream(7, 0), init=init
+                )
 
     def test_init_shape_checked(self):
         with pytest.raises(ValueError, match="init"):

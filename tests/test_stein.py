@@ -10,6 +10,7 @@ import pytest
 import scorelab as sl
 from conftest import random_mixture_pairs
 from scorelab.stein import _TILE as TILE
+from scorelab.stein import _gauss_tile, _tile_work
 
 N01 = sl.gaussian(0.0, 1.0)
 N04 = sl.gaussian(0.0, 2.0)  # variance 4
@@ -299,3 +300,49 @@ for e in sl.ksd_vstats(xs, models, sl.KernelSpec(1.0)):
     def test_nonfinite_samples_rejected(self, bad):
         with pytest.raises(ValueError, match="samples must be finite"):
             sl.ksd_vstats(np.array([0.0, bad]), self.MODELS, sl.KernelSpec(1.0))
+
+
+class TestGaussTile:
+    # reference: one broadcast subtract, then the exponent q / (-2 h^2)
+    N = 2 * TILE + 37
+    TILES = {
+        "square": (0, TILE, TILE, 2 * TILE),
+        "ragged": (0, TILE, 2 * TILE, N),
+        "corner": (2 * TILE, N, 2 * TILE, N),
+    }
+
+    def _both(self, bandwidth, tile):
+        a, b, c, e = self.TILES[tile]
+        xs = 3.0 * sl.make_stream(4, 1).standard_normal(self.N)
+        xi, xj = xs[a:b], xs[c:e]
+        h2 = bandwidth**2
+        d, q, k = _gauss_tile(xi, xj, h2, _tile_work(self.N))
+        d0 = np.subtract(xi[:, None], xj[None, :])
+        q0 = np.square(d0)
+        arg0 = q0 / (-2.0 * h2)
+        return (d, q, k), (d0, q0, np.exp(arg0)), arg0
+
+    @pytest.mark.parametrize("tile", list(TILES))
+    @pytest.mark.parametrize("bandwidth", [0.5, 1.0, 2.0])
+    def test_bits_equal_the_reference_when_2h2_is_a_power_of_two(self, bandwidth, tile):
+        (d, q, k), (d0, q0, k0), _ = self._both(bandwidth, tile)
+        assert np.array_equal(d, d0)
+        assert np.array_equal(q, q0)
+        assert np.array_equal(k, k0)
+
+    @pytest.mark.parametrize("tile", list(TILES))
+    @pytest.mark.parametrize("bandwidth", [0.7, 0.05])
+    def test_other_bandwidths_move_the_exponent_by_an_ulp(self, bandwidth, tile):
+        (d, q, k), (d0, q0, k0), arg0 = self._both(bandwidth, tile)
+        assert np.array_equal(d, d0)
+        assert np.array_equal(q, q0)
+        assert np.array_equal(k == 0, k0 == 0)
+        # a relative error e in the exponent is a relative error e * |arg| in
+        # k, so near underflow (|arg| ~ 700) k moves by up to ~1e-13; where
+        # |arg| <= 10 it moves by under 1e-14
+        eps = np.finfo(float).eps
+        bound = 4 * eps * (1 + np.abs(arg0)) * k0 + np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(k - k0) <= bound)
+        small = np.abs(arg0) <= 10
+        assert np.any(small & (k != k0))
+        assert k[small] == pytest.approx(k0[small], rel=1e-14, abs=0)

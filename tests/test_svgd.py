@@ -61,6 +61,16 @@ class TestDirection:
         d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
         assert np.array_equal(d_perm, d[perm])
 
+    def test_equal_positions_inside_one_tile_move_together(self):
+        # N = 200 is one tile; three positions appear twice each
+        x = 3.0 * sl.make_stream(8, 3).standard_normal(200)
+        x[[10, 20, 30]] = x[[150, 160, 170]]
+        d = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
+        assert np.array_equal(d[[10, 20, 30]], d[[150, 160, 170]])
+        perm = np.random.default_rng(7).permutation(x.size)
+        d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
+        assert np.array_equal(d_perm, d[perm])
+
 
 class TestRun:
     def test_single_particle_is_score_ascent(self):

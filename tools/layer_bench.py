@@ -3,12 +3,13 @@
     python tools/layer_bench.py --out BENCH.json [--src DIR] [--label NAME]
 
 Imports scorelab from DIR (default: this checkout's `src`) and times each
-row: mixture evaluation at several sizes, the SVGD direction and run, the
-annealed Langevin run on the `lab` defaults, the KSD V-statistic, the KDE,
-the three models of one `ksd-run`, the three losses of one `remedies-run`,
-and the output layer: the CSV text of score-plot's `curves.csv` (4001 rows
-x 21 columns) and of one svgd-run `snapshots_*.csv`, each from the values a
-handler holds, and the `curves.svg` rendered the way `lab` renders it.
+row: mixture evaluation at several sizes, one Gaussian kernel tile of 200
+and of 256 points a side, the SVGD direction and run, the annealed Langevin
+run on the `lab` defaults, the KSD V-statistic, the KDE, the three models of
+one `ksd-run`, the three losses of one `remedies-run`, and the output layer:
+the CSV text of score-plot's `curves.csv` (4001 rows x 21 columns) and of one
+svgd-run `snapshots_*.csv`, each from the values a handler holds, and the
+`curves.svg` rendered the way `lab` renders it.
 Every row is warmed up once, then timed in k repeats of `number` calls; it
 records the min and median seconds per call and the CPU seconds per call
 (median).  The rows go under NAME in the JSON file, next to those already
@@ -62,6 +63,7 @@ def rows(sl, folder: Path) -> dict:
     """Name -> zero-argument callable, for the scorelab module `sl`; the
     output rows write their files into `folder`."""
     from scorelab.mixture import _logpdf
+    from scorelab.stein import _gauss_tile, _tile_work
 
     rng = sl.make_stream(0, 0)
     mixtures = {
@@ -75,6 +77,13 @@ def rows(sl, folder: Path) -> dict:
             out[f"score K={k} n={n}"] = lambda m=m, x=x: sl.score(m, x)
             out[f"_logpdf K={k} n={n}"] = lambda m=m, x=x: _logpdf(m, x)
             out[f"score_derivative K={k} n={n}"] = lambda m=m, x=x: sl.score_derivative(m, x)
+
+    # one kernel tile at bandwidth 1: SVGD's whole N = 200 ensemble, and a
+    # full KSD tile; its own stream leaves `rng` to the rows after
+    for t in (200, 256):
+        xt = 3.0 * sl.make_stream(2, 0).standard_normal(t)
+        work = _tile_work(t)
+        out[f"_gauss_tile {t}x{t}"] = lambda xt=xt, work=work: _gauss_tile(xt, xt, 1.0, work)
 
     target = sl.two_component(0.5, -4.0, 4.0, 1.0)
     kernel = sl.KernelSpec(1.0)
