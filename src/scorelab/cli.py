@@ -6,7 +6,7 @@ Usage: lab <command> --config <path> [--out <dir>] [--threads N]
 Grid cells run independently, each deriving its random stream from
 (seed, cell_index); results are gathered and written in canonical cell
 order, so output bytes do not depend on the thread count.  ksd-run scores
-all its models in one pass over the kernel tiles, so --threads does not
+all its models in one pass over the sample boxes, so --threads does not
 split it; remedies-run computes its exact O(n) log-ratio loss once and
 scales it by each of its lambdas.  Each table is built once as named
 columns: its CSV is formatted one column at a time and its plots are drawn
@@ -72,6 +72,14 @@ def _tag(value: float) -> str:
     return f"{value:g}"
 
 
+def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
+    """An integer [params] key that must be at least `least`."""
+    value = cfg.get_int(key, default)
+    if value < least:
+        raise ConfigError(f"[params] {key}: must be at least {least}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns ({csv name: (column names, columns)},
 # [(csv, spec, svg)]); `run` writes each table and draws its plots from it
@@ -83,7 +91,7 @@ def _run_score_plot(cfg: ExperimentConfig):
     sigma = cfg.get_float("sigma", 1.0)
     pi_grid = cfg.get_floats("pi_grid", "0.1, 0.5, 0.9")
     witness_pi1 = cfg.get_float("witness_pi1", 0.5)
-    grid_nodes = cfg.get_int("grid_nodes", 801)
+    grid_nodes = _count(cfg, "grid_nodes", 801, 2)
 
     mixtures = [mx.two_component(p1, mu1, mu2, sigma) for p1 in pi_grid]
     window = mx.quadrature_window(*mixtures)
@@ -190,7 +198,7 @@ def _run_ksd(cfg: ExperimentConfig):
     if not cfg.models:
         raise ConfigError("ksd-run needs a [models] section with one mixture record per key")
     source = cfg.get_mixture("samples_from")
-    n = cfg.get_int("n", 10_000)
+    n = _count(cfg, "n", 10_000, 1)
     kernel = _kernel(cfg)
 
     labels = list(cfg.models)
@@ -223,7 +231,7 @@ def _run_svgd(cfg: ExperimentConfig):
     sigma = cfg.get_float("sigma", 1.0)
     pi1_grid = cfg.get_floats("pi1_grid", "0.5, 0.1")
     cells = cfg.get_pairs("cells", "-4:1, 0:3, 4:1")
-    particles = cfg.get_int("particles", 200)
+    particles = _count(cfg, "particles", 200, 1)
     step_size = cfg.get_float("step_size", 0.1)
     iterations = cfg.get_int("iterations", 2000)
     kernel = _kernel(cfg)
@@ -301,13 +309,13 @@ def _run_langevin(cfg: ExperimentConfig):
     target = cfg.get_mixture(
         "target", "weights=0.3,0.7; means=-4.0,4.0; stds=1.0,1.0; log_offset=0.0"
     )
-    particles = cfg.get_int("particles", 5000)
+    particles = _count(cfg, "particles", 5000, 1)
     sigma_max = cfg.get_float("sigma_max", 8.0)
     sigma_min = cfg.get_float("sigma_min", 0.5)
     levels = cfg.get_int("levels", 8)
     steps_per_level = cfg.get_int("steps_per_level", 200)
     base_step = cfg.get_float("base_step", 0.01)
-    trace_every = cfg.get_int("trace_every", 10)
+    trace_every = _count(cfg, "trace_every", 10, 1)
     threshold = cfg.get_float(
         "threshold", (float(target.means.min()) + float(target.means.max())) / 2.0
     )
@@ -362,13 +370,11 @@ def _run_remedies(cfg: ExperimentConfig):
         "model", "weights=0.1,0.9; means=-5.0,5.0; stds=1.0,1.0; log_offset=0.0"
     )
     scenario = check_label("[params] scenario", cfg.get_str("scenario", "pi_swap"))
-    n_samples = cfg.get_int("n_samples", 2000)
+    n_samples = _count(cfg, "n_samples", 2000, 2)
     lambdas = cfg.get_floats("lambdas", "0.1, 1.0, 10.0")
     reference = cfg.get_str("reference", "kde")
     if reference not in ("kde", "true"):
         raise ConfigError(f"[params] reference must be kde or true, got {reference!r}")
-    if n_samples < 2:
-        raise ConfigError(f"[params] n_samples: needs at least 2 samples, got {n_samples}")
     if not lambdas:
         raise ConfigError("[params] lambdas: must list at least one weight")
     try:

@@ -6,8 +6,10 @@ optimal witness is proportional to the score difference and the discrepancy
 is the square root of the Fisher divergence; in the unweighted L2 class the
 witness is q * score_p - q' and the discrepancy is its plain L2 norm.  The
 normalisation constants make each witness unit-norm in its own space, so
-the discrepancies equal the attained suprema.  The KSD sums reduce each
-kernel tile by BLAS products with centred moment panels (`ksd_vstats`).
+the discrepancies equal the attained suprema.  The KSD sums are a 1-D fast
+Gauss transform: a Taylor expansion on boxes one bandwidth wide, exact to
+rounding, in O(N) work per model (`ksd_vstats`).  SVGD's dense kernel tiles
+(`_gauss_tile`) live here too.
 """
 
 from __future__ import annotations
@@ -24,15 +26,27 @@ from .scorematch import MONTE_CARLO, QUADRATURE, DivergenceEstimate
 L2_Q_WEIGHTED = "l2_q_weighted"
 L2_UNWEIGHTED = "l2_unweighted"
 
-# Edge of the square tiles the Gaussian pair sums walk.  A tile's three
-# 256 x 256 float64 arrays (1.5 MB) stay in cache; 256 was the fastest of
-# 128 to 512 for KSD at N = 10,000 on a Xeon with 4 MB of L2 per core.  A
-# tile is built in five elementwise passes over its slabs, with no outer
-# broadcast and no divide (`_gauss_tile`); the four before the exp together
-# cost about as much as the exp.  KSD reduces each tile by BLAS products with
-# thin panels, so its bytes hold only while the BLAS splits no product's
-# inner sum across threads; a test compares them under 1 and 2 BLAS threads.
+# Edge of the square tiles SVGD's dense Gaussian pair sums walk.  A tile's
+# three 256 x 256 float64 arrays (1.5 MB) stay in cache; 256 was the fastest
+# of 128 to 512 for the old dense KSD at N = 10,000 on a Xeon with 4 MB of L2
+# per core, and SVGD's default ensemble of 200 is one tile.  A tile is built
+# in five elementwise passes over its slabs, with no outer broadcast and no
+# divide (`_gauss_tile`); the four before the exp together cost about as
+# much as the exp.  SVGD stays dense: at N = 200 (one BLAS thread, 2-core
+# x86_64) the box expansion of `ksd_vstats` took 380 to 1700 us for its row
+# sums alone, ensembles of spread 1 to 6, against 170 to 250 us for a whole
+# dense SVGD direction.
 _TILE = 256
+
+# The KSD box expansion (`ksd_vstats` derives each from its error bound):
+# Taylor terms per box, the cutoff in bandwidths beyond a box's edge, the
+# samples or targets taken per pass and the boxes whose coefficients are
+# built at once, which bound the temporaries whatever N.
+_TERMS = 24
+_CUTOFF = 10.0
+_BLOCK = 2048
+_GROUP = 256
+_INV_FACTORIAL = np.array([1.0 / math.factorial(n) for n in range(_TERMS)])
 
 
 @dataclass(frozen=True)
@@ -186,28 +200,139 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
     return d, q, k
 
 
+def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[n] = t**n for every row n of out, by doubling: rows [m, m + step)
+    are rows [0, step) times t**m, so 26 rows take ten passes."""
+    out[0] = 1.0
+    out[1] = t
+    m = 2
+    while m < len(out):
+        step = min(m, len(out) - m)
+        np.multiply(out[:step], out[m - 1] * t, out=out[m : m + step])
+        m += step
+    return out
+
+
+def _box_coefficients(xs, scores, centres, first, stop, h):
+    """Taylor coefficients in t of A0, A1, A2 for each box, (boxes, 3, P),
+    and of B0, B1 for each box and model, (boxes, models, 2, P).
+
+    They are the raw moments sum g v^q (q < P + 2, shared by the models)
+    and sum g v^q s (q < P + 1, per model), g = exp(-v^2 / 2), over the
+    boxes' samples, shifted by k and divided by n!; the samples are taken
+    in chunks of `_BLOCK`.
+    """
+    nb, nm = centres.size, scores.shape[0]
+    raw = np.zeros((nb, _TERMS + 2))
+    raw_s = np.zeros((nm, nb, _TERMS + 1))
+    work = np.empty((_TERMS + 2, _BLOCK))
+    for a in range(first[0], stop[-1], _BLOCK):
+        e = min(a + _BLOCK, stop[-1])
+        b = np.searchsorted(first, np.arange(a, e), "right") - 1
+        v = (xs[a:e] - centres[b]) / h
+        pw = _powers(v, work[:, : e - a])
+        pw *= np.exp(-0.5 * v * v)
+        seg = np.flatnonzero(np.r_[True, b[1:] != b[:-1]])
+        ids = b[seg]
+        raw[ids] += np.add.reduceat(pw, seg, axis=1).T
+        for k, s in enumerate(scores[:, a:e]):
+            raw_s[k, ids] += np.add.reduceat(pw[: _TERMS + 1] * s, seg, axis=1).T
+    # A_k = exp(-t^2 / 2) sum_{n < P} t^n raw[n + k] / n!, B_k likewise from raw_s
+    shared = np.stack([raw[:, k : k + _TERMS] for k in range(3)], axis=1) * _INV_FACTORIAL
+    per_model = np.stack([raw_s[:, :, k : k + _TERMS] for k in range(2)], axis=2)
+    return shared, np.ascontiguousarray((per_model * _INV_FACTORIAL).transpose(1, 0, 2, 3))
+
+
+def _stein_row_sums(xs: np.ndarray, scores: np.ndarray, h: float) -> np.ndarray:
+    """sum_j u_p(x_i, x_j) for every sorted sample x_i and every row of
+    scores, by the box expansion of `ksd_vstats`."""
+    n = xs.size
+    h2 = h * h
+    slot = xs - xs[0]
+    slot /= h
+    np.floor(slot, out=slot)
+    first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+    stop = np.r_[first[1:], n]
+    centres = xs[0] + h * (slot[first] + 0.5)
+    reach = h * (_CUTOFF + 0.5)
+    lo = np.searchsorted(xs, centres - reach, "left")
+    hi = np.searchsorted(xs, centres + reach, "right")
+    row_sums = np.zeros_like(scores)
+    work = np.empty((_TERMS, _BLOCK))
+    for g0 in range(0, first.size, _GROUP):
+        g1 = min(g0 + _GROUP, first.size)
+        shared, per_model = _box_coefficients(
+            xs, scores, centres[g0:g1], first[g0:g1], stop[g0:g1], h
+        )
+        for b in range(g0, g1):
+            for r in range(lo[b], hi[b], _BLOCK):
+                e = min(r + _BLOCK, hi[b])
+                t = (xs[r:e] - centres[b]) / h
+                tn = _powers(t, work[:, : e - r])
+                a0, a1, a2 = shared[b - g0] @ tn
+                # one product per model, the call it would get alone
+                b0, b1 = (per_model[b - g0] @ tn).transpose(1, 0, 2)
+                ta0 = t * a0
+                kd = (ta0 - a1) / h
+                kdd = (a0 - (t * (ta0 - 2 * a1) + a2)) / h2
+                rows = scores[:, r:e] * (b0 + kd) - (t * b0 - b1) / h + kdd
+                rows *= np.exp(-0.5 * t * t)
+                row_sums[:, r:e] += rows
+    return row_sums
+
+
 def ksd_vstats(
     samples: np.ndarray, models: list[GaussianMixture1D], kernel: KernelSpec
 ) -> list[DivergenceEstimate]:
     """V-statistic kernel Stein discrepancy of one sample set against each
-    of `models`, in one pass over the kernel tiles.
+    of `models`, in O(N) work per model.
 
-    Averages the Stein kernel u_p over all N^2 ordered pairs.  u_p is
-    symmetric, so only the upper triangle of the sorted samples is walked,
-    in fixed square tiles small enough to stay in cache, all in one
-    workspace allocated per call; each off-diagonal tile's column sums stand
-    in for its mirrored pairs.  A tile is reduced by BLAS products with thin
-    moment panels: with u and v the row and column positions centred on the
-    tile, sum_j k d w = u_i sum_j k w - sum_j k v w, so [1, v] and, per
-    model, [s, v s] against k^T give every row sum ([1, u] and [s, u s]
-    against k the column sums).  Centring bounds the cancellation in that
-    difference by the tile's span, not by |x|.  The sum of k d^2 is read
-    from the tile's squares q: its expansion u^2 K1 - 2u Kv + Kv2 cancels
-    worse (1e-13 against 1e-15 relative at bandwidth 0.05).  One stacked
-    matmul gives each model the BLAS call it would get alone, so every
-    estimate equals that of a call with the model alone, bit for bit.  The
-    sort and the fixed tile order give a canonical summation order, so
-    every value is bit-for-bit invariant under permutation of the input.
+    Averages the Stein kernel u_p over all N^2 ordered pairs:
+    u_p(x, y) = s(x) s(y) k + (s(x) - s(y)) k d / h^2 + (k - k d^2 / h^2) / h^2
+    with d = x - y, k = exp(-d^2 / (2 h^2)) and s the model's score.  The
+    row sums over y are a 1-D fast Gauss transform (Greengard & Strain
+    1991) by Taylor expansion, exact to rounding:
+
+    - Boxes.  The sorted samples are cut into boxes one bandwidth wide,
+      anchored at the smallest.  With c a box's centre, a source y in it
+      has offset v = (y - c) / h, |v| <= 1/2, and a target x has
+      t = (x - c) / h.
+    - Expansion.  k = exp(-t^2 / 2) sum_{n < P} t^n [exp(-v^2 / 2) v^n / n!]
+      plus a tail at most max_t exp(-t^2/2 + |t|/2 - 1/8) (|t|/2)^P / P!,
+      2.3e-19 for P = _TERMS = 24: the smallest P whose bound is under
+      1e-18, two orders below the rounding of a unit kernel value (P = 23
+      gives 2.2e-18).  A wider box would need more terms.
+    - Cutoff.  A target more than _CUTOFF = 10 bandwidths from a box's
+      nearest edge skips that box; each skipped pair has k <= e^-50 =
+      1.9e-22, and k d^2 / h^2 <= 100 e^-50, under the truncation bound
+      (9 bandwidths would give 2e-16).  The targets of each box are found
+      by `searchsorted` and taken in blocks of `_BLOCK` rows, the sources'
+      moments in blocks of `_BLOCK` samples, and the coefficients of
+      `_GROUP` boxes at a time, so that beside index arrays of at most N
+      entries the temporaries stay near 1.5 MB whatever N.
+    - Row sums in box-centred form.  With A_k = sum k v^k and
+      B_k = sum k v^k s(y) over a box, sum k d = h (t A0 - A1),
+      sum k d s = h (t B0 - B1) and sum k d^2 = h^2 (t^2 A0 - 2t A1 + A2),
+      so the box adds s(x) (B0 + (t A0 - A1) / h) - (t B0 - B1) / h
+      + (A0 - (t^2 A0 - 2t A1 + A2)) / h^2 to the row sum of x.  Each A_k
+      and B_k is exp(-t^2 / 2) times a polynomial in t whose coefficients
+      are the box's moments sum exp(-v^2 / 2) v^(n + k) / n! (shared by the
+      models) and sum exp(-v^2 / 2) v^(n + k) s(y) / n!; one product of the
+      (3, P) shared coefficients and one per model of its (2, P) ones with
+      the (P, rows) powers of t evaluate them.  Offsets are taken from the
+      box centre, so cancellation is bounded by the box, not by |x|.
+      Folding the brackets into two polynomials instead, with the
+      differences taken coefficient by coefficient, ran about a third
+      faster but moved `ksd.csv` values by up to 1.8e-13 relative against
+      an extended-precision dense sum, where this form stays within 1e-14.
+
+    Each model's moments, coefficients and product are the operations a
+    call with that model alone would make, so every estimate equals that of
+    a single-model call bit for bit.  The sort gives a canonical order, so
+    every value is bit-for-bit invariant under permutation of the input; no
+    BLAS product sums over more than P terms, so no thread split reaches an
+    inner sum.  A target is in reach of at most 22 boxes and costs about
+    (3 + 2 models) P multiply-adds in each, so the work is linear in N.
     The reported std_error uses the nondegenerate asymptotic approximation
     2 * std(row means) / sqrt(N).
     """
@@ -220,33 +345,7 @@ def ksd_vstats(
         raise ValueError("samples must be finite")
     n = xs.size
     scores = np.array([score(p, xs) for p in models])
-    h2 = kernel.bandwidth**2
-    row_sums = np.zeros((len(models), n))
-    work = _tile_work(n)
-    for a, b, c, e in _upper_tiles(n):
-        _, q, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
-        # u_p = s_i s_j k + (s_i - s_j) dk/dy + d2k/dxdy, where dk/dy = k d / h2
-        # and d2k/dxdy = (k - k d^2 / h2) / h2
-        mid = (xs[a] + xs[e - 1]) / 2
-        u, v = xs[a:b] - mid, xs[c:e] - mid
-        si, sj = scores[:, a:b], scores[:, c:e]
-        k1, kv = np.stack((np.ones_like(v), v)) @ k.T
-        ks, kvs = np.moveaxis(np.stack((sj, v * sj), axis=1) @ k.T, 1, 0)
-        kd = u * k1 - kv
-        row_sums[:, a:b] += (
-            si * (ks + kd / h2)
-            - (u * ks - kvs) / h2
-            + (k1 - np.einsum("ij,ij->i", k, q) / h2) / h2
-        )
-        if c != a:
-            k1, ku = np.stack((np.ones_like(u), u)) @ k
-            ks, kus = np.moveaxis(np.stack((si, u * si), axis=1) @ k, 1, 0)
-            kd = ku - v * k1
-            row_sums[:, c:e] += (
-                sj * (ks - kd / h2)
-                + (kus - v * ks) / h2
-                + (k1 - np.einsum("ij,ij->j", k, q) / h2) / h2
-            )
+    row_sums = _stein_row_sums(xs, scores, kernel.bandwidth)
     out = []
     for sums in row_sums:
         value = float(sums.sum() / (n * n))

@@ -454,6 +454,52 @@ class TestCliContract:
         assert f"config error: [params] {key}: must be positive and finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_langevin_trace_every_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, value
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before trace_every was checked")
+
+        monkeypatch.setattr(cli, "make_stream", no_sampling)
+        body = LANGEVIN + f"trace_every = {value}\n"
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["langevin-run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: [params] trace_every: must be at least 1, got {value}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, body, old, new, key",
+        [
+            ("ksd-run", KSD, "n = 800", "n = 0", "[params] n: must be at least 1, got 0"),
+            ("svgd-run", SVGD, "particles = 60", "particles = 0", "[params] particles: must be at least 1"),
+            (
+                "langevin-run", LANGEVIN, "particles = 400", "particles = 0",
+                "[params] particles: must be at least 1",
+            ),
+            (
+                "score-plot", SCORE_PLOT, "grid_nodes = 801", "grid_nodes = 1",
+                "[params] grid_nodes: must be at least 2, got 1",
+            ),
+        ],
+        ids=["ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes"],
+    )
+    def test_bad_count_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch, command, body, old, new, key
+    ):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the counts were checked")
+
+        monkeypatch.setattr(cli.mx, "sample", no_sampling)
+        monkeypatch.setattr(cli, "make_stream", no_sampling)
+        changed = body.replace(old, new)
+        assert changed != body
+        cfg = write_config(tmp_path / "c.cfg", changed.format(out=tmp_path / "out"))
+        assert cli.main([command, "--config", cfg]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "a.cfg", FISHER.format(out=tmp_path / "out"))
         assert cli.main(["stein-sweep", "--config", cfg]) == 2

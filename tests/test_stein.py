@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import scorelab as sl
 from conftest import random_mixture_pairs
+from scorelab.stein import _CUTOFF, _TERMS
 from scorelab.stein import _TILE as TILE
 from scorelab.stein import _gauss_tile, _tile_work
 
@@ -236,6 +238,70 @@ class TestKsd:
     def test_bandwidth_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
             sl.KernelSpec(bad)
+
+
+def dense_ksd(xs, s, bandwidth, block=500):
+    """Value and std_error from every ordered pair, formed in input order in
+    row blocks of `block` samples.
+
+    The three kernel terms are separate products: summed inside one bracket
+    before the multiply by k, the 1/h^2 term loses its low bits to s_i s_j,
+    which at bandwidth 20 moved the value by 1e-12 relative against an
+    extended-precision sum.
+    """
+    n = xs.size
+    h2 = bandwidth**2
+    row_sums = np.empty(n)
+    for a in range(0, n, block):
+        si = s[a : a + block, None]
+        d = xs[a : a + block, None] - xs[None, :]
+        k = np.exp(-d * d / (2 * h2))
+        u = k * (si * s[None, :]) + k * d / h2 * (si - s[None, :]) + k * (1 / h2 - d * d / h2**2)
+        row_sums[a : a + block] = u.sum(axis=1)
+    value = row_sums.sum() / (n * n)
+    return value, 2.0 * (row_sums / n).std(ddof=1) / np.sqrt(n)
+
+
+class TestGaussTransform:
+    # the box expansion of ksd_vstat against all pairs, at the tolerances of
+    # test_tiles_agree_with_dense_evaluation
+
+    def _agrees(self, p, xs, bandwidth):
+        value, std_error = dense_ksd(xs, sl.score(p, xs), bandwidth)
+        est = sl.ksd_vstat(xs, p, sl.KernelSpec(bandwidth))
+        assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "bandwidth, shift", [(0.05, 0.0), (20.0, 0.0), (1.0, 1e3)], ids=["0.05", "20.0", "1.0-shift1e3"]
+    )
+    def test_agrees_with_all_pairs_at_n_3000(self, bandwidth, shift):
+        p = sl.two_component(0.3, -1.5 + shift, 2.0 + shift, 1.0)
+        self._agrees(p, sl.sample(p, 3000, sl.make_stream(12, 0)), bandwidth)
+
+    def test_agrees_where_the_cutoff_skips_boxes(self):
+        # clusters 40 bandwidths apart: no pair across them is in reach
+        p = sl.two_component(0.4, -20.0, 20.0, 1.0)
+        xs = sl.sample(p, 2000, sl.make_stream(13, 0))
+        assert np.min(xs[xs > 0]) - np.max(xs[xs < 0]) > 2 * (_CUTOFF + 1)
+        self._agrees(p, xs, 1.0)
+
+    def test_agrees_when_every_sample_is_its_own_box(self):
+        p = sl.gaussian(0.0, 1.0)
+        xs = sl.sample(p, 1000, sl.make_stream(14, 0))
+        bandwidth = 1e-3
+        slots = np.floor((np.sort(xs) - xs.min()) / bandwidth)
+        assert np.unique(slots).size > 0.85 * xs.size  # most samples sit alone
+        self._agrees(p, xs, bandwidth)
+
+    def test_truncated_expansion_is_within_its_bound(self):
+        # k = exp(-t^2/2) sum_{n < P} t^n exp(-v^2/2) v^n / n! for every
+        # target in reach of a box (|t| <= cutoff + 1/2) and source in it
+        t = np.linspace(-(_CUTOFF + 0.5), _CUTOFF + 0.5, 841)[:, None]
+        v = np.linspace(-0.5, 0.5, 101)[None, :]
+        series = sum(t**n * v**n / math.factorial(n) for n in range(_TERMS))
+        expansion = np.exp(-t * t / 2) * np.exp(-v * v / 2) * series
+        assert np.max(np.abs(expansion - np.exp(-((t - v) ** 2) / 2))) <= 1e-15
 
 
 class TestKsdVstats:

@@ -24,6 +24,17 @@ class TestLayerBench:
         for fn in rows.values():
             fn()
 
+    def test_child_times_the_rows_of_its_tree_on_request(self):
+        side = _load(LAYER_BENCH)._Side(ROOT / "src")
+        try:
+            assert "ksd_vstat N=10000" in side.names
+            assert side.ask("score K=2 n=200", 0) >= 1
+            wall, cpu = side.ask("score K=2 n=200", 3)
+            assert wall > 0 and cpu >= 0
+        finally:
+            side.close()
+        assert side.proc.returncode == 0
+
 
 class TestDiffOutputs:
     def test_same_source_has_no_differences(self, tmp_path):

@@ -1,21 +1,27 @@
 """In-process timings of the scorelab layers, kept out of the test suite.
 
-    python tools/layer_bench.py --out BENCH.json [--src DIR] [--label NAME]
+    python tools/layer_bench.py --out BENCH.json [--base DIR] [--src DIR]
 
-Imports scorelab from DIR (default: this checkout's `src`) and times each
-row: mixture evaluation at several sizes, one Gaussian kernel tile of 200
-and of 256 points a side, the SVGD direction and run, the annealed Langevin
-run on the `lab` defaults, the KSD V-statistic, the KDE, the three models of
-one `ksd-run`, the three losses of one `remedies-run`, and the output layer:
-the CSV text of score-plot's `curves.csv` (4001 rows x 21 columns) and of one
-svgd-run `snapshots_*.csv`, each from the values a handler holds, and the
-`curves.svg` rendered the way `lab` renders it.
-Every row is warmed up once, then timed in k repeats of `number` calls; it
-records the min and median seconds per call and the CPU seconds per call
-(median).  The rows go under NAME in the JSON file, next to those already
-there, with the host facts, so one file holds parent and change; when it
-holds more than one label, the mins are printed side by side.
-Compare on the min: the host is shared and its medians are noisy.
+Times each row on the source tree DIR of `--src` (default: this checkout's
+`src`), labelled "change", and, with `--base`, on that tree too, labelled
+"parent".  The rows are mixture evaluation at several sizes, one Gaussian
+kernel tile of 200 and of 256 points a side, the SVGD direction and run,
+the annealed Langevin run on the `lab` defaults, the KSD V-statistic
+against one model at N = 1000, 3000 and 10,000, the KDE, the three models
+of one `ksd-run`, the three losses of one `remedies-run`, and the output
+layer: the CSV text of score-plot's `curves.csv` (4001 rows x 21 columns)
+and of one svgd-run `snapshots_*.csv`, each from the values a handler
+holds, and the `curves.svg` rendered the way `lab` renders it.
+
+Each tree is imported in its own child interpreter, which builds the rows
+and times them on request.  A row is warmed up once on each side, then
+timed in k repeats of `number` calls, the two sides taking turns repeat by
+repeat (parent first in even repeats, change first in odd ones), so that
+host drift falls on both.  Each side records the min and median seconds per
+call and the CPU seconds per call (median).  The rows go under their label
+in the JSON file, next to those already there, with the host facts, and
+the mins are printed side by side.  Compare on the min: the host is shared
+and its medians are noisy.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import inspect
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -35,28 +42,6 @@ import numpy as np
 
 K_REPEATS = 5
 REPEAT_S = 0.05  # target length of one repeat; sets `number`
-
-
-def _time(fn) -> dict:
-    fn()
-    t = time.perf_counter()
-    fn()
-    once = time.perf_counter() - t
-    number = max(1, int(REPEAT_S / max(once, 1e-9)))
-    walls, cpus = [], []
-    for _ in range(K_REPEATS):
-        c, t = time.process_time(), time.perf_counter()
-        for _ in range(number):
-            fn()
-        walls.append((time.perf_counter() - t) / number)
-        cpus.append((time.process_time() - c) / number)
-    return {
-        "min_s": min(walls),
-        "median_s": statistics.median(walls),
-        "cpu_s": statistics.median(cpus),
-        "k": K_REPEATS,
-        "number": number,
-    }
 
 
 def rows(sl, folder: Path) -> dict:
@@ -102,6 +87,9 @@ def rows(sl, folder: Path) -> dict:
     for n in (1000, 3000):
         samples = sl.sample(target, n, rng)
         out[f"ksd_vstat N={n}"] = lambda s=samples: sl.ksd_vstat(s, target, kernel)
+    # its own stream leaves `rng` to the rows after
+    samples = sl.sample(target, 10_000, sl.make_stream(5, 0))
+    out["ksd_vstat N=10000"] = lambda: sl.ksd_vstat(samples, target, kernel)
     centers = sl.sample(target, 2000, rng)
     kde = sl.kde_fit(centers)
     points = sl.sample(target, 2000, rng)
@@ -205,38 +193,133 @@ def _host() -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to add the rows to")
-    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
-                        help="source tree to import scorelab from")
-    parser.add_argument("--label", default="change", help="key of this run in the file")
-    args = parser.parse_args(argv)
-
-    src = args.src.resolve()
+def _child(src: Path) -> int:
+    """Serve the rows of the tree `src`: print their names, then answer one
+    JSON request a line on stdin with one JSON line on stdout.  A request
+    [name, 0] warms the row up and answers the `number` of calls that fill
+    REPEAT_S; [name, number] times that many calls and answers the wall and
+    CPU seconds per call."""
     sys.path.insert(0, str(src))
     import scorelab as sl
 
     if not Path(sl.__file__).resolve().is_relative_to(src):
-        parser.error(f"scorelab was imported from {sl.__file__}, not from {src}")
+        print(f"scorelab was imported from {sl.__file__}, not from {src}", file=sys.stderr)
+        return 2
 
-    timed = {}
+    def reply(value):
+        print(json.dumps(value), flush=True)
+
     with tempfile.TemporaryDirectory(prefix="layer_bench_") as folder:
-        for name, fn in rows(sl, Path(folder)).items():
-            timed[name] = _time(fn)
-            print(f"{name:34s} min {timed[name]['min_s'] * 1e6:12.1f} us", flush=True)
+        table = rows(sl, Path(folder))
+        reply(list(table))
+        for line in sys.stdin:
+            name, number = json.loads(line)
+            fn = table[name]
+            if number == 0:
+                fn()
+                t = time.perf_counter()
+                fn()
+                reply(max(1, int(REPEAT_S / max(time.perf_counter() - t, 1e-9))))
+                continue
+            c, t = time.process_time(), time.perf_counter()
+            for _ in range(number):
+                fn()
+            reply([(time.perf_counter() - t) / number, (time.process_time() - c) / number])
+    return 0
+
+
+class _Side:
+    """One child interpreter timing the rows of one source tree."""
+
+    def __init__(self, src: Path):
+        self.proc = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--child", "--src", str(src)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        self.names = self._read()
+
+    def _read(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"the child timing {self.proc.args[-1]} exited with {self.proc.wait()}")
+        return json.loads(line)
+
+    def ask(self, name: str, number: int):
+        self.proc.stdin.write(json.dumps([name, number]) + "\n")
+        self.proc.stdin.flush()
+        return self._read()
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def _summary(walls, cpus, number) -> dict:
+    return {
+        "min_s": min(walls),
+        "median_s": statistics.median(walls),
+        "cpu_s": statistics.median(cpus),
+        "k": len(walls),
+        "number": number,
+    }
+
+
+def _time_rows(sides: dict[str, _Side]) -> dict[str, dict]:
+    """Label -> {row name -> summary}, the sides taking turns per repeat."""
+    names = list(dict.fromkeys(name for side in sides.values() for name in side.names))
+    timed = {label: {} for label in sides}
+    for name in names:
+        present = [label for label, side in sides.items() if name in side.names]
+        numbers = {label: sides[label].ask(name, 0) for label in present}
+        samples = {label: ([], []) for label in present}
+        for k in range(K_REPEATS):
+            for label in present if k % 2 == 0 else present[::-1]:
+                wall, cpu = sides[label].ask(name, numbers[label])
+                samples[label][0].append(wall)
+                samples[label][1].append(cpu)
+        for label in present:
+            timed[label][name] = _summary(*samples[label], numbers[label])
+        mins = " | ".join(f"{label} {timed[label][name]['min_s'] * 1e6:12.1f}" for label in present)
+        print(f"{name:34s} min us: {mins}", flush=True)
+    return timed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, help="JSON file to add the rows to")
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                        help="source tree of the change")
+    parser.add_argument("--base", type=Path, help="source tree of the parent, timed in turn with --src")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        return _child(args.src.resolve())
+    if args.out is None:
+        parser.error("--out is required")
+
+    trees = {"parent": args.base, "change": args.src} if args.base else {"change": args.src}
+    sides = {}
+    try:
+        for label, tree in trees.items():
+            sides[label] = _Side(tree.resolve())
+        timed = _time_rows(sides)
+    finally:
+        for side in sides.values():
+            side.close()
 
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
     data["host"] = _host()
-    data["runs"][args.label] = {"rows": timed}
+    for label, rows_timed in timed.items():
+        data["runs"][label] = {"rows": rows_timed}
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
-    labels = list(data["runs"])
-    if len(labels) > 1:
-        print("\nmin per call, us: " + " | ".join(labels))
-        for name in timed:
-            mins = [data["runs"][lb]["rows"].get(name, {}).get("min_s") for lb in labels]
-            print(f"{name:34s} " + " | ".join("-" if v is None else f"{v * 1e6:.1f}" for v in mins))
+    if len(timed) > 1:
+        print("\nmin per call, us: parent | change | change / parent")
+        for name, row in timed["change"].items():
+            base = timed["parent"].get(name)
+            if base is not None:
+                ratio = row["min_s"] / base["min_s"]
+                print(f"{name:34s} {base['min_s'] * 1e6:.1f} | {row['min_s'] * 1e6:.1f} | {ratio:.3f}")
     return 0
 
 
