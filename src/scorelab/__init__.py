@@ -29,7 +29,6 @@ from .mixture import (
 )
 from .numerics import QuadratureSpec, RngStream, finite_diff, make_stream, quad_integrate
 from .remedies import (
-    CmlConfig,
     EntropyGradientEstimate,
     ImplicitModel,
     KdeModel,
@@ -62,7 +61,6 @@ from .svgd import ParticleEnsemble, SvgdConfig, mode_fraction, svgd_direction, s
 
 __all__ = [
     "BlindnessRow",
-    "CmlConfig",
     "DivergenceEstimate",
     "EntropyGradientEstimate",
     "GaussianMixture1D",

@@ -80,6 +80,14 @@ def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
     return value
 
 
+def _threshold(cfg: ExperimentConfig, default: float) -> float:
+    """The mode-fraction `threshold` [params] key, which must be finite."""
+    value = cfg.get_float("threshold", default)
+    if not np.isfinite(value):
+        raise ConfigError(f"[params] threshold: must be finite, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns ({csv name: (column names, columns)},
 # [(csv, spec, svg)]); `run` writes each table and draws its plots from it
@@ -236,7 +244,7 @@ def _run_svgd(cfg: ExperimentConfig):
     iterations = cfg.get_int("iterations", 2000)
     kernel = _kernel(cfg)
     snapshot_every = cfg.get_int("snapshot_every", 500)
-    threshold = cfg.get_float("threshold", (mu1 + mu2) / 2.0)
+    threshold = _threshold(cfg, (mu1 + mu2) / 2.0)
 
     try:
         run_cfg = sv.SvgdConfig(
@@ -316,9 +324,7 @@ def _run_langevin(cfg: ExperimentConfig):
     steps_per_level = cfg.get_int("steps_per_level", 200)
     base_step = cfg.get_float("base_step", 0.01)
     trace_every = _count(cfg, "trace_every", 10, 1)
-    threshold = cfg.get_float(
-        "threshold", (float(target.means.min()) + float(target.means.max())) / 2.0
-    )
+    threshold = _threshold(cfg, (float(target.means.min()) + float(target.means.max())) / 2.0)
 
     try:
         sched = lv.geometric_schedule(sigma_max, sigma_min, levels, steps_per_level, base_step)
@@ -377,20 +383,19 @@ def _run_remedies(cfg: ExperimentConfig):
         raise ConfigError(f"[params] reference must be kde or true, got {reference!r}")
     if not lambdas:
         raise ConfigError("[params] lambdas: must list at least one weight")
-    try:
-        cml_cfgs = [rm.CmlConfig(lambda_ml=lam) for lam in lambdas]
-    except ValueError as exc:
-        raise ConfigError(f"[params] lambdas: {exc}") from None
+    for lam in lambdas:
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ConfigError(f"[params] lambdas: must be finite and nonnegative, got {lam}")
 
     samples = mx.sample(data, n_samples, make_stream(cfg.seed, 0))
-    ml = rm.kde_fit(samples, "silverman") if reference == "kde" else data
+    ml = rm.kde_fit(samples) if reference == "kde" else data
     fisher = sm.fisher_divergence(data, model).value
     moments = rm.moment_discrepancy(model, samples, [1, 2])
     # the loss is linear in lambda: one unweighted loss serves every lambda
-    unit = rm.cml_loss(model, ml, samples, rm.CmlConfig())
+    unit = rm.cml_loss(model, ml, samples)
     rows = [
-        (scenario, fisher, c.lambda_ml * unit, float(moments[0]), float(moments[1]), c.lambda_ml)
-        for c in cml_cfgs
+        (scenario, fisher, lam * unit, float(moments[0]), float(moments[1]), lam)
+        for lam in lambdas
     ]
     files = {
         "report.csv": _by_rows(

@@ -36,14 +36,9 @@ class QuadratureSpec:
 
 
 def _evaluate_on_grid(f, xs: np.ndarray) -> np.ndarray:
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape != xs.shape:
-            raise TypeError
-    except TypeError:
-        # f only supports scalars, as math.exp does; any other error is a
-        # fault in f and propagates
-        ys = np.array([float(f(x)) for x in xs])
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError(f"integrand returned shape {ys.shape} on a grid of shape {xs.shape}")
     bad = np.flatnonzero(~np.isfinite(ys))
     if bad.size:
         i = int(bad[0])
@@ -59,14 +54,13 @@ def _simpson(ys: np.ndarray, h: float) -> float:
 def quad_integrate(f, spec: QuadratureSpec) -> float:
     """Composite-Simpson approximation of the integral of f over the spec grid.
 
-    f may accept a scalar or a vector; vectorized evaluation is attempted
-    first, and a TypeError from it, or a result of another shape, falls back
-    to one call per node.  Any other error on the array propagates, so a
-    scalar-only integrand must raise TypeError on arrays (as math.exp does)
-    or be wrapped in np.vectorize; `lambda x: x if x > 0 else 0.0` raises
-    ValueError on an array and is not retried.  When the node count is even (odd interval count),
-    the last interval is integrated with the cubic through the final four
-    points, so polynomials of degree <= 3 stay exact for every node count.
+    f is called once, on the whole grid, and must return one value per node;
+    a result of another shape is a ValueError that names both shapes.  A
+    scalar-only integrand (math.exp, or `lambda x: x if x > 0 else 0.0`)
+    must be wrapped in np.vectorize.  When the node count is even (odd
+    interval count), the last interval is integrated with the cubic through
+    the final four points, so polynomials of degree <= 3 stay exact for
+    every node count.
     """
     xs = spec.grid()
     ys = _evaluate_on_grid(f, xs)

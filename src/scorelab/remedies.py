@@ -40,22 +40,17 @@ class KdeModel:
         object.__setattr__(self, "centers", centers)
 
 
-def kde_fit(samples: np.ndarray, bandwidth_rule: str | float = "silverman") -> KdeModel:
-    """Fit a KDE; bandwidth_rule is "silverman" or an explicit width.
+def kde_fit(samples: np.ndarray) -> KdeModel:
+    """Fit a KDE by Silverman's rule: h = 1.06 * std(samples) * N^(-1/5).
 
-    Silverman's rule: h = 1.06 * std(samples) * N^(-1/5).
+    A KDE of a given width is `KdeModel(samples, h)`.
     """
     xs = np.asarray(samples, dtype=float)
     if xs.size < 2:
         raise ValueError("kde_fit needs at least 2 samples")
-    if bandwidth_rule == "silverman":
-        h = 1.06 * float(xs.std()) * xs.size ** (-0.2)
-        if h <= 0:
-            raise ValueError("silverman bandwidth degenerated to zero (constant sample)")
-    else:
-        h = float(bandwidth_rule)
-        if h <= 0:
-            raise ValueError(f"fixed bandwidth must be positive, got {h}")
+    h = 1.06 * float(xs.std()) * xs.size ** (-0.2)
+    if h <= 0:
+        raise ValueError("silverman bandwidth degenerated to zero (constant sample)")
     return KdeModel(xs, h)
 
 
@@ -78,17 +73,6 @@ def kde_log_pdf(model: KdeModel, x) -> float | np.ndarray:
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-@dataclass(frozen=True)
-class CmlConfig:
-    """Weight of the log-ratio loss."""
-
-    lambda_ml: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lambda_ml) and self.lambda_ml >= 0):
-            raise ValueError(f"lambda_ml must be finite and nonnegative, got {self.lambda_ml}")
-
-
 ReferenceDensity = KdeModel | GaussianMixture1D | Callable[[np.ndarray], np.ndarray]
 
 
@@ -104,11 +88,10 @@ def cml_loss(
     model: GaussianMixture1D,
     ml: ReferenceDensity,
     samples: np.ndarray,
-    cfg: CmlConfig,
 ) -> float:
     """Pairwise log-density-ratio mismatch against the reference model.
 
-    lambda times the sum over all ordered sample pairs (i, j), i != j, of
+    The sum over all ordered sample pairs (i, j), i != j, of
     (log ml(x_i)/ml(x_j) - log model(x_i)/model(x_j))^2.  With
     d = log ml - log model that sum is sum_{i != j} (d_i - d_j)^2
     = 2n * sum_i (d_i - mean(d))^2, which is exact and takes O(n) time and
@@ -124,8 +107,7 @@ def cml_loss(
         raise ValueError("samples must be finite")
     d = _reference_log_pdf(ml, xs) - _logpdf(model, xs)
     centred = d - d.mean()
-    total = 2 * xs.size * float(np.sum(centred * centred))
-    return cfg.lambda_ml * total
+    return 2 * xs.size * float(np.sum(centred * centred))
 
 
 def moment_discrepancy(
@@ -168,11 +150,8 @@ class ImplicitModel:
     transform: Callable[[np.ndarray, float], np.ndarray]
     transform_dphi: Callable[[np.ndarray, float], np.ndarray]
     phi: float
-    base_law: str = "standard_normal"
 
     def __post_init__(self):
-        if self.base_law != "standard_normal":
-            raise ValueError(f"unsupported base law {self.base_law!r}")
         probes = np.array([-1.3, 0.2, 0.9])
         h = 1e-5
         fd = (

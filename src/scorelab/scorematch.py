@@ -142,7 +142,6 @@ def blindness_sweep(
     separations,
     pi_pairs,
     sigma: float,
-    nodes: int | None = None,
 ) -> list[BlindnessRow]:
     """Grid J(p||p') and J(q||p) over mode separations and weight pairs.
 
@@ -163,9 +162,7 @@ def blindness_sweep(
             p = two_component(pi, -s / 2.0, s / 2.0, sigma)
             p_prime = two_component(pi_prime, -s / 2.0, s / 2.0, sigma)
             q = gaussian(-s / 2.0, sigma)
-            spec = quadrature_window(p, p_prime) if nodes is None else quadrature_window(
-                p, p_prime, nodes=nodes
-            )
+            spec = quadrature_window(p, p_prime)
             j_pp = fisher_divergence(p, p_prime, spec)
             j_qp = fisher_divergence(q, p, spec)
             rows.append(

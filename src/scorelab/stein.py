@@ -8,8 +8,7 @@ witness is q * score_p - q' and the discrepancy is its plain L2 norm.  The
 normalisation constants make each witness unit-norm in its own space, so
 the discrepancies equal the attained suprema.  The KSD sums are a 1-D fast
 Gauss transform: a Taylor expansion on boxes one bandwidth wide, exact to
-rounding, in O(N) work per model (`ksd_vstats`).  SVGD's dense kernel tiles
-(`_gauss_tile`) live here too.
+rounding, in O(N) work per model (`ksd_vstats`).
 """
 
 from __future__ import annotations
@@ -25,18 +24,6 @@ from .scorematch import MONTE_CARLO, QUADRATURE, DivergenceEstimate
 
 L2_Q_WEIGHTED = "l2_q_weighted"
 L2_UNWEIGHTED = "l2_unweighted"
-
-# Edge of the square tiles SVGD's dense Gaussian pair sums walk.  A tile's
-# three 256 x 256 float64 arrays (1.5 MB) stay in cache; 256 was the fastest
-# of 128 to 512 for the old dense KSD at N = 10,000 on a Xeon with 4 MB of L2
-# per core, and SVGD's default ensemble of 200 is one tile.  A tile is built
-# in five elementwise passes over its slabs, with no outer broadcast and no
-# divide (`_gauss_tile`); the four before the exp together cost about as
-# much as the exp.  SVGD stays dense: at N = 200 (one BLAS thread, 2-core
-# x86_64) the box expansion of `ksd_vstats` took 380 to 1700 us for its row
-# sums alone, ensembles of spread 1 to 6, against 170 to 250 us for a whole
-# dense SVGD direction.
-_TILE = 256
 
 # The KSD box expansion (`ksd_vstats` derives each from its error bound):
 # Taylor terms per box, the cutoff in bandwidths beyond a box's edge, the
@@ -149,55 +136,6 @@ def stein_discrepancy(
         spec = quadrature_window(q, p)
     norm_sq = max(_witness_norm_sq(q, p, function_class, spec), 0.0)
     return DivergenceEstimate(float(np.sqrt(norm_sq)), QUADRATURE, spec.nodes)
-
-
-def _upper_tiles(n: int):
-    """Bounds (a, b, c, e) of the tiles [a:b) x [c:e) that cover the upper
-    triangle of an n x n pair matrix, in the fixed order the pair sums use."""
-    for a in range(0, n, _TILE):
-        b = min(a + _TILE, n)
-        for c in range(a, n, _TILE):
-            yield a, b, c, min(c + _TILE, n)
-
-
-def _tile_work(n: int) -> np.ndarray:
-    """Workspace of the three tile slabs for the pair sums over n points.
-
-    One call or one run owns it and reuses it on every tile; a ragged last
-    tile uses the [:rows, :cols] corner of each slab.  Allocating per tile
-    instead releases the arrays to the allocator, which can return them to
-    the system and fault the pages back in on the next tile.
-    """
-    t = min(n, _TILE)
-    return np.empty((3, t, t))
-
-
-def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
-    """Differences d = xi - xj, their squares q and the Gaussian kernel k on
-    the tile xi x xj, written into the three slabs of `work`.
-
-    dk/dy at (xi, xj) is k * d / h2 and dk/dx its negative.  k is symmetric
-    in the pair and k * d antisymmetric, so a tile also gives the mirrored
-    pairs.
-
-    d is xi copied across the columns, then xj subtracted in place: the
-    same rounded differences as one outer-broadcast subtract, which numpy
-    runs 1.4x to 1.7x slower (55 against 38 us at 200 x 200 and 108 against
-    63 us at 256 x 256 on a 2-core x86_64 host, where the exp of a 256 x 256
-    tile takes 91 us).  The exponent is q * (-0.5 / h2), a multiply over
-    twice as fast as the divide q / (-2 h2).  When 2 h2 is a power of two
-    (bandwidth 1, 0.5 or 2, say) -0.5 / h2 is exact and the product equals
-    the quotient bit for bit; otherwise an exponent can move by an ulp,
-    which moves k by about |exponent| ulps.
-    """
-    rows, cols = xi.size, xj.size
-    d = work[0, :rows, :cols]
-    d[...] = xi[:, None]
-    np.subtract(d, xj, out=d)
-    q = np.square(d, out=work[1, :rows, :cols])
-    k = np.multiply(q, -0.5 / h2, out=work[2, :rows, :cols])
-    np.exp(k, out=k)
-    return d, q, k
 
 
 def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:

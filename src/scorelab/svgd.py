@@ -2,18 +2,18 @@
 
 Updates are synchronous: all directions are computed from the current
 ensemble, then applied at once with a fixed step size.  Each step sorts the
-particles once, sums the kernel terms over the sorted positions in the fixed
-tiles of the KSD pair sums, in a tile workspace that a run allocates once,
-and scatters the sums back to the particles.  This canonical order makes the
-update bit-exactly equivariant under particle permutation.  Particles at
-equal positions get equal sums: the members of a run of equal sorted
-positions can be summed in different orders (as when the run straddles a
-tile edge), so each takes the sums of the run's first member.  A step
-without ties skips that remap.
+particles once, sums the kernel terms over the sorted positions in fixed
+square tiles (`_upper_tiles`), in a tile workspace that a run allocates
+once, and scatters the sums back to the particles.  This canonical order
+makes the update bit-exactly equivariant under particle permutation.
+Particles at equal positions get equal sums: the members of a run of equal
+sorted positions can be summed in different orders (as when the run
+straddles a tile edge), so each takes the sums of the run's first member.
+A step without ties skips that remap.
 
-At N = 200 the ensemble is one tile, and building it (`stein._gauss_tile`)
-is about half of a step, the score included; at bandwidths where 2 h^2 is
-not a power of two the tile's kernel values can move in the last bits (see
+At N = 200 the ensemble is one tile, and building it (`_gauss_tile`) is
+about half of a step, the score included; at bandwidths where 2 h^2 is not
+a power of two the tile's kernel values can move in the last bits (see
 there).  A run checks after each step that every position is finite and
 looks for the first bad particle only when one is not.
 """
@@ -25,7 +25,68 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixture import GaussianMixture1D, score, temper_score
-from .stein import KernelSpec, _gauss_tile, _tile_work, _upper_tiles
+from .stein import KernelSpec
+
+# Edge of the square tiles the dense Gaussian pair sums walk.  A tile's three
+# 256 x 256 float64 arrays (1.5 MB) stay in cache, and the default ensemble
+# of 200 is one tile.  256 was the fastest of 128 to 512 for a dense pair sum
+# at N = 10,000 on a Xeon with 4 MB of L2 per core.  A tile is built in five
+# elementwise passes over its slabs, with no outer broadcast and no divide
+# (`_gauss_tile`); the four before the exp together cost about as much as the
+# exp.  The sums stay dense: at N = 200 (one BLAS thread, 2-core x86_64) the
+# box expansion of `stein.ksd_vstats` took 380 to 1700 us for its row sums
+# alone, ensembles of spread 1 to 6, against 170 to 250 us for a whole dense
+# direction.
+_TILE = 256
+
+
+def _upper_tiles(n: int):
+    """Bounds (a, b, c, e) of the tiles [a:b) x [c:e) that cover the upper
+    triangle of an n x n pair matrix, in the fixed order the pair sums use."""
+    for a in range(0, n, _TILE):
+        b = min(a + _TILE, n)
+        for c in range(a, n, _TILE):
+            yield a, b, c, min(c + _TILE, n)
+
+
+def _tile_work(n: int) -> np.ndarray:
+    """Workspace of the three tile slabs for the pair sums over n points.
+
+    One call or one run owns it and reuses it on every tile; a ragged last
+    tile uses the [:rows, :cols] corner of each slab.  Allocating per tile
+    instead releases the arrays to the allocator, which can return them to
+    the system and fault the pages back in on the next tile.
+    """
+    t = min(n, _TILE)
+    return np.empty((3, t, t))
+
+
+def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
+    """Differences d = xi - xj, their squares q and the Gaussian kernel k on
+    the tile xi x xj, written into the three slabs of `work`.
+
+    dk/dy at (xi, xj) is k * d / h2 and dk/dx its negative.  k is symmetric
+    in the pair and k * d antisymmetric, so a tile also gives the mirrored
+    pairs.
+
+    d is xi copied across the columns, then xj subtracted in place: the
+    same rounded differences as one outer-broadcast subtract, which numpy
+    runs 1.4x to 1.7x slower (55 against 38 us at 200 x 200 and 108 against
+    63 us at 256 x 256 on a 2-core x86_64 host, where the exp of a 256 x 256
+    tile takes 91 us).  The exponent is q * (-0.5 / h2), a multiply over
+    twice as fast as the divide q / (-2 h2).  When 2 h2 is a power of two
+    (bandwidth 1, 0.5 or 2, say) -0.5 / h2 is exact and the product equals
+    the quotient bit for bit; otherwise an exponent can move by an ulp,
+    which moves k by about |exponent| ulps.
+    """
+    rows, cols = xi.size, xj.size
+    d = work[0, :rows, :cols]
+    d[...] = xi[:, None]
+    np.subtract(d, xj, out=d)
+    q = np.square(d, out=work[1, :rows, :cols])
+    k = np.multiply(q, -0.5 / h2, out=work[2, :rows, :cols])
+    np.exp(k, out=k)
+    return d, q, k
 
 
 @dataclass

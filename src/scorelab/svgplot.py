@@ -27,7 +27,7 @@ class PlotSpec:
 
     kind "lines": columns `y` against column `x`.
     kind "dual_axis": `y` on the left scale and `y2` on the right scale.
-    kind "histogram": column `value` binned at `bin_width` over [lo, hi],
+    kind "histogram": column `value` binned at `HIST_BIN_WIDTH` over [lo, hi],
     one overlaid histogram per distinct entry of `group` when given.
     """
 
@@ -37,7 +37,6 @@ class PlotSpec:
     y2: tuple[str, ...] = ()
     value: str | None = None
     group: str | None = None
-    bin_width: float = HIST_BIN_WIDTH
     lo: float | None = None
     hi: float | None = None
     title: str = ""
@@ -48,8 +47,8 @@ class PlotSpec:
         if self.kind == "histogram":
             if self.value is None or self.lo is None or self.hi is None:
                 raise ValueError("histogram plots need value, lo and hi")
-            if self.bin_width <= 0 or self.hi <= self.lo:
-                raise ValueError("histogram range or bin width is degenerate")
+            if self.hi <= self.lo:
+                raise ValueError("histogram range is degenerate")
         else:
             if self.x is None or not self.y:
                 raise ValueError(f"{self.kind} plots need x and at least one y column")
@@ -252,7 +251,7 @@ def _render_lines(source: str, spec: PlotSpec, columns) -> str:
 def _render_histogram(source: str, spec: PlotSpec, columns) -> str:
     values = _numeric(source, spec, columns)[spec.value]
     cv = _Canvas(spec.title)
-    edges = np.arange(spec.lo, spec.hi + spec.bin_width * 0.5, spec.bin_width)
+    edges = np.arange(spec.lo, spec.hi + HIST_BIN_WIDTH * 0.5, HIST_BIN_WIDTH)
     if edges.size < 2:
         edges = np.array([spec.lo, spec.hi])
 

@@ -252,10 +252,9 @@ def test_criterion_10_remedies_contrast():
     model = sl.two_component(0.1, -10, 10, 1)
     fisher = sl.fisher_divergence(data, model).value
     xs = sl.sample(data, 2000, sl.make_stream(1010, 0))
-    cfg = sl.CmlConfig(lambda_ml=1.0)
-    loss = sl.cml_loss(model, data, xs, cfg)
+    loss = sl.cml_loss(model, data, xs)
     shifted = sl.GaussianMixture1D(model.weights, model.means, model.stds, log_offset=11.0)
-    loss_shifted = sl.cml_loss(shifted, data, xs, cfg)
+    loss_shifted = sl.cml_loss(shifted, data, xs)
     spurious_data = sl.sample(sl.gaussian(-4, 1), 100_000, sl.make_stream(1010, 2))
     moment = sl.moment_discrepancy(sl.two_component(0.5, -4, 4, 1), spurious_data, [1])[0]
     elapsed = time.perf_counter() - t0

@@ -9,7 +9,7 @@ import pytest
 import scorelab as sl
 import scorelab.cli as cli
 from scorelab.config import ConfigError, load_config
-from scorelab.svgplot import PlotSpec, render_svg
+from scorelab.svgplot import HIST_BIN_WIDTH, PlotSpec, render_svg
 
 
 def write_config(path, body):
@@ -111,9 +111,19 @@ class TestRenderSvg:
         content = out.read_text()
         assert content.count("<polygon") == 2
 
+    def test_histogram_bins_are_hist_bin_width_wide(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("v\n0.1\n0.5\n")
+        content = render_svg(p, PlotSpec("histogram", value="v", lo=0.0, hi=1.0)).read_text()
+        # base, (left, top) and (right, top) of every bin, base
+        points = content.split('<polygon points="')[1].split('"')[0].split()
+        assert len(points) == 2 + 2 * round(1.0 / HIST_BIN_WIDTH)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PlotSpec("histogram", value="v")  # no range
+        with pytest.raises(ValueError, match="histogram range is degenerate"):
+            PlotSpec("histogram", value="v", lo=1.0, hi=1.0)
         with pytest.raises(ValueError):
             PlotSpec("lines", x="x")  # no y columns
         with pytest.raises(ValueError):
@@ -309,10 +319,18 @@ class TestCommands:
         data = sl.GaussianMixture1D([0.9, 0.1], [-5.0, 5.0], [1.0, 1.0])
         model = sl.GaussianMixture1D([0.1, 0.9], [-5.0, 5.0], [1.0, 1.0])
         xs = sl.sample(data, 600, sl.make_stream(11, 0))
-        ml = sl.kde_fit(xs, "silverman") if reference == "kde" else data
-        unit = sl.cml_loss(model, ml, xs, sl.CmlConfig())
+        ml = sl.kde_fit(xs) if reference == "kde" else data
+        unit = sl.cml_loss(model, ml, xs)
         assert [float(r["lambda_ml"]) for r in rows] == [0.5, 1.0]
         assert [float(r["cml_loss"]) for r in rows] == [lam * unit for lam in (0.5, 1.0)]
+
+    def test_remedies_run_accepts_a_zero_lambda(self, tmp_path):
+        body = REMEDIES.replace("lambdas = 0.5, 1.0", "lambdas = 0, 1.0")
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["remedies-run", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "out" / "report.csv")
+        assert rows[0]["cml_loss"] == "0.0"
+        assert float(rows[1]["cml_loss"]) > 1.0
 
 
 class TestCliContract:
@@ -388,10 +406,11 @@ class TestCliContract:
         [
             ("lambdas = 0.5, 1.0", "lambdas = -1.0", "[params] lambdas:"),
             ("lambdas = 0.5, 1.0", "lambdas = 0.5, nan", "[params] lambdas:"),
+            ("lambdas = 0.5, 1.0", "lambdas = inf, 1.0", "[params] lambdas:"),
             ("lambdas = 0.5, 1.0", "lambdas =", "[params] lambdas:"),
             ("n_samples = 600", "n_samples = 1", "[params] n_samples:"),
         ],
-        ids=["negative lambda", "nan lambda", "no lambdas", "one sample"],
+        ids=["negative lambda", "nan lambda", "inf lambda", "no lambdas", "one sample"],
     )
     def test_bad_remedies_param_rejected_before_sampling(
         self, tmp_path, capsys, monkeypatch, old, new, key
@@ -482,8 +501,19 @@ class TestCliContract:
                 "score-plot", SCORE_PLOT, "grid_nodes = 801", "grid_nodes = 1",
                 "[params] grid_nodes: must be at least 2, got 1",
             ),
+            (
+                "svgd-run", SVGD, "particles = 60", "particles = 60\nthreshold = nan",
+                "[params] threshold: must be finite, got nan",
+            ),
+            (
+                "langevin-run", LANGEVIN, "particles = 400", "particles = 400\nthreshold = -inf",
+                "[params] threshold: must be finite, got -inf",
+            ),
         ],
-        ids=["ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes"],
+        ids=[
+            "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
+            "svgd threshold", "langevin threshold",
+        ],
     )
     def test_bad_count_rejected_before_sampling(
         self, tmp_path, capsys, monkeypatch, command, body, old, new, key

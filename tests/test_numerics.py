@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,8 +35,19 @@ class TestQuadrature:
         got = quad_integrate(poly, QuadratureSpec(a, b, nodes))
         assert abs(got - exact) < 1e-12 * max(1.0, abs(exact))
 
-    def test_scalar_only_integrand_falls_back(self):
-        got = quad_integrate(lambda x: math.exp(-x), QuadratureSpec(0, 1, 129))
+    @pytest.mark.parametrize(
+        "f, shape",
+        [(lambda x: 1.0, "()"), (lambda x: x[:-1], "(128,)"), (lambda x: x[:, None], "(129, 1)")],
+        ids=["scalar", "short", "column"],
+    )
+    def test_result_of_another_shape_names_both_shapes(self, f, shape):
+        with pytest.raises(ValueError, match=rf"shape {re.escape(shape)} on a grid of shape \(129,\)"):
+            quad_integrate(f, QuadratureSpec(0, 1, 129))
+
+    def test_scalar_only_integrand_needs_vectorize(self):
+        with pytest.raises(TypeError):
+            quad_integrate(lambda x: math.exp(-x), QuadratureSpec(0, 1, 129))
+        got = quad_integrate(np.vectorize(lambda x: math.exp(-x)), QuadratureSpec(0, 1, 129))
         assert got == pytest.approx(1 - math.exp(-1), abs=1e-10)
 
     def test_vectorized_error_propagates_without_scalar_retries(self):

@@ -11,8 +11,6 @@ import pytest
 import scorelab as sl
 from conftest import random_mixture_pairs
 from scorelab.stein import _CUTOFF, _TERMS
-from scorelab.stein import _TILE as TILE
-from scorelab.stein import _gauss_tile, _tile_work
 
 N01 = sl.gaussian(0.0, 1.0)
 N04 = sl.gaussian(0.0, 2.0)  # variance 4
@@ -159,32 +157,37 @@ class TestKsd:
         b = sl.ksd_vstat(xs, sl.two_component(0.9, -5, 5, 1), kernel).value
         assert abs(a - b) < 1e-6
 
-    @pytest.mark.parametrize("n", [1, 2 * TILE + 37])
     @pytest.mark.parametrize(
-        "bandwidth, shift",
-        [(1.0, 0.0), (0.7, 0.0), (0.05, 0.0), (20.0, 0.0), (1.0, 1e3)],
-        ids=["1.0", "0.7", "0.05", "20.0", "1.0-shift1e3"],
+        "n, bandwidth, shift",
+        [
+            *[
+                pytest.param(n, bandwidth, shift, id=f"{tag}-{n}")
+                for bandwidth, shift, tag in [
+                    (1.0, 0.0, "1.0"),
+                    (0.7, 0.0, "0.7"),
+                    (0.05, 0.0, "0.05"),
+                    (20.0, 0.0, "20.0"),
+                    (1.0, 1e3, "1.0-shift1e3"),
+                ]
+                for n in (1, 549)
+            ],
+            pytest.param(3000, 20.0, 0.0, id="20.0-3000"),
+        ],
     )
     def test_tiles_agree_with_dense_evaluation(self, n, bandwidth, shift):
-        # several tiles with a ragged last one, against every ordered pair
-        # formed at once in input order; the tile sums centre their positions,
-        # so samples far from 0 must cost no accuracy
+        # the box expansion against every ordered pair in input order; the
+        # boxes centre their offsets, so samples far from 0 must cost no
+        # accuracy
         p = sl.two_component(0.3, -1.5 + shift, 2.0 + shift, 1.0)
         xs = sl.sample(p, n, sl.make_stream(4, 0))
         s = sl.score(p, xs)
-        h2 = bandwidth**2
-        d = xs[:, None] - xs[None, :]
-        k = np.exp(-d * d / (2 * h2))
-        u = k * (s[:, None] * s[None, :] + (s[:, None] - s[None, :]) * d / h2 + 1 / h2 - d * d / h2**2)
-        row_means = u.mean(axis=1)
+        value, std_error = dense_ksd(xs, s, bandwidth)
         est = sl.ksd_vstat(xs, p, sl.KernelSpec(bandwidth))
         # abs=0: approx's default abs of 1e-12 would swamp rel on values near 1e-3
-        assert est.value == pytest.approx(float(u.mean()), rel=1e-13, abs=0)
-        if n > 1:
-            dense_se = 2.0 * row_means.std(ddof=1) / np.sqrt(n)
-            assert est.std_error == pytest.approx(dense_se, rel=1e-12, abs=0)
-        else:
-            assert est.value == pytest.approx(s[0] ** 2 + 1 / h2, rel=1e-15, abs=0)
+        assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+        if n == 1:
+            assert est.value == pytest.approx(s[0] ** 2 + 1 / bandwidth**2, rel=1e-15, abs=0)
             assert est.std_error == 0.0
 
     def test_agrees_with_dense_evaluation(self):
@@ -205,7 +208,7 @@ class TestKsd:
 
     def test_multi_tile_permutation_invariance_is_bit_exact(self):
         p = sl.two_component(0.3, -1.5, 2.0, 1.0)
-        xs = sl.sample(p, 2 * TILE + 37, sl.make_stream(5, 0))
+        xs = sl.sample(p, 549, sl.make_stream(5, 0))
         perm = np.random.default_rng(10).permutation(xs.size)
         a = sl.ksd_vstat(xs, p, sl.KernelSpec(1.0))
         b = sl.ksd_vstat(xs[perm], p, sl.KernelSpec(1.0))
@@ -242,12 +245,12 @@ class TestKsd:
 
 def dense_ksd(xs, s, bandwidth, block=500):
     """Value and std_error from every ordered pair, formed in input order in
-    row blocks of `block` samples.
+    row blocks of `block` samples; std_error is 0 for one sample.
 
-    The three kernel terms are separate products: summed inside one bracket
+    The four kernel terms are separate products: summed inside one bracket
     before the multiply by k, the 1/h^2 term loses its low bits to s_i s_j,
-    which at bandwidth 20 moved the value by 1e-12 relative against an
-    extended-precision sum.
+    which at N = 3000 and bandwidth 20 moved the value by up to 1.4e-12
+    relative against an extended-precision sum.
     """
     n = xs.size
     h2 = bandwidth**2
@@ -256,10 +259,11 @@ def dense_ksd(xs, s, bandwidth, block=500):
         si = s[a : a + block, None]
         d = xs[a : a + block, None] - xs[None, :]
         k = np.exp(-d * d / (2 * h2))
-        u = k * (si * s[None, :]) + k * d / h2 * (si - s[None, :]) + k * (1 / h2 - d * d / h2**2)
+        u = k * (si * s[None, :]) + k * d / h2 * (si - s[None, :]) + k / h2 - k * (d * d) / h2**2
         row_sums[a : a + block] = u.sum(axis=1)
     value = row_sums.sum() / (n * n)
-    return value, 2.0 * (row_sums / n).std(ddof=1) / np.sqrt(n)
+    std_error = 2.0 * (row_sums / n).std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+    return value, std_error
 
 
 class TestGaussTransform:
@@ -313,7 +317,7 @@ class TestKsdVstats:
         sl.gaussian(0.2, 1.3),
     ]
 
-    @pytest.mark.parametrize("n", [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 37])
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 549])
     @pytest.mark.parametrize("bandwidth", [1.0, 0.7])
     def test_equals_one_call_per_model_bit_for_bit(self, n, bandwidth):
         xs = sl.sample(self.MODELS[1], n, sl.make_stream(6, 0))
@@ -325,7 +329,7 @@ class TestKsdVstats:
         ]
 
     def test_permutation_invariance_is_bit_exact(self):
-        xs = sl.sample(self.MODELS[2], 2 * TILE + 37, sl.make_stream(7, 0))
+        xs = sl.sample(self.MODELS[2], 549, sl.make_stream(7, 0))
         perm = np.random.default_rng(11).permutation(xs.size)
         kernel = sl.KernelSpec(1.0)
         a = sl.ksd_vstats(xs, self.MODELS, kernel)
@@ -345,7 +349,7 @@ for e in sl.ksd_vstats(xs, models, sl.KernelSpec(1.0)):
     print(float.hex(e.value), float.hex(e.std_error))
 """
         records = [[m.weights.tolist(), m.means.tolist(), m.stds.tolist()] for m in self.MODELS]
-        arg = json.dumps([records, 2 * TILE + 37])
+        arg = json.dumps([records, 549])
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
@@ -366,49 +370,3 @@ for e in sl.ksd_vstats(xs, models, sl.KernelSpec(1.0)):
     def test_nonfinite_samples_rejected(self, bad):
         with pytest.raises(ValueError, match="samples must be finite"):
             sl.ksd_vstats(np.array([0.0, bad]), self.MODELS, sl.KernelSpec(1.0))
-
-
-class TestGaussTile:
-    # reference: one broadcast subtract, then the exponent q / (-2 h^2)
-    N = 2 * TILE + 37
-    TILES = {
-        "square": (0, TILE, TILE, 2 * TILE),
-        "ragged": (0, TILE, 2 * TILE, N),
-        "corner": (2 * TILE, N, 2 * TILE, N),
-    }
-
-    def _both(self, bandwidth, tile):
-        a, b, c, e = self.TILES[tile]
-        xs = 3.0 * sl.make_stream(4, 1).standard_normal(self.N)
-        xi, xj = xs[a:b], xs[c:e]
-        h2 = bandwidth**2
-        d, q, k = _gauss_tile(xi, xj, h2, _tile_work(self.N))
-        d0 = np.subtract(xi[:, None], xj[None, :])
-        q0 = np.square(d0)
-        arg0 = q0 / (-2.0 * h2)
-        return (d, q, k), (d0, q0, np.exp(arg0)), arg0
-
-    @pytest.mark.parametrize("tile", list(TILES))
-    @pytest.mark.parametrize("bandwidth", [0.5, 1.0, 2.0])
-    def test_bits_equal_the_reference_when_2h2_is_a_power_of_two(self, bandwidth, tile):
-        (d, q, k), (d0, q0, k0), _ = self._both(bandwidth, tile)
-        assert np.array_equal(d, d0)
-        assert np.array_equal(q, q0)
-        assert np.array_equal(k, k0)
-
-    @pytest.mark.parametrize("tile", list(TILES))
-    @pytest.mark.parametrize("bandwidth", [0.7, 0.05])
-    def test_other_bandwidths_move_the_exponent_by_an_ulp(self, bandwidth, tile):
-        (d, q, k), (d0, q0, k0), arg0 = self._both(bandwidth, tile)
-        assert np.array_equal(d, d0)
-        assert np.array_equal(q, q0)
-        assert np.array_equal(k == 0, k0 == 0)
-        # a relative error e in the exponent is a relative error e * |arg| in
-        # k, so near underflow (|arg| ~ 700) k moves by up to ~1e-13; where
-        # |arg| <= 10 it moves by under 1e-14
-        eps = np.finfo(float).eps
-        bound = 4 * eps * (1 + np.abs(arg0)) * k0 + np.finfo(float).smallest_subnormal
-        assert np.all(np.abs(k - k0) <= bound)
-        small = np.abs(arg0) <= 10
-        assert np.any(small & (k != k0))
-        assert k[small] == pytest.approx(k0[small], rel=1e-14, abs=0)

@@ -48,7 +48,11 @@ def rows(sl, folder: Path) -> dict:
     """Name -> zero-argument callable, for the scorelab module `sl`; the
     output rows write their files into `folder`."""
     from scorelab.mixture import _logpdf
-    from scorelab.stein import _gauss_tile, _tile_work
+
+    try:
+        from scorelab.svgd import _gauss_tile, _tile_work
+    except ImportError:  # a tree that keeps the tiles in stein
+        from scorelab.stein import _gauss_tile, _tile_work
 
     rng = sl.make_stream(0, 0)
     mixtures = {
@@ -64,7 +68,7 @@ def rows(sl, folder: Path) -> dict:
             out[f"score_derivative K={k} n={n}"] = lambda m=m, x=x: sl.score_derivative(m, x)
 
     # one kernel tile at bandwidth 1: SVGD's whole N = 200 ensemble, and a
-    # full KSD tile; its own stream leaves `rng` to the rows after
+    # full tile; its own stream leaves `rng` to the rows after
     for t in (200, 256):
         xt = 3.0 * sl.make_stream(2, 0).standard_normal(t)
         work = _tile_work(t)
@@ -96,7 +100,8 @@ def rows(sl, folder: Path) -> dict:
     out["kde_log_pdf 2000 x 2000"] = lambda: sl.kde_log_pdf(kde, points)
     # the losses of one remedies-run: a KDE reference on 2000 samples; a tree
     # with cml_losses draws 10,000 pairs per lambda, a tree without it forms
-    # the exact loss once and scales it by each lambda
+    # the exact loss once and scales it by each lambda, through a CmlConfig
+    # where the tree has one
     data = sl.two_component(0.9, -5.0, 5.0, 1.0)
     swapped = sl.two_component(0.1, -5.0, 5.0, 1.0)
     xs = sl.sample(data, 2000, sl.make_stream(1, 0))  # leaves `rng` to the rows after
@@ -107,12 +112,19 @@ def rows(sl, folder: Path) -> dict:
         out["remedies-run losses 3 lambdas"] = lambda: sl.cml_losses(
             swapped, ref, xs, cml_cfgs, [sl.make_stream(1, 1 + i) for i in range(len(lambdas))]
         )
-    else:
+    elif hasattr(sl, "CmlConfig"):
         cml_cfgs = [sl.CmlConfig(lam) for lam in lambdas]
 
         def losses():
             unit = sl.cml_loss(swapped, ref, xs, sl.CmlConfig())
             return [c.lambda_ml * unit for c in cml_cfgs]
+
+        out["remedies-run losses 3 lambdas"] = losses
+    else:
+
+        def losses():
+            unit = sl.cml_loss(swapped, ref, xs)
+            return [lam * unit for lam in lambdas]
 
         out["remedies-run losses 3 lambdas"] = losses
     # one ksd-run: true, reweighted and 0.01-spurious models on one sample set;
