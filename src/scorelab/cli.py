@@ -10,14 +10,21 @@ all its models in one pass over the sample boxes, so --threads does not
 split it; remedies-run computes its exact O(n) log-ratio loss once and
 scales it by each of its lambdas.  Each table is built once as named
 columns: its CSV is formatted one column at a time and its plots are drawn
-from the same columns.  On failure all partially written outputs are
-removed.
+from the same columns.
+
+A run writes its files into a directory inside a hidden sibling
+`.<name>.*` of the output directory and renames that directory into place
+once the last file is complete, so an output directory holds one whole run
+or does not exist.  A failed run removes the sibling; only a hard kill can
+leave one, and later runs ignore it.  An output directory that exists and
+is not empty is refused (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -72,6 +79,16 @@ def _tag(value: float) -> str:
     return f"{value:g}"
 
 
+def _unique_tags(key: str, values, tags) -> None:
+    """A ConfigError naming `key` if two of `values` (as text) share a tag
+    of the file or column names, where one would overwrite the other."""
+    seen = {}
+    for value, tag in zip(values, tags):
+        if tag in seen:
+            raise ConfigError(f"[params] {key}: {seen[tag]} and {value} give the same name tag {tag}")
+        seen[tag] = value
+
+
 def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
     """An integer [params] key that must be at least `least`."""
     value = cfg.get_int(key, default)
@@ -100,6 +117,7 @@ def _run_score_plot(cfg: ExperimentConfig):
     pi_grid = cfg.get_floats("pi_grid", "0.1, 0.5, 0.9")
     witness_pi1 = cfg.get_float("witness_pi1", 0.5)
     grid_nodes = _count(cfg, "grid_nodes", 801, 2)
+    _unique_tags("pi_grid", map(repr, pi_grid), [f"pi{_tag(p1)}" for p1 in pi_grid])
 
     mixtures = [mx.two_component(p1, mu1, mu2, sigma) for p1 in pi_grid]
     window = mx.quadrature_window(*mixtures)
@@ -239,6 +257,12 @@ def _run_svgd(cfg: ExperimentConfig):
     sigma = cfg.get_float("sigma", 1.0)
     pi1_grid = cfg.get_floats("pi1_grid", "0.5, 0.1")
     cells = cfg.get_pairs("cells", "-4:1, 0:3, 4:1")
+    _unique_tags("pi1_grid", map(repr, pi1_grid), [f"pi{_tag(p1)}" for p1 in pi1_grid])
+    _unique_tags(
+        "cells",
+        [f"{mu0!r}:{s0!r}" for mu0, s0 in cells],
+        [f"mu{_tag(mu0)}_sd{_tag(s0)}" for mu0, s0 in cells],
+    )
     particles = _count(cfg, "particles", 200, 1)
     step_size = cfg.get_float("step_size", 0.1)
     iterations = cfg.get_int("iterations", 2000)
@@ -425,41 +449,30 @@ _HANDLERS = {
 
 
 def run(config: ExperimentConfig) -> list[Path]:
-    """Execute one experiment; returns the written paths.
+    """Execute one experiment into config.out_dir; returns the written paths.
 
-    Outputs land in config.out_dir.  If anything fails, files written so far
-    are removed (and the directory too, when this run created it), so the
-    presence of the output directory marks a completed run.
+    The files are staged in a hidden sibling of out_dir and renamed into
+    place once the last is complete; an out_dir that exists and is not an
+    empty directory is refused before the experiment runs.
     """
-    if config.out_dir is None:
-        raise ConfigError("no output directory: set [experiment] out_dir or pass --out")
-    handler = _HANDLERS[config.command]
-    files, plots = handler(config)
-
     out_dir = config.out_dir
-    created_dir = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
+    if out_dir is None:
+        raise ConfigError("no output directory: set [experiment] out_dir or pass --out")
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise ConfigError(f"output directory {out_dir} exists and is not an empty directory")
+    files, plots = _HANDLERS[config.command](config)
+
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as hidden:
+        stage = Path(hidden, "run")
+        stage.mkdir()  # the mode of a plain mkdir; the hidden sibling's is 0700
         for name, (names, columns) in files.items():
-            path = out_dir / name
-            path.write_text(_csv(names, columns), encoding="utf-8")
-            written.append(path)
+            (stage / name).write_text(_csv(names, columns), encoding="utf-8")
         for csv_name, spec, svg_name in plots:
             names, columns = files[csv_name]
-            written.append(
-                render_svg(out_dir / csv_name, spec, out_dir / svg_name, dict(zip(names, columns)))
-            )
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        if created_dir:
-            try:
-                out_dir.rmdir()
-            except OSError:
-                pass
-        raise
-    return written
+            render_svg(stage / csv_name, spec, stage / svg_name, dict(zip(names, columns)))
+        stage.rename(out_dir)
+    return [out_dir / name for name in [*files, *(svg for _, _, svg in plots)]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -486,7 +499,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.out_dir = Path(args.out)
         if args.threads is not None:
-            config.threads = max(1, args.threads)
+            if args.threads < 1:
+                raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
+            config.threads = args.threads
         written = run(config)
     except ConfigError as exc:
         print(f"lab: config error: {exc}", file=sys.stderr)

@@ -150,9 +150,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     threads_raw = exp.get("threads", "1").strip()
     try:
-        threads = max(1, int(threads_raw))
+        threads = int(threads_raw)
     except ValueError:
         raise ConfigError(f"[experiment] threads must be an integer, got {threads_raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"[experiment] threads: must be at least 1, got {threads}")
 
     out_dir = exp.get("out_dir", "").strip() or None
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import stat
 import subprocess
 import sys
 
@@ -24,6 +25,12 @@ def read_rows(path):
 
 def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+def assert_no_outputs(root):
+    """Neither `root / "out"` nor a hidden staging sibling `.out.*` exists."""
+    assert not (root / "out").exists()
+    assert not list(root.glob(".out.*"))
 
 
 class TestConfigParsing:
@@ -377,7 +384,7 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert "[models] spurious:" in err
         assert "got 1.1" in err
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     @pytest.mark.parametrize(
         "command, body, key",
@@ -399,7 +406,7 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
         assert cli.main([command, "--config", cfg]) == 2
         assert f"{key}: a label must not contain" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -424,7 +431,7 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
         assert cli.main(["remedies-run", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     @pytest.mark.parametrize(
         "command, body",
@@ -444,7 +451,7 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
         assert cli.main([command, "--config", cfg]) == 2
         assert "[params] bandwidth: bandwidth must be positive and finite" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     def test_nan_svgd_step_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -456,7 +463,7 @@ class TestCliContract:
         assert cli.main(["svgd-run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error: [params] step_size: must be positive and finite" in err
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     @pytest.mark.parametrize("key", ["sigma_max", "sigma_min", "base_step"])
     def test_nan_langevin_schedule_rejected_before_sampling(
@@ -471,7 +478,7 @@ class TestCliContract:
         assert cli.main(["langevin-run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"config error: [params] {key}: must be positive and finite" in err
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_bad_langevin_trace_every_rejected_before_sampling(
@@ -486,7 +493,7 @@ class TestCliContract:
         assert cli.main(["langevin-run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"config error: [params] trace_every: must be at least 1, got {value}" in err
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     @pytest.mark.parametrize(
         "command, body, old, new, key",
@@ -509,10 +516,24 @@ class TestCliContract:
                 "langevin-run", LANGEVIN, "particles = 400", "particles = 400\nthreshold = -inf",
                 "[params] threshold: must be finite, got -inf",
             ),
+            # two values that print alike would write one file or column twice
+            (
+                "svgd-run", SVGD, "pi1_grid = 0.5, 0.1", "pi1_grid = 0.1, 0.1000001",
+                "[params] pi1_grid: 0.1 and 0.1000001 give the same name tag pi0.1",
+            ),
+            (
+                "svgd-run", SVGD, "cells = -4:1, 0:3, 4:1", "cells = -4:1, 0:3, -4:1",
+                "[params] cells: -4.0:1.0 and -4.0:1.0 give the same name tag mu-4_sd1",
+            ),
+            (
+                "score-plot", SCORE_PLOT, "pi_grid = 0.1, 0.5, 0.9", "pi_grid = 0.3, 0.3",
+                "[params] pi_grid: 0.3 and 0.3 give the same name tag pi0.3",
+            ),
         ],
         ids=[
             "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
-            "svgd threshold", "langevin threshold",
+            "svgd threshold", "langevin threshold", "svgd pi1_grid tags", "svgd cells tags",
+            "score-plot pi_grid tags",
         ],
     )
     def test_bad_count_rejected_before_sampling(
@@ -528,7 +549,7 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", changed.format(out=tmp_path / "out"))
         assert cli.main([command, "--config", cfg]) == 2
         assert f"config error: {key}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "a.cfg", FISHER.format(out=tmp_path / "out"))
@@ -540,10 +561,96 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", body)
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(["langevin-run", "--config", cfg]) == 1
-        assert not (tmp_path / "out").exists()
+        assert_no_outputs(tmp_path)
 
     def test_missing_out_dir_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path / "a.cfg", "[experiment]\ncommand = fisher-sweep\nseed = 0\n"
         )
         assert cli.main(["fisher-sweep", "--config", cfg]) == 2
+
+    def test_thread_count_below_one_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", FISHER.format(out=tmp_path / "out"))
+        assert cli.main(["fisher-sweep", "--config", cfg, "--threads", "0"]) == 2
+        assert "config error: --threads: must be at least 1, got 0" in capsys.readouterr().err
+        body = FISHER.replace("seed = 1\n", "seed = 1\nthreads = -3\n")
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["fisher-sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: [experiment] threads: must be at least 1, got -3" in err
+        assert_no_outputs(tmp_path)
+
+
+class TestOutputDirectory:
+    def test_hard_exit_while_writing_leaves_no_out_dir(self, tmp_path):
+        # the child dies in its first render_svg, when every CSV is written
+        cfg = write_config(tmp_path / "c.cfg", SCORE_PLOT.format(out=tmp_path / "out"))
+        code = (
+            "import os, sys, scorelab.cli as cli\n"
+            "cli.render_svg = lambda *args: os._exit(7)\n"
+            "sys.exit(cli.main(['score-plot', '--config', sys.argv[1]]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code, cfg], env=env, timeout=60)
+        assert proc.returncode == 7
+        assert not (tmp_path / "out").exists()
+        # what the killed run wrote stays in its hidden sibling, which a
+        # later run ignores
+        [hidden] = tmp_path.glob(".out.*")
+        assert sorted(p.name for p in hidden.rglob("*.csv")) == ["curves.csv", "witness.csv"]
+        assert cli.main(["score-plot", "--config", cfg]) == 0
+        assert len(list((tmp_path / "out").iterdir())) == 4
+
+    def test_python_failure_while_writing_leaves_nothing(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(cli, "render_svg", fail)
+        cfg = write_config(tmp_path / "c.cfg", SCORE_PLOT.format(out=tmp_path / "out"))
+        assert cli.main(["score-plot", "--config", cfg]) == 1
+        assert_no_outputs(tmp_path)
+
+    def test_success_leaves_only_the_out_dir(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", FISHER.format(out=tmp_path / "out"))
+        assert cli.main(["fisher-sweep", "--config", cfg]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "out"]
+
+    @pytest.mark.parametrize("kind", ["directory", "file"])
+    def test_existing_out_dir_refused_before_the_experiment(self, tmp_path, capsys, monkeypatch, kind):
+        def never(cfg):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setitem(cli._HANDLERS, "svgd-run", never)
+        out = tmp_path / "out"
+        if kind == "directory":
+            out.mkdir()
+            (out / "snapshots_pi0.3_mu0_sd1.csv").write_bytes(b"stale\n")
+        else:
+            out.write_bytes(b"not a directory\n")
+
+        def contents():
+            return tree_bytes(out) if kind == "directory" else out.read_bytes()
+
+        before = contents()
+        cfg = write_config(tmp_path / "c.cfg", SVGD.format(out=out))
+        assert cli.main(["svgd-run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: output directory {out} exists and is not an empty directory" in err
+        assert contents() == before
+        assert not list(tmp_path.glob(".out.*"))
+
+    def test_empty_out_dir_accepted(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        cfg = write_config(tmp_path / "c.cfg", FISHER.format(out=tmp_path / "out"))
+        assert cli.main(["fisher-sweep", "--config", cfg]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["sweep.csv", "sweep.svg"]
+
+    def test_out_dir_has_the_mode_of_a_plain_mkdir(self, tmp_path):
+        # the parent of out is made too
+        out = tmp_path / "new" / "out"
+        cfg = write_config(tmp_path / "c.cfg", FISHER.format(out=out))
+        assert cli.main(["fisher-sweep", "--config", cfg]) == 0
+        plain = tmp_path / "new" / "plain"
+        plain.mkdir()
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)

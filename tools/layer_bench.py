@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import inspect
 import os
 import platform
 import statistics
@@ -48,11 +47,7 @@ def rows(sl, folder: Path) -> dict:
     """Name -> zero-argument callable, for the scorelab module `sl`; the
     output rows write their files into `folder`."""
     from scorelab.mixture import _logpdf
-
-    try:
-        from scorelab.svgd import _gauss_tile, _tile_work
-    except ImportError:  # a tree that keeps the tiles in stein
-        from scorelab.stein import _gauss_tile, _tile_work
+    from scorelab.svgd import _gauss_tile, _tile_work
 
     rng = sl.make_stream(0, 0)
     mixtures = {
@@ -98,58 +93,36 @@ def rows(sl, folder: Path) -> dict:
     kde = sl.kde_fit(centers)
     points = sl.sample(target, 2000, rng)
     out["kde_log_pdf 2000 x 2000"] = lambda: sl.kde_log_pdf(kde, points)
-    # the losses of one remedies-run: a KDE reference on 2000 samples; a tree
-    # with cml_losses draws 10,000 pairs per lambda, a tree without it forms
-    # the exact loss once and scales it by each lambda, through a CmlConfig
-    # where the tree has one
+    # the losses of one remedies-run: a KDE reference on 2000 samples, the
+    # exact loss formed once and scaled by each lambda
     data = sl.two_component(0.9, -5.0, 5.0, 1.0)
     swapped = sl.two_component(0.1, -5.0, 5.0, 1.0)
     xs = sl.sample(data, 2000, sl.make_stream(1, 0))  # leaves `rng` to the rows after
     ref = sl.kde_fit(xs)
     lambdas = (0.1, 1.0, 10.0)
-    if hasattr(sl, "cml_losses"):
-        cml_cfgs = [sl.CmlConfig(lam, 10_000) for lam in lambdas]
-        out["remedies-run losses 3 lambdas"] = lambda: sl.cml_losses(
-            swapped, ref, xs, cml_cfgs, [sl.make_stream(1, 1 + i) for i in range(len(lambdas))]
-        )
-    elif hasattr(sl, "CmlConfig"):
-        cml_cfgs = [sl.CmlConfig(lam) for lam in lambdas]
 
-        def losses():
-            unit = sl.cml_loss(swapped, ref, xs, sl.CmlConfig())
-            return [c.lambda_ml * unit for c in cml_cfgs]
+    def losses():
+        unit = sl.cml_loss(swapped, ref, xs)
+        return [lam * unit for lam in lambdas]
 
-        out["remedies-run losses 3 lambdas"] = losses
-    else:
-
-        def losses():
-            unit = sl.cml_loss(swapped, ref, xs)
-            return [lam * unit for lam in lambdas]
-
-        out["remedies-run losses 3 lambdas"] = losses
-    # one ksd-run: true, reweighted and 0.01-spurious models on one sample set;
-    # a tree without ksd_vstats scores them one call each
+    out["remedies-run losses 3 lambdas"] = losses
+    # one ksd-run: true, reweighted and 0.01-spurious models on one sample set
     models = [
         target,
         sl.two_component(0.9, -4.0, 4.0, 1.0),
         sl.GaussianMixture1D([0.495, 0.495, 0.01], [-4.0, 4.0, 0.0], [1.0, 1.0, 1.0]),
     ]
     samples = sl.sample(target, 10_000, rng)
-    if hasattr(sl, "ksd_vstats"):
-        out["ksd-run models N=10000"] = lambda: sl.ksd_vstats(samples, models, kernel)
-    else:
-        out["ksd-run models N=10000"] = lambda: [sl.ksd_vstat(samples, p, kernel) for p in models]
+    out["ksd-run models N=10000"] = lambda: sl.ksd_vstats(samples, models, kernel)
     out.update(_output_rows(sl, rng, folder))
     return out
 
 
 def _output_rows(sl, rng, folder: Path) -> dict:
-    """The output layer as `lab` runs it.  A tree whose `render_svg` takes no
-    `columns` formats row tuples and renders from the written CSV."""
+    """The output layer as `lab` runs it."""
     from scorelab.cli import _csv
     from scorelab.svgplot import PlotSpec, render_svg
 
-    columnwise = "columns" in inspect.signature(render_svg).parameters
     out = {}
 
     # score-plot on the sweep workload: 4001 nodes, 10 weights
@@ -160,39 +133,24 @@ def _output_rows(sl, rng, folder: Path) -> dict:
     for i, m in enumerate(mixtures):
         names += [f"density_{i}", f"score_{i}"]
         series += [sl.pdf(m, xs), sl.score(m, xs)]
-    if columnwise:
-        out["curves.csv 4001 x 21 text"] = lambda: _csv(names, series)
-    else:
-        out["curves.csv 4001 x 21 text"] = lambda: _csv(names, list(zip(*series)))
+    out["curves.csv 4001 x 21 text"] = lambda: _csv(names, series)
 
     csv_path = folder / "curves.csv"
     csv_path.write_text(out["curves.csv 4001 x 21 text"](), encoding="utf-8")
     spec = PlotSpec("dual_axis", x="x", y=tuple(names[1::2]), y2=tuple(names[2::2]))
-    if columnwise:
-        columns = dict(zip(names, series))
-        out["curves.svg render"] = lambda: render_svg(csv_path, spec, folder / "a.svg", columns)
-    else:
-        out["curves.svg render"] = lambda: render_svg(csv_path, spec, folder / "a.svg")
+    columns = dict(zip(names, series))
+    out["curves.svg render"] = lambda: render_svg(csv_path, spec, folder / "a.svg", columns)
 
     # one svgd-run cell on the lab defaults: 200 particles, 5 snapshots
     snapshots = [(500 * k, 3.0 * rng.standard_normal(200)) for k in range(5)]
-    if columnwise:
-        def snapshot_text():
-            return _csv(
-                ["iteration", "particle_id", "position"],
-                [
-                    np.repeat([it for it, _ in snapshots], 200),
-                    np.tile(np.arange(200), len(snapshots)),
-                    np.concatenate([positions for _, positions in snapshots]),
-                ],
-            )
-    else:
-        def snapshot_text():
-            return _csv(
-                ["iteration", "particle_id", "position"],
-                [(it, pid, pos) for it, positions in snapshots for pid, pos in enumerate(positions)],
-            )
-    out["snapshots csv 200 x 5 text"] = snapshot_text
+    out["snapshots csv 200 x 5 text"] = lambda: _csv(
+        ["iteration", "particle_id", "position"],
+        [
+            np.repeat([it for it, _ in snapshots], 200),
+            np.tile(np.arange(200), len(snapshots)),
+            np.concatenate([positions for _, positions in snapshots]),
+        ],
+    )
     return out
 
 
