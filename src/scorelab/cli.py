@@ -9,8 +9,8 @@ order, so output bytes do not depend on the thread count.  ksd-run scores
 all its models in one pass over the sample boxes, so --threads does not
 split it; remedies-run computes its exact O(n) log-ratio loss once and
 scales it by each of its lambdas.  Each table is built once as named
-columns: its CSV is formatted one column at a time and its plots are drawn
-from the same columns.
+columns and carries its own plots: its CSV is formatted one column at a
+time and its plots are drawn from the same columns.
 
 A run writes its files into a directory inside a hidden sibling
 `.<name>.*` of the output directory and renames that directory into place
@@ -63,9 +63,9 @@ def _csv(names, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _by_rows(names, rows):
-    """A (names, columns) table from row tuples."""
-    return names, list(zip(*rows)) if rows else [()] * len(names)
+def _by_rows(names, rows) -> dict:
+    """A {name: column} table from row tuples."""
+    return dict(zip(names, zip(*rows) if rows else [()] * len(names)))
 
 
 def _map_cells(fn, items, threads: int):
@@ -97,6 +97,26 @@ def _count(cfg: ExperimentConfig, key: str, default: int, least: int) -> int:
     return value
 
 
+def _weights(cfg: ExperimentConfig, key: str, default: str) -> list[float]:
+    """A comma-separated list of weights, `key` of [params], naming at least one."""
+    values = cfg.get_floats(key, default)
+    if not values:
+        raise ConfigError(f"[params] {key}: must list at least one weight")
+    return values
+
+
+def _separations(cfg: ExperimentConfig) -> list[float]:
+    """The sweeps' `separations` [params] key: finite, positive and strictly
+    increasing, as each sweep row is one separation."""
+    seps = cfg.get_floats("separations", "4, 6, 8, 10")
+    # each value exceeds the one before it, the first exceeds 0, none is inf
+    if not all(a < b < np.inf for a, b in zip([0.0, *seps], seps)):
+        raise ConfigError(
+            f"[params] separations: must be finite, positive and strictly increasing, got {', '.join(map(repr, seps))}"
+        )
+    return seps
+
+
 def _threshold(cfg: ExperimentConfig, default: float) -> float:
     """The mode-fraction `threshold` [params] key, which must be finite."""
     value = cfg.get_float("threshold", default)
@@ -106,64 +126,52 @@ def _threshold(cfg: ExperimentConfig, default: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns ({csv name: (column names, columns)},
-# [(csv, spec, svg)]); `run` writes each table and draws its plots from it
+# command handlers: each returns {csv name: (table, {svg name: PlotSpec})},
+# a table being {column name: column} in column order; `run` writes every
+# table and then draws each table's plots from it
 
 
 def _run_score_plot(cfg: ExperimentConfig):
     mu1 = cfg.get_float("mu1", -4.0)
     mu2 = cfg.get_float("mu2", 4.0)
     sigma = cfg.get_float("sigma", 1.0)
-    pi_grid = cfg.get_floats("pi_grid", "0.1, 0.5, 0.9")
+    pi_grid = _weights(cfg, "pi_grid", "0.1, 0.5, 0.9")
     witness_pi1 = cfg.get_float("witness_pi1", 0.5)
     grid_nodes = _count(cfg, "grid_nodes", 801, 2)
-    _unique_tags("pi_grid", map(repr, pi_grid), [f"pi{_tag(p1)}" for p1 in pi_grid])
+    tags = [f"pi{_tag(p1)}" for p1 in pi_grid]
+    _unique_tags("pi_grid", map(repr, pi_grid), tags)
 
     mixtures = [mx.two_component(p1, mu1, mu2, sigma) for p1 in pi_grid]
     window = mx.quadrature_window(*mixtures)
     xs = np.linspace(window.lower, window.upper, grid_nodes)
 
-    names = ["x"]
-    series = [xs]
-    for p1, m in zip(pi_grid, mixtures):
-        names += [f"density_pi{_tag(p1)}", f"score_pi{_tag(p1)}"]
-        series += [mx.pdf(m, xs), mx.score(m, xs)]
+    curves = {"x": xs}
+    for tag, m in zip(tags, mixtures):
+        curves[f"density_{tag}"] = mx.pdf(m, xs)
+        curves[f"score_{tag}"] = mx.score(m, xs)
 
     p = mx.two_component(witness_pi1, mu1, mu2, sigma)
     q = mx.gaussian(mu1, sigma)
-    weighted = st.witness_weighted(q, p, xs)
-    unweighted = st.witness_unweighted(q, p, xs)
-    witness = (
-        ["x", "f_weighted", "f_unweighted", "q_pdf", "p_score", "q_score"],
-        [
-            xs,
-            weighted.normalized(),
-            unweighted.normalized(),
-            mx.pdf(q, xs),
-            mx.score(p, xs),
-            mx.score(q, xs),
-        ],
-    )
-
-    density_cols = tuple(c for c in names if c.startswith("density_"))
-    score_cols = tuple(c for c in names if c.startswith("score_"))
-    plots = [
-        (
-            "curves.csv",
-            PlotSpec("dual_axis", x="x", y=density_cols, y2=score_cols, title="densities and scores"),
-            "curves.svg",
-        ),
-        (
-            "witness.csv",
-            PlotSpec("lines", x="x", y=("f_weighted", "f_unweighted", "q_pdf"), title="optimal witnesses"),
-            "witness.svg",
-        ),
-    ]
-    return {"curves.csv": (names, series), "witness.csv": witness}, plots
+    witness = {
+        "x": xs,
+        "f_weighted": st.witness_weighted(q, p, xs).normalized(),
+        "f_unweighted": st.witness_unweighted(q, p, xs).normalized(),
+        "q_pdf": mx.pdf(q, xs),
+        "p_score": mx.score(p, xs),
+        "q_score": mx.score(q, xs),
+    }
+    densities = tuple(f"density_{tag}" for tag in tags)
+    scores = tuple(f"score_{tag}" for tag in tags)
+    curves_plot = PlotSpec("lines", x="x", y=densities, y2=scores, title="densities and scores")
+    witness_plot = PlotSpec("lines", x="x", y=("f_weighted", "f_unweighted", "q_pdf"), title="optimal witnesses")
+    return {
+        "curves.csv": (curves, {"curves.svg": curves_plot}),
+        "witness.csv": (witness, {"witness.svg": witness_plot}),
+    }
 
 
 def _run_fisher_sweep(cfg: ExperimentConfig):
-    separations = cfg.get_floats("separations", "4, 6, 8, 10")
+    separations = _separations(cfg)
     pi_pairs = cfg.get_pairs("pi_pairs", "0.5:0.9")
     sigma = cfg.get_float("sigma", 1.0)
 
@@ -178,18 +186,12 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
             for r in flat
         ],
     )
-    plots = [
-        (
-            "sweep.csv",
-            PlotSpec("lines", x="separation", y=("j_pp_prime", "j_q_p"), title="fisher divergence vs separation"),
-            "sweep.svg",
-        )
-    ]
-    return {"sweep.csv": table}, plots
+    spec = PlotSpec("lines", x="separation", y=("j_pp_prime", "j_q_p"), title="fisher divergence vs separation")
+    return {"sweep.csv": (table, {"sweep.svg": spec})}
 
 
 def _run_stein_sweep(cfg: ExperimentConfig):
-    separations = cfg.get_floats("separations", "4, 6, 8, 10")
+    separations = _separations(cfg)
     pi1 = cfg.get_float("pi1", 0.5)
     sigma = cfg.get_float("sigma", 1.0)
 
@@ -203,14 +205,8 @@ def _run_stein_sweep(cfg: ExperimentConfig):
 
     rows = _map_cells(one, separations, cfg.threads)
     table = _by_rows(["separation", "pi1", "sd_weighted", "sd_unweighted", "nodes"], rows)
-    plots = [
-        (
-            "stein_sweep.csv",
-            PlotSpec("lines", x="separation", y=("sd_weighted", "sd_unweighted"), title="stein discrepancy vs separation"),
-            "stein_sweep.svg",
-        )
-    ]
-    return {"stein_sweep.csv": table}, plots
+    spec = PlotSpec("lines", x="separation", y=("sd_weighted", "sd_unweighted"), title="stein discrepancy vs separation")
+    return {"stein_sweep.csv": (table, {"stein_sweep.svg": spec})}
 
 
 def _kernel(cfg: ExperimentConfig) -> st.KernelSpec:
@@ -245,17 +241,14 @@ def _run_ksd(cfg: ExperimentConfig):
             for i, (label, est) in enumerate(zip(labels, estimates))
         ],
     )
-    plots = [
-        ("ksd.csv", PlotSpec("lines", x="index", y=("value",), title="ksd by model"), "ksd.svg")
-    ]
-    return {"ksd.csv": table}, plots
+    return {"ksd.csv": (table, {"ksd.svg": PlotSpec("lines", x="index", y=("value",), title="ksd by model")})}
 
 
 def _run_svgd(cfg: ExperimentConfig):
     mu1 = cfg.get_float("mu1", -4.0)
     mu2 = cfg.get_float("mu2", 4.0)
     sigma = cfg.get_float("sigma", 1.0)
-    pi1_grid = cfg.get_floats("pi1_grid", "0.5, 0.1")
+    pi1_grid = _weights(cfg, "pi1_grid", "0.5, 0.1")
     cells = cfg.get_pairs("cells", "-4:1, 0:3, 4:1")
     _unique_tags("pi1_grid", map(repr, pi1_grid), [f"pi{_tag(p1)}" for p1 in pi1_grid])
     _unique_tags(
@@ -294,47 +287,35 @@ def _run_svgd(cfg: ExperimentConfig):
     window = mx.quadrature_window(
         *[mx.two_component(p1, mu1, mu2, sigma) for p1 in pi1_grid]
     )
-    files = {}
-    plots = []
+    tables = {}
     summary_rows = []
     for (p1, mu0, s0), (init, final, snapshots) in zip(grid, results):
         tag = f"pi{_tag(p1)}_mu{_tag(mu0)}_sd{_tag(s0)}"
         summary_rows.append((cfg.seed, mu0, s0, p1, sv.mode_fraction(final, threshold)))
         # svgd_run always records the final positions, so snapshots is nonempty
-        files[f"snapshots_{tag}.csv"] = (
-            ["iteration", "particle_id", "position"],
-            [
-                np.repeat([it for it, _ in snapshots], particles),
-                np.tile(np.arange(particles), len(snapshots)),
-                np.concatenate([positions for _, positions in snapshots]),
-            ],
+        snapshot_table = {
+            "iteration": np.repeat([it for it, _ in snapshots], particles),
+            "particle_id": np.tile(np.arange(particles), len(snapshots)),
+            "position": np.concatenate([positions for _, positions in snapshots]),
+        }
+        positions_table = {
+            "phase": ["initial"] * particles + ["final"] * particles,
+            "particle_id": np.tile(np.arange(particles), 2),
+            "position": np.concatenate((init.positions, final.positions)),
+        }
+        hist = PlotSpec(
+            "histogram",
+            value="position",
+            group="phase",
+            lo=window.lower,
+            hi=window.upper,
+            title=f"svgd particles {tag}",
         )
-        files[f"positions_{tag}.csv"] = (
-            ["phase", "particle_id", "position"],
-            [
-                ["initial"] * particles + ["final"] * particles,
-                np.tile(np.arange(particles), 2),
-                np.concatenate((init.positions, final.positions)),
-            ],
-        )
-        plots.append(
-            (
-                f"positions_{tag}.csv",
-                PlotSpec(
-                    "histogram",
-                    value="position",
-                    group="phase",
-                    lo=window.lower,
-                    hi=window.upper,
-                    title=f"svgd particles {tag}",
-                ),
-                f"hist_{tag}.svg",
-            )
-        )
-    files["summary.csv"] = _by_rows(
-        ["seed", "mu0", "sigma0", "pi1", "final_mode_fraction"], summary_rows
-    )
-    return files, plots
+        tables[f"snapshots_{tag}.csv"] = (snapshot_table, {})
+        tables[f"positions_{tag}.csv"] = (positions_table, {f"hist_{tag}.svg": hist})
+    summary = _by_rows(["seed", "mu0", "sigma0", "pi1", "final_mode_fraction"], summary_rows)
+    tables["summary.csv"] = (summary, {})
+    return tables
 
 
 def _run_langevin(cfg: ExperimentConfig):
@@ -365,31 +346,20 @@ def _run_langevin(cfg: ExperimentConfig):
     )
 
     window = mx.quadrature_window(target)
-    files = {
-        "levels.csv": _by_rows(["level", "sigma_j", "step", "mode_fraction"], trace_rows),
-        "final.csv": (
-            ["particle_id", "position"], [np.arange(particles), ensemble.positions]
-        ),
+    levels_table = _by_rows(["level", "sigma_j", "step", "mode_fraction"], trace_rows)
+    trace = PlotSpec("lines", x="step", y=("mode_fraction",), title="mode fraction during annealing")
+    final = {"particle_id": np.arange(particles), "position": ensemble.positions}
+    hist = PlotSpec(
+        "histogram",
+        value="position",
+        lo=window.lower,
+        hi=window.upper,
+        title="annealed langevin final positions",
+    )
+    return {
+        "levels.csv": (levels_table, {"trace.svg": trace}),
+        "final.csv": (final, {"hist_final.svg": hist}),
     }
-    plots = [
-        (
-            "final.csv",
-            PlotSpec(
-                "histogram",
-                value="position",
-                lo=window.lower,
-                hi=window.upper,
-                title="annealed langevin final positions",
-            ),
-            "hist_final.svg",
-        ),
-        (
-            "levels.csv",
-            PlotSpec("lines", x="step", y=("mode_fraction",), title="mode fraction during annealing"),
-            "trace.svg",
-        ),
-    ]
-    return files, plots
 
 
 def _run_remedies(cfg: ExperimentConfig):
@@ -401,12 +371,10 @@ def _run_remedies(cfg: ExperimentConfig):
     )
     scenario = check_label("[params] scenario", cfg.get_str("scenario", "pi_swap"))
     n_samples = _count(cfg, "n_samples", 2000, 2)
-    lambdas = cfg.get_floats("lambdas", "0.1, 1.0, 10.0")
+    lambdas = _weights(cfg, "lambdas", "0.1, 1.0, 10.0")
     reference = cfg.get_str("reference", "kde")
     if reference not in ("kde", "true"):
         raise ConfigError(f"[params] reference must be kde or true, got {reference!r}")
-    if not lambdas:
-        raise ConfigError("[params] lambdas: must list at least one weight")
     for lam in lambdas:
         if not (np.isfinite(lam) and lam >= 0):
             raise ConfigError(f"[params] lambdas: must be finite and nonnegative, got {lam}")
@@ -421,20 +389,12 @@ def _run_remedies(cfg: ExperimentConfig):
         (scenario, fisher, lam * unit, float(moments[0]), float(moments[1]), lam)
         for lam in lambdas
     ]
-    files = {
-        "report.csv": _by_rows(
-            ["scenario", "fisher_divergence", "cml_loss", "moment_diff_1", "moment_diff_2", "lambda_ml"],
-            rows,
-        )
-    }
-    plots = [
-        (
-            "report.csv",
-            PlotSpec("lines", x="lambda_ml", y=("cml_loss",), title="pairwise log-ratio loss vs lambda"),
-            "report.svg",
-        )
-    ]
-    return files, plots
+    table = _by_rows(
+        ["scenario", "fisher_divergence", "cml_loss", "moment_diff_1", "moment_diff_2", "lambda_ml"],
+        rows,
+    )
+    spec = PlotSpec("lines", x="lambda_ml", y=("cml_loss",), title="pairwise log-ratio loss vs lambda")
+    return {"report.csv": (table, {"report.svg": spec})}
 
 
 _HANDLERS = {
@@ -460,19 +420,21 @@ def run(config: ExperimentConfig) -> list[Path]:
         raise ConfigError("no output directory: set [experiment] out_dir or pass --out")
     if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
         raise ConfigError(f"output directory {out_dir} exists and is not an empty directory")
-    files, plots = _HANDLERS[config.command](config)
+    tables = _HANDLERS[config.command](config)
 
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out_dir.name}.", dir=out_dir.parent) as hidden:
         stage = Path(hidden, "run")
         stage.mkdir()  # the mode of a plain mkdir; the hidden sibling's is 0700
-        for name, (names, columns) in files.items():
-            (stage / name).write_text(_csv(names, columns), encoding="utf-8")
-        for csv_name, spec, svg_name in plots:
-            names, columns = files[csv_name]
-            render_svg(stage / csv_name, spec, stage / svg_name, dict(zip(names, columns)))
+        for name, (table, _) in tables.items():
+            (stage / name).write_text(_csv(table, table.values()), encoding="utf-8")
+        svgs = []
+        for name, (table, plots) in tables.items():
+            for svg, spec in plots.items():
+                render_svg(stage / name, spec, stage / svg, table)
+                svgs.append(svg)
         stage.rename(out_dir)
-    return [out_dir / name for name in [*files, *(svg for _, _, svg in plots)]]
+    return [out_dir / name for name in [*tables, *svgs]]
 
 
 def _build_parser() -> argparse.ArgumentParser:

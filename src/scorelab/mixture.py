@@ -27,6 +27,7 @@ import numpy as np
 from .numerics import DEFAULT_NODES, QuadratureSpec, RngStream
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_WINDOW_PAD = 12.0  # quadrature_window's margin beyond the outer means, in widths
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,12 +289,10 @@ def mass_inside(m: GaussianMixture1D, lower: float, upper: float) -> float:
     return total
 
 
-def quadrature_window(
-    *mixtures: GaussianMixture1D, pad: float = 12.0, nodes: int = DEFAULT_NODES
-) -> QuadratureSpec:
+def quadrature_window(*mixtures: GaussianMixture1D, nodes: int = DEFAULT_NODES) -> QuadratureSpec:
     """Default integration window covering every component of every argument.
 
-    Spans [min means - pad * max stds, max means + pad * max stds]; the pad of
+    Spans [min means - 12 * max stds, max means + 12 * max stds]; the pad of
     12 widths keeps truncated tail mass far below quadrature error.
     """
     if not mixtures:
@@ -301,7 +300,7 @@ def quadrature_window(
     lo = min(float(m.means.min()) for m in mixtures)
     hi = max(float(m.means.max()) for m in mixtures)
     width = max(float(m.stds.max()) for m in mixtures)
-    return QuadratureSpec(lo - pad * width, hi + pad * width, nodes)
+    return QuadratureSpec(lo - _WINDOW_PAD * width, hi + _WINDOW_PAD * width, nodes)
 
 
 def to_record(m: GaussianMixture1D) -> str:

@@ -1,15 +1,14 @@
-"""Deterministic SVG rendering of CSV tables.
+"""Deterministic SVG rendering of tables held in memory as named columns.
 
 Output is plain string-built SVG with a fixed canvas, a fixed tick
 algorithm, and fixed number formatting, so identical inputs produce
 byte-identical files; golden-file comparisons are safe.  A table is drawn
-from its columns, either held in memory by the writer of the CSV or read
-back from the file; both give the same bytes.
+from the same columns its CSV is written from, and columns of numbers or of
+their text give the same bytes.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,10 +22,10 @@ HIST_BIN_WIDTH = 0.2
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """What to draw from a CSV.
+    """What to draw from a table.
 
-    kind "lines": columns `y` against column `x`.
-    kind "dual_axis": `y` on the left scale and `y2` on the right scale.
+    kind "lines": columns `y` against column `x` on the left scale, and
+    columns `y2`, when given, on a right scale.
     kind "histogram": column `value` binned at `HIST_BIN_WIDTH` over [lo, hi],
     one overlaid histogram per distinct entry of `group` when given.
     """
@@ -42,7 +41,7 @@ class PlotSpec:
     title: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("lines", "dual_axis", "histogram"):
+        if self.kind not in ("lines", "histogram"):
             raise ValueError(f"unknown plot kind {self.kind!r}")
         if self.kind == "histogram":
             if self.value is None or self.lo is None or self.hi is None:
@@ -52,17 +51,6 @@ class PlotSpec:
         else:
             if self.x is None or not self.y:
                 raise ValueError(f"{self.kind} plots need x and at least one y column")
-
-
-def _read_columns(csv_path: Path) -> dict[str, tuple[str, ...]]:
-    """The CSV's columns by header name, as text."""
-    with open(csv_path, newline="", encoding="utf-8") as handle:
-        header, *rows = [row for row in csv.reader(handle) if row] or [[]]
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{csv_path.name}: a row's field count differs from the header's")
-    columns = dict.fromkeys(header, ())
-    columns.update(zip(header, zip(*rows)))
-    return columns
 
 
 def _numeric(source: str, spec: PlotSpec, columns) -> dict[str, np.ndarray]:
@@ -194,26 +182,18 @@ def _legend(cv: _Canvas, labels: list[tuple[str, str]]):
         y += 15
 
 
-def render_svg(
-    csv_path: str | Path,
-    spec: PlotSpec,
-    out_path: str | Path | None = None,
-    columns: dict | None = None,
-) -> Path:
-    """Render one CSV table into a deterministic SVG; returns the output path.
+def render_svg(csv_path: str | Path, spec: PlotSpec, out_path: str | Path, columns) -> Path:
+    """Render one table into a deterministic SVG at `out_path`; returns it.
 
-    `columns` maps header names to the table's values when the caller holds
-    them in memory; the file is then not read.  A table with zero data rows
-    yields an axes-only plot.  A table lacking a column named by the spec is
-    rejected with the missing column named, and so is a plotted column with
-    a NaN or an infinity.
+    `columns` maps the table's column names to their values; `csv_path`, the
+    file the table is written to, names it in error messages.  A table with
+    zero rows yields an axes-only plot.  A table lacking a column named by
+    the spec is rejected with the missing column named, and so is a plotted
+    column with a NaN or an infinity.
     """
-    csv_path = Path(csv_path)
-    out_path = Path(out_path) if out_path is not None else csv_path.with_suffix(".svg")
-    if columns is None:
-        columns = _read_columns(csv_path)
+    out_path = Path(out_path)
     render = _render_histogram if spec.kind == "histogram" else _render_lines
-    out_path.write_text(render(csv_path.name, spec, columns), encoding="utf-8")
+    out_path.write_text(render(Path(csv_path).name, spec, columns), encoding="utf-8")
     return out_path
 
 

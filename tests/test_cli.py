@@ -89,39 +89,38 @@ class TestConfigParsing:
 
 class TestRenderSvg:
     def test_missing_column_named(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("a,b\n1,2\n")
+        columns = {"a": [1], "b": [2]}
         with pytest.raises(ValueError, match="missing column 'c'"):
-            render_svg(p, PlotSpec("lines", x="a", y=("c",)))
+            render_svg(tmp_path / "t.csv", PlotSpec("lines", x="a", y=("c",)), tmp_path / "t.svg", columns)
 
     def test_empty_rows_gives_axes_only(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("x,y\n")
-        out = render_svg(p, PlotSpec("lines", x="x", y=("y",)))
+        columns = {"x": [], "y": []}
+        out = render_svg(tmp_path / "t.csv", PlotSpec("lines", x="x", y=("y",)), tmp_path / "t.svg", columns)
         content = out.read_text()
         assert content.startswith("<svg") and "</svg>" in content
         assert "polyline" not in content
 
     def test_same_csv_twice_is_byte_identical(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("x,y\n0,1\n1,3\n2,2\n")
-        a = render_svg(p, PlotSpec("lines", x="x", y=("y",)), tmp_path / "a.svg")
-        b = render_svg(p, PlotSpec("lines", x="x", y=("y",)), tmp_path / "b.svg")
+        columns = {"x": [0, 1, 2], "y": [1, 3, 2]}
+        a = render_svg(p, PlotSpec("lines", x="x", y=("y",)), tmp_path / "a.svg", columns)
+        b = render_svg(p, PlotSpec("lines", x="x", y=("y",)), tmp_path / "b.svg", columns)
         assert a.read_bytes() == b.read_bytes()
 
     def test_histogram_renders_groups(self, tmp_path):
-        p = tmp_path / "h.csv"
-        p.write_text("phase,v\ninitial,0.1\ninitial,0.3\nfinal,1.4\n")
+        columns = {"phase": ["initial", "initial", "final"], "v": [0.1, 0.3, 1.4]}
         out = render_svg(
-            p, PlotSpec("histogram", value="v", group="phase", lo=0.0, hi=2.0)
+            tmp_path / "h.csv",
+            PlotSpec("histogram", value="v", group="phase", lo=0.0, hi=2.0),
+            tmp_path / "h.svg",
+            columns,
         )
         content = out.read_text()
         assert content.count("<polygon") == 2
 
     def test_histogram_bins_are_hist_bin_width_wide(self, tmp_path):
-        p = tmp_path / "h.csv"
-        p.write_text("v\n0.1\n0.5\n")
-        content = render_svg(p, PlotSpec("histogram", value="v", lo=0.0, hi=1.0)).read_text()
+        spec = PlotSpec("histogram", value="v", lo=0.0, hi=1.0)
+        content = render_svg(tmp_path / "h.csv", spec, tmp_path / "h.svg", {"v": [0.1, 0.5]}).read_text()
         # base, (left, top) and (right, top) of every bin, base
         points = content.split('<polygon points="')[1].split('"')[0].split()
         assert len(points) == 2 + 2 * round(1.0 / HIST_BIN_WIDTH)
@@ -529,21 +528,54 @@ class TestCliContract:
                 "score-plot", SCORE_PLOT, "pi_grid = 0.1, 0.5, 0.9", "pi_grid = 0.3, 0.3",
                 "[params] pi_grid: 0.3 and 0.3 give the same name tag pi0.3",
             ),
+            (
+                "score-plot", SCORE_PLOT, "pi_grid = 0.1, 0.5, 0.9", "pi_grid =",
+                "[params] pi_grid: must list at least one weight",
+            ),
+            (
+                "svgd-run", SVGD, "pi1_grid = 0.5, 0.1", "pi1_grid =",
+                "[params] pi1_grid: must list at least one weight",
+            ),
+            # each sweep row is one separation, so the list must increase
+            (
+                "fisher-sweep", FISHER, "separations = 4, 6, 8, 10", "separations = 8, 4",
+                "[params] separations: must be finite, positive and strictly increasing, got 8.0, 4.0",
+            ),
+            (
+                "fisher-sweep", FISHER, "separations = 4, 6, 8, 10", "separations = 4, 4",
+                "[params] separations: must be finite, positive and strictly increasing, got 4.0, 4.0",
+            ),
+            (
+                "fisher-sweep", FISHER, "separations = 4, 6, 8, 10", "separations = -4",
+                "[params] separations: must be finite, positive and strictly increasing, got -4.0",
+            ),
+            (
+                "stein-sweep", STEIN, "separations = 4, 8", "separations = -4",
+                "[params] separations: must be finite, positive and strictly increasing, got -4.0",
+            ),
+            (
+                "stein-sweep", STEIN, "separations = 4, 8", "separations = 4, inf",
+                "[params] separations: must be finite, positive and strictly increasing, got 4.0, inf",
+            ),
         ],
         ids=[
             "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
             "svgd threshold", "langevin threshold", "svgd pi1_grid tags", "svgd cells tags",
-            "score-plot pi_grid tags",
+            "score-plot pi_grid tags", "score-plot empty pi_grid", "svgd empty pi1_grid",
+            "fisher decreasing separations", "fisher repeated separation", "fisher negative separation",
+            "stein negative separation", "stein infinite separation",
         ],
     )
     def test_bad_count_rejected_before_sampling(
         self, tmp_path, capsys, monkeypatch, command, body, old, new, key
     ):
         def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the counts were checked")
+            raise AssertionError("sampled or integrated before the params were checked")
 
         monkeypatch.setattr(cli.mx, "sample", no_sampling)
         monkeypatch.setattr(cli, "make_stream", no_sampling)
+        monkeypatch.setattr(cli.mx, "quadrature_window", no_sampling)
+        monkeypatch.setattr(cli.sm, "quadrature_window", no_sampling)
         changed = body.replace(old, new)
         assert changed != body
         cfg = write_config(tmp_path / "c.cfg", changed.format(out=tmp_path / "out"))
@@ -556,7 +588,7 @@ class TestCliContract:
         assert cli.main(["stein-sweep", "--config", cfg]) == 2
         assert "declares command" in capsys.readouterr().err
 
-    def test_module_failure_removes_partial_outputs(self, tmp_path, capsys):
+    def test_module_failure_before_writing_leaves_no_outputs(self, tmp_path, capsys):
         body = LANGEVIN.format(out=tmp_path / "out") + "base_step = 1e308\n"
         cfg = write_config(tmp_path / "c.cfg", body)
         with np.errstate(over="ignore", invalid="ignore"):

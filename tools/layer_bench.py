@@ -137,7 +137,7 @@ def _output_rows(sl, rng, folder: Path) -> dict:
 
     csv_path = folder / "curves.csv"
     csv_path.write_text(out["curves.csv 4001 x 21 text"](), encoding="utf-8")
-    spec = PlotSpec("dual_axis", x="x", y=tuple(names[1::2]), y2=tuple(names[2::2]))
+    spec = PlotSpec("lines", x="x", y=tuple(names[1::2]), y2=tuple(names[2::2]))
     columns = dict(zip(names, series))
     out["curves.svg render"] = lambda: render_svg(csv_path, spec, folder / "a.svg", columns)
 
