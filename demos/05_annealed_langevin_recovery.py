@@ -36,6 +36,6 @@ print()
 print("the noisy scores driving the run are exact smoothed-mixture scores:")
 target = sl.two_component(0.3, -4, 4, 1)
 for sigma in (8.0, 2.0, 0.5):
-    s0 = sl.noisy_score(target, sigma, 0.0)
+    s0 = sl.score(sl.smooth(target, sigma), 0.0)
     print(f"  sigma={sigma:4.1f}: score at midpoint {s0:+.5f}")
 print("(at high noise the score points toward the overall mean, mixing mass correctly)")

@@ -8,7 +8,7 @@ make the resulting blindness measurable, and the remedies module hosts
 estimators that retain probability-mass information.
 """
 
-from .langevin import NoiseSchedule, annealed_langevin_run, geometric_schedule, langevin_step, noisy_score
+from .langevin import NoiseSchedule, annealed_langevin_run, geometric_schedule, langevin_step
 from .mixture import (
     GaussianMixture1D,
     TwoComponentView,
@@ -23,11 +23,10 @@ from .mixture import (
     score_derivative,
     score_limit,
     smooth,
-    temper_score,
     to_record,
     two_component,
 )
-from .numerics import QuadratureSpec, RngStream, finite_diff, make_stream, quad_integrate
+from .numerics import QuadratureSpec, finite_diff, make_stream, quad_integrate
 from .remedies import (
     EntropyGradientEstimate,
     ImplicitModel,
@@ -72,7 +71,6 @@ __all__ = [
     "NoiseSchedule",
     "ParticleEnsemble",
     "QuadratureSpec",
-    "RngStream",
     "SvgdConfig",
     "TwoComponentView",
     "WitnessTable",
@@ -96,7 +94,6 @@ __all__ = [
     "mass_inside",
     "mode_fraction",
     "moment_discrepancy",
-    "noisy_score",
     "pdf",
     "quad_integrate",
     "quadrature_window",
@@ -109,7 +106,6 @@ __all__ = [
     "stein_discrepancy",
     "svgd_direction",
     "svgd_run",
-    "temper_score",
     "to_record",
     "two_component",
     "witness_unweighted",

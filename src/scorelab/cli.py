@@ -109,12 +109,23 @@ def _separations(cfg: ExperimentConfig) -> list[float]:
     """The sweeps' `separations` [params] key: finite, positive and strictly
     increasing, as each sweep row is one separation."""
     seps = cfg.get_floats("separations", "4, 6, 8, 10")
-    # each value exceeds the one before it, the first exceeds 0, none is inf
-    if not all(a < b < np.inf for a, b in zip([0.0, *seps], seps)):
+    # at least one value, each exceeding the one before it, the first
+    # exceeding 0 and none inf
+    if not seps or not all(a < b < np.inf for a, b in zip([0.0, *seps], seps)):
         raise ConfigError(
-            f"[params] separations: must be finite, positive and strictly increasing, got {', '.join(map(repr, seps))}"
+            "[params] separations: must be finite, positive and strictly increasing, "
+            f"got {', '.join(map(repr, seps)) or 'nothing'}"
         )
     return seps
+
+
+def _two_components(key: str, weights, mu1: float, mu2: float, sigma: float) -> list[mx.GaussianMixture1D]:
+    """One two-component mixture per weight of the [params] key `key`; a bad
+    weight, mean or width is a ConfigError naming the keys that built it."""
+    try:
+        return [mx.two_component(p1, mu1, mu2, sigma) for p1 in weights]
+    except ValueError as exc:
+        raise ConfigError(f"[params] {key}, mu1, mu2, sigma: {exc}") from None
 
 
 def _threshold(cfg: ExperimentConfig, default: float) -> float:
@@ -141,7 +152,8 @@ def _run_score_plot(cfg: ExperimentConfig):
     tags = [f"pi{_tag(p1)}" for p1 in pi_grid]
     _unique_tags("pi_grid", map(repr, pi_grid), tags)
 
-    mixtures = [mx.two_component(p1, mu1, mu2, sigma) for p1 in pi_grid]
+    mixtures = _two_components("pi_grid", pi_grid, mu1, mu2, sigma)
+    (p,) = _two_components("witness_pi1", [witness_pi1], mu1, mu2, sigma)
     window = mx.quadrature_window(*mixtures)
     xs = np.linspace(window.lower, window.upper, grid_nodes)
 
@@ -150,7 +162,6 @@ def _run_score_plot(cfg: ExperimentConfig):
         curves[f"density_{tag}"] = mx.pdf(m, xs)
         curves[f"score_{tag}"] = mx.score(m, xs)
 
-    p = mx.two_component(witness_pi1, mu1, mu2, sigma)
     q = mx.gaussian(mu1, sigma)
     witness = {
         "x": xs,
@@ -272,11 +283,11 @@ def _run_svgd(cfg: ExperimentConfig):
         )
     except ValueError as exc:
         raise ConfigError(f"[params] {exc}") from None
-    grid = [(p1, mu0, s0) for p1 in pi1_grid for mu0, s0 in cells]
+    targets = _two_components("pi1_grid", pi1_grid, mu1, mu2, sigma)
+    grid = [(p1, target, mu0, s0) for p1, target in zip(pi1_grid, targets) for mu0, s0 in cells]
 
     def one(item):
-        index, (p1, mu0, s0) = item
-        target = mx.two_component(p1, mu1, mu2, sigma)
+        index, (_, target, mu0, s0) = item
         rng = make_stream(cfg.seed, index)
         init = sv.ParticleEnsemble(mu0 + s0 * rng.standard_normal(particles))
         final, snapshots = sv.svgd_run(init, target, run_cfg)
@@ -284,12 +295,10 @@ def _run_svgd(cfg: ExperimentConfig):
 
     results = _map_cells(one, list(enumerate(grid)), cfg.threads)
 
-    window = mx.quadrature_window(
-        *[mx.two_component(p1, mu1, mu2, sigma) for p1 in pi1_grid]
-    )
+    window = mx.quadrature_window(*targets)
     tables = {}
     summary_rows = []
-    for (p1, mu0, s0), (init, final, snapshots) in zip(grid, results):
+    for (p1, _, mu0, s0), (init, final, snapshots) in zip(grid, results):
         tag = f"pi{_tag(p1)}_mu{_tag(mu0)}_sd{_tag(s0)}"
         summary_rows.append((cfg.seed, mu0, s0, p1, sv.mode_fraction(final, threshold)))
         # svgd_run always records the final positions, so snapshots is nonempty

@@ -1,7 +1,8 @@
 """Unadjusted Langevin dynamics and the annealed variant over a decreasing
 noise schedule.
 
-The noisy targets are exact Gaussian-smoothed mixtures, so the sampler
+The noisy targets are exact Gaussian-smoothed mixtures, the score at noise
+level sigma being `score(smooth(target, sigma), x)`, so the sampler
 isolates the behaviour of the annealing procedure itself from score
 estimation error.  High noise first disperses particles across components
 with the correct proportions; the decreasing levels then sharpen each
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixture import GaussianMixture1D, score, smooth
-from .numerics import RngStream
 from .svgd import ParticleEnsemble
 
 
@@ -69,7 +69,7 @@ def geometric_schedule(
     return NoiseSchedule(sigmas, steps_per_level, base_step)
 
 
-def langevin_step(x, score_value, eps: float, rng: RngStream):
+def langevin_step(x, score_value, eps: float, rng: np.random.Generator):
     """One unadjusted update x + (eps/2) * score + sqrt(eps) * noise.
 
     Vectorized: x and score_value may be arrays of matching shape, in which
@@ -82,18 +82,11 @@ def langevin_step(x, score_value, eps: float, rng: RngStream):
     return x + 0.5 * eps * np.asarray(score_value, dtype=float) + np.sqrt(eps) * noise
 
 
-def noisy_score(target: GaussianMixture1D, sigma_j: float, x):
-    """Score of the target smoothed with N(0, sigma_j^2) noise, in closed form."""
-    if sigma_j <= 0:
-        raise ValueError(f"sigma_j must be positive, got {sigma_j}")
-    return score(smooth(target, sigma_j), x)
-
-
 def annealed_langevin_run(
     n_particles: int,
     target: GaussianMixture1D,
     sched: NoiseSchedule,
-    rng: RngStream,
+    rng: np.random.Generator,
     init: np.ndarray | None = None,
     observer=None,
 ) -> ParticleEnsemble:
@@ -114,7 +107,6 @@ def annealed_langevin_run(
         if x.shape != (n_particles,):
             raise ValueError(f"init must have shape ({n_particles},), got {x.shape}")
 
-    total_steps = 0
     for level, sigma_j in enumerate(sched.sigmas):
         noisy = smooth(target, sigma_j)
         eps = sched.step_at(level)
@@ -123,7 +115,6 @@ def annealed_langevin_run(
             if not np.isfinite(x).all():
                 bad = int(np.flatnonzero(~np.isfinite(x))[0])
                 raise FloatingPointError(f"non-finite particle {bad} at level {level}, step {step}")
-            total_steps += 1
             if observer is not None:
                 observer(level, sigma_j, step, x)
-    return ParticleEnsemble(x, total_steps)
+    return ParticleEnsemble(x)

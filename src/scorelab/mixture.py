@@ -1,5 +1,5 @@
 """1-D Gaussian mixtures: densities, scores, the far-separation limit score,
-Gaussian smoothing, tempering, and exact sampling.
+Gaussian smoothing, and exact sampling.
 
 All responsibilities are computed through log-sum-exp with max subtraction.
 Well-separated mixtures drive the raw exponents to +/- hundreds, so naive
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_NODES, QuadratureSpec, RngStream
+from .numerics import DEFAULT_NODES, QuadratureSpec
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _WINDOW_PAD = 12.0  # quadrature_window's margin beyond the outer means, in widths
@@ -261,19 +261,11 @@ def smooth(m: GaussianMixture1D, noise_std: float) -> GaussianMixture1D:
     )
 
 
-def temper_score(m: GaussianMixture1D, beta: float, x) -> float | np.ndarray:
-    """Score of the tempered density p^beta, i.e. beta * score(m, x)."""
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    out = score(m, x)
-    return beta * out
-
-
-def sample(m: GaussianMixture1D, n: int, rng: RngStream) -> np.ndarray:
+def sample(m: GaussianMixture1D, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. draws: categorical on the weights, then component Gaussians."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    idx = rng.generator.choice(m.n_components, size=n, p=m.weights)
+    idx = rng.choice(m.n_components, size=n, p=m.weights)
     return m.means[idx] + m.stds[idx] * rng.standard_normal(n)
 
 

@@ -7,7 +7,7 @@ safe to use from parallel experiment cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,32 +90,13 @@ def finite_diff(f, x: float, h: float = DEFAULT_FD_STEP) -> float:
 _U64_MASK = 2**64 - 1
 
 
-@dataclass
-class RngStream:
-    """Counter-based random stream keyed by (seed, stream_id).
+def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
+    """Reproducible random stream for one experiment cell.
 
-    Identical keys reproduce the identical sequence; distinct stream_ids give
-    statistically independent streams, so experiment cells can derive their
-    own stream without coordination.
+    A Philox generator keyed by [seed mod 2^64, stream_id mod 2^64]:
+    identical keys reproduce the identical sequence, and distinct stream_ids
+    give statistically independent streams, so experiment cells can derive
+    their own stream without coordination.
     """
-
-    seed: int
-    stream_id: int = 0
-    generator: np.random.Generator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        key = np.array(
-            [self.seed & _U64_MASK, self.stream_id & _U64_MASK], dtype=np.uint64
-        )
-        self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self.generator.uniform(low, high, size)
-
-
-def make_stream(seed: int, stream_id: int = 0) -> RngStream:
-    """Build a reproducible stream for one experiment cell."""
-    return RngStream(int(seed), int(stream_id))
+    key = np.array([int(seed) & _U64_MASK, int(stream_id) & _U64_MASK], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .mixture import _LOG_2PI, GaussianMixture1D, _logpdf, _logsumexp, quadrature_window
-from .numerics import QuadratureSpec, RngStream, quad_integrate
+from .numerics import QuadratureSpec, quad_integrate
 
 # Entries per temporary of `kde_log_pdf`: 16384 doubles are 128 KiB, glibc's
 # default mmap threshold.  Larger temporaries go back to the kernel when
@@ -182,7 +182,7 @@ def entropy_grad_estimate(
     model: ImplicitModel,
     score_fn: Callable[[np.ndarray], np.ndarray],
     n_samples: int,
-    rng: RngStream,
+    rng: np.random.Generator,
 ) -> EntropyGradientEstimate:
     """Monte-Carlo mean of score_fn(transform(z)) * transform_dphi(z).
 

@@ -1,7 +1,9 @@
 """Stein variational gradient descent for a particle ensemble.
 
 Updates are synchronous: all directions are computed from the current
-ensemble, then applied at once with a fixed step size.  Each step sorts the
+ensemble, then applied at once.  A run follows a schedule of tempering
+exponents beta, one per block of steps, each step using beta * score;
+the default schedule (1.0,) is plain SVGD.  Each step sorts the
 particles once, sums the kernel terms over the sorted positions in fixed
 square tiles (`_upper_tiles`), in a tile workspace that a run allocates
 once, and scatters the sums back to the particles.  This canonical order
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mixture import GaussianMixture1D, score, temper_score
+from .mixture import GaussianMixture1D, score
 from .stein import KernelSpec
 
 # Edge of the square tiles the dense Gaussian pair sums walk.  A tile's three
@@ -91,10 +93,9 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
 
 @dataclass
 class ParticleEnsemble:
-    """Particle positions plus the number of update steps already taken."""
+    """Particle positions: a nonempty, finite 1-D array."""
 
     positions: np.ndarray
-    iteration: int = 0
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -112,18 +113,19 @@ class ParticleEnsemble:
 class SvgdConfig:
     """Run parameters.
 
-    With `beta_schedule` set, the run is split into equal blocks, block l
-    using the tempered score beta_l * score; the schedule must be
-    non-decreasing and finish at 1 so the final block targets the true
-    density.  `rescale_step` divides the step by the active beta to undo the
-    shrinkage of tempered update vectors (experimental annealed mode).
-    `snapshot_every` records positions every so many iterations.
+    The run is split into equal blocks, one per entry of `beta_schedule`,
+    block l using the tempered score beta_l * score; the schedule must be
+    non-decreasing in (0, 1] and end at 1, so the final block targets the
+    true density.  The default (1.0,) is one untempered block.
+    `rescale_step` divides the step by the active beta to undo the
+    shrinkage of tempered update vectors.  `snapshot_every` records
+    positions every so many iterations.
     """
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
     step_size: float = 0.1
     iterations: int = 1000
-    beta_schedule: tuple[float, ...] | None = None
+    beta_schedule: tuple[float, ...] = (1.0,)
     rescale_step: bool = False
     snapshot_every: int | None = None
 
@@ -134,15 +136,14 @@ class SvgdConfig:
             raise ValueError(f"iterations: must be >= 1, got {self.iterations}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every: must be >= 1 when given")
-        if self.beta_schedule is not None:
-            betas = tuple(float(b) for b in self.beta_schedule)
-            if any(not 0.0 < b <= 1.0 for b in betas):
-                raise ValueError("beta schedule entries must lie in (0, 1]")
-            if any(b > a for a, b in zip(betas[1:], betas)):
-                raise ValueError("beta schedule must be non-decreasing")
-            if betas[-1] != 1.0:
-                raise ValueError("beta schedule must end at 1")
-            object.__setattr__(self, "beta_schedule", betas)
+        betas = tuple(float(b) for b in self.beta_schedule)
+        if any(not 0.0 < b <= 1.0 for b in betas):
+            raise ValueError("beta schedule entries must lie in (0, 1]")
+        if any(b > a for a, b in zip(betas[1:], betas)):
+            raise ValueError("beta schedule must be non-decreasing")
+        if betas[-1:] != (1.0,):
+            raise ValueError("beta schedule must end at 1")
+        object.__setattr__(self, "beta_schedule", betas)
 
 
 def _direction_from_scores(
@@ -189,44 +190,34 @@ def svgd_run(
 ) -> tuple[ParticleEnsemble, list[tuple[int, np.ndarray]]]:
     """Iterate positions <- positions + step * direction.
 
-    Returns the final ensemble and the list of recorded (iteration,
-    positions) snapshots (empty unless cfg.snapshot_every is set).  The
-    update is deterministic, so the run takes no random stream.  The kernel
-    sums of every step reuse one tile workspace allocated for the run.
+    Step t uses the score times the beta of its block, and the step size
+    over that beta under cfg.rescale_step; at beta = 1 both are exact, so
+    the default schedule runs the plain update bit for bit.  Returns the
+    final ensemble and the list of recorded (iteration, positions)
+    snapshots (empty unless cfg.snapshot_every is set).  The update is
+    deterministic, so the run takes no random stream.  The kernel sums of
+    every step reuse one tile workspace allocated for the run.
     """
     x = init.positions.copy()
     work = _tile_work(x.size)
     snapshots: list[tuple[int, np.ndarray]] = []
-
-    if cfg.beta_schedule is not None:
-        blocks = np.array_split(np.arange(cfg.iterations), len(cfg.beta_schedule))
-        beta_at = np.empty(cfg.iterations)
-        for b, idx in zip(cfg.beta_schedule, blocks):
-            beta_at[idx] = b
-    else:
-        beta_at = None
+    blocks = np.array_split(np.arange(cfg.iterations), len(cfg.beta_schedule))
+    beta_at = np.repeat(cfg.beta_schedule, [idx.size for idx in blocks])
 
     for t in range(cfg.iterations):
         if cfg.snapshot_every is not None and t % cfg.snapshot_every == 0:
-            snapshots.append((init.iteration + t, x.copy()))
-        if beta_at is None:
-            s = score(target, x)
-            eps = cfg.step_size
-        else:
-            beta = float(beta_at[t])
-            s = temper_score(target, beta, x)
-            eps = cfg.step_size / beta if cfg.rescale_step else cfg.step_size
+            snapshots.append((t, x.copy()))
+        beta = float(beta_at[t])
+        s = beta * score(target, x)
+        eps = cfg.step_size / beta if cfg.rescale_step else cfg.step_size
         x = x + eps * _direction_from_scores(x, s, cfg.kernel, work)
         if not np.isfinite(x).all():
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
-            raise FloatingPointError(
-                f"non-finite position at iteration {init.iteration + t}, particle {bad}"
-            )
+            raise FloatingPointError(f"non-finite position at iteration {t}, particle {bad}")
 
-    final = ParticleEnsemble(x, init.iteration + cfg.iterations)
     if cfg.snapshot_every is not None:
-        snapshots.append((final.iteration, x.copy()))
-    return final, snapshots
+        snapshots.append((cfg.iterations, x.copy()))
+    return ParticleEnsemble(x), snapshots
 
 
 def mode_fraction(ensemble: ParticleEnsemble, threshold: float) -> float:

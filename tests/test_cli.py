@@ -557,6 +557,31 @@ class TestCliContract:
                 "stein-sweep", STEIN, "separations = 4, 8", "separations = 4, inf",
                 "[params] separations: must be finite, positive and strictly increasing, got 4.0, inf",
             ),
+            (
+                "fisher-sweep", FISHER, "separations = 4, 6, 8, 10", "separations =",
+                "[params] separations: must be finite, positive and strictly increasing, got nothing",
+            ),
+            (
+                "stein-sweep", STEIN, "separations = 4, 8", "separations =",
+                "[params] separations: must be finite, positive and strictly increasing, got nothing",
+            ),
+            # every mixture is built, and so checked, before the first cell
+            (
+                "svgd-run", SVGD, "pi1_grid = 0.5, 0.1", "pi1_grid = 0.5, 1.5",
+                "[params] pi1_grid, mu1, mu2, sigma: pi1 must lie in (0, 1), got 1.5",
+            ),
+            (
+                "svgd-run", SVGD, "particles = 60", "particles = 60\nsigma = 0",
+                "[params] pi1_grid, mu1, mu2, sigma: stds must be positive and finite",
+            ),
+            (
+                "score-plot", SCORE_PLOT, "pi_grid = 0.1, 0.5, 0.9", "pi_grid = 0.5, 1.5",
+                "[params] pi_grid, mu1, mu2, sigma: pi1 must lie in (0, 1), got 1.5",
+            ),
+            (
+                "score-plot", SCORE_PLOT, "grid_nodes = 801", "grid_nodes = 801\nwitness_pi1 = 0",
+                "[params] witness_pi1, mu1, mu2, sigma: pi1 must lie in (0, 1), got 0.0",
+            ),
         ],
         ids=[
             "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
@@ -564,6 +589,8 @@ class TestCliContract:
             "score-plot pi_grid tags", "score-plot empty pi_grid", "svgd empty pi1_grid",
             "fisher decreasing separations", "fisher repeated separation", "fisher negative separation",
             "stein negative separation", "stein infinite separation",
+            "fisher empty separations", "stein empty separations", "svgd pi1_grid weight",
+            "svgd zero sigma", "score-plot pi_grid weight", "score-plot witness_pi1 weight",
         ],
     )
     def test_bad_count_rejected_before_sampling(

@@ -1,15 +1,20 @@
-"""The quick demos run to completion against this tree.
+"""The quick demos run to completion against this tree, and every demo
+uses only names the library exports.
 
 Demos 04 and 05 run SVGD and annealed Langevin for about 2 s each and are
-left out; the acceptance criteria cover what they show.
+not run; the acceptance criteria cover what they show, and the name check
+reads them without running them.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import scorelab
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,3 +36,15 @@ def test_demo_exits_0(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_uses_only_exported_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sl"
+    }
+    assert used, f"{path.name} uses no sl.<name>"
+    assert used <= set(scorelab.__all__), sorted(used - set(scorelab.__all__))

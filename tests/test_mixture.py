@@ -364,25 +364,6 @@ class TestSmooth:
             sl.smooth(STANDARD, 0.0)
 
 
-class TestTemperScore:
-    def test_beta_one_is_identity(self):
-        m = sl.two_component(0.3, -4, 4, 1)
-        xs = np.linspace(-6, 6, 31)
-        assert np.array_equal(sl.temper_score(m, 1.0, xs), sl.score(m, xs))
-
-    def test_half_beta_scales(self):
-        assert sl.temper_score(STANDARD, 0.5, 2.0) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_quarter_beta_far_mode(self):
-        m = sl.two_component(0.3, -4, 4, 1)
-        assert abs(sl.temper_score(m, 0.25, -4.0)) < 1e-10
-
-    @pytest.mark.parametrize("beta", [0.0, -0.5, 1.5])
-    def test_beta_range_enforced(self, beta):
-        with pytest.raises(ValueError):
-            sl.temper_score(STANDARD, beta, 0.0)
-
-
 class TestSample:
     def test_moments(self):
         xs = sl.sample(STANDARD, 1_000_000, sl.make_stream(5, 0))

@@ -104,6 +104,18 @@ class TestFiniteDiff:
 
 
 class TestRngStream:
+    @pytest.mark.parametrize("seed, stream_id", [(42, 0), (9, 3), (-123, 2), (2**64 + 5, -1)])
+    def test_philox_keyed_by_seed_and_stream_id(self, seed, stream_id):
+        # the key of every recorded lab output; a change here moves them all
+        key = np.array([seed % 2**64, stream_id % 2**64], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key))
+        rng = make_stream(seed, stream_id)
+        assert isinstance(rng, np.random.Generator)
+        assert np.array_equal(rng.standard_normal(64), expected.standard_normal(64))
+        weights = [0.2, 0.3, 0.5]
+        assert np.array_equal(rng.choice(3, size=64, p=weights), expected.choice(3, size=64, p=weights))
+        assert np.array_equal(rng.uniform(-1.0, 1.0, 64), expected.uniform(-1.0, 1.0, 64))
+
     def test_same_key_same_sequence(self):
         a = make_stream(42, 0).standard_normal(100)
         b = make_stream(42, 0).standard_normal(100)

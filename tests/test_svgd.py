@@ -81,7 +81,6 @@ class TestRun:
         for _ in range(40):
             x = x + 0.05 * sl.score(TARGET, x)
         assert final.positions[0] == x
-        assert final.iteration == 40
 
     def test_run_equals_direction_loop(self):
         # the run reuses one tile workspace across steps; ragged tiles and
@@ -168,14 +167,17 @@ class TestConfigValidation:
     def test_beta_schedule_must_end_at_one(self):
         with pytest.raises(ValueError, match="end at 1"):
             sl.SvgdConfig(beta_schedule=(0.5, 0.9))
+        with pytest.raises(ValueError, match="end at 1"):
+            sl.SvgdConfig(beta_schedule=())
 
     def test_beta_schedule_must_be_monotone(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             sl.SvgdConfig(beta_schedule=(0.9, 0.5, 1.0))
 
     def test_beta_schedule_range(self):
-        with pytest.raises(ValueError, match=r"\(0, 1\]"):
-            sl.SvgdConfig(beta_schedule=(0.0, 1.0))
+        for beta in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match=r"\(0, 1\]"):
+                sl.SvgdConfig(beta_schedule=(beta, 1.0))
 
     def test_positive_step(self):
         with pytest.raises(ValueError):
