@@ -39,7 +39,7 @@ for phi in (0.5, 1.0, 2.0):
     m = sl.ImplicitModel(transform=lambda z, p: p * z, transform_dphi=lambda z, p: z, phi=phi)
     est = sl.entropy_grad_estimate(m, lambda x: -x / phi**2, 100_000, sl.make_stream(4, int(phi * 2)))
     print(
-        f"  phi={phi}: raw {est.value:+.4f}, negated {est.negated_value:+.4f}"
-        f" +/- {est.std_error:.4f}; analytic dH/dphi = {1 / phi:+.4f}"
+        f"  phi={phi}: dH/dphi {est.value:+.4f} +/- {est.std_error:.4f};"
+        f" analytic {1 / phi:+.4f}"
     )
-print("(the negated value matches the analytic derivative; both signs are reported)")
+print("(dH/dphi = -E[score(x) * dx/dphi] for any pushforward x = T(z, phi))")

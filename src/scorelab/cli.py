@@ -119,13 +119,13 @@ def _separations(cfg: ExperimentConfig) -> list[float]:
     return seps
 
 
-def _two_components(key: str, weights, mu1: float, mu2: float, sigma: float) -> list[mx.GaussianMixture1D]:
-    """One two-component mixture per weight of the [params] key `key`; a bad
-    weight, mean or width is a ConfigError naming the keys that built it."""
+def _two_components(keys: str, weights, mu1: float, mu2: float, sigma: float) -> list[mx.GaussianMixture1D]:
+    """One two-component mixture per weight; a bad weight, mean or width is
+    a ConfigError naming `keys`, the [params] keys that built it."""
     try:
         return [mx.two_component(p1, mu1, mu2, sigma) for p1 in weights]
     except ValueError as exc:
-        raise ConfigError(f"[params] {key}, mu1, mu2, sigma: {exc}") from None
+        raise ConfigError(f"[params] {keys}: {exc}") from None
 
 
 def _threshold(cfg: ExperimentConfig, default: float) -> float:
@@ -152,8 +152,8 @@ def _run_score_plot(cfg: ExperimentConfig):
     tags = [f"pi{_tag(p1)}" for p1 in pi_grid]
     _unique_tags("pi_grid", map(repr, pi_grid), tags)
 
-    mixtures = _two_components("pi_grid", pi_grid, mu1, mu2, sigma)
-    (p,) = _two_components("witness_pi1", [witness_pi1], mu1, mu2, sigma)
+    mixtures = _two_components("pi_grid, mu1, mu2, sigma", pi_grid, mu1, mu2, sigma)
+    (p,) = _two_components("witness_pi1, mu1, mu2, sigma", [witness_pi1], mu1, mu2, sigma)
     window = mx.quadrature_window(*mixtures)
     xs = np.linspace(window.lower, window.upper, grid_nodes)
 
@@ -185,6 +185,10 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
     separations = _separations(cfg)
     pi_pairs = cfg.get_pairs("pi_pairs", "0.5:0.9")
     sigma = cfg.get_float("sigma", 1.0)
+    # every mixture is built, and so checked, before the first quadrature
+    weights = [pi for pair in pi_pairs for pi in pair]
+    for s in separations:
+        _two_components("pi_pairs, sigma", weights, -s / 2.0, s / 2.0, sigma)
 
     rows = _map_cells(
         lambda s: sm.blindness_sweep([s], pi_pairs, sigma), separations, cfg.threads
@@ -205,16 +209,20 @@ def _run_stein_sweep(cfg: ExperimentConfig):
     separations = _separations(cfg)
     pi1 = cfg.get_float("pi1", 0.5)
     sigma = cfg.get_float("sigma", 1.0)
+    # every mixture is built, and so checked, before the first quadrature
+    cells = []
+    for s in separations:
+        (p,) = _two_components("pi1, sigma", [pi1], -s / 2.0, s / 2.0, sigma)
+        cells.append((s, p, mx.gaussian(-s / 2.0, sigma)))
 
-    def one(s):
-        p = mx.two_component(pi1, -s / 2.0, s / 2.0, sigma)
-        q = mx.gaussian(-s / 2.0, sigma)
+    def one(cell):
+        s, p, q = cell
         spec = mx.quadrature_window(q, p)
         w = st.stein_discrepancy(q, p, st.L2_Q_WEIGHTED, spec)
         u = st.stein_discrepancy(q, p, st.L2_UNWEIGHTED, spec)
         return (s, pi1, w.value, u.value, spec.nodes)
 
-    rows = _map_cells(one, separations, cfg.threads)
+    rows = _map_cells(one, cells, cfg.threads)
     table = _by_rows(["separation", "pi1", "sd_weighted", "sd_unweighted", "nodes"], rows)
     spec = PlotSpec("lines", x="separation", y=("sd_weighted", "sd_unweighted"), title="stein discrepancy vs separation")
     return {"stein_sweep.csv": (table, {"stein_sweep.svg": spec})}
@@ -283,7 +291,7 @@ def _run_svgd(cfg: ExperimentConfig):
         )
     except ValueError as exc:
         raise ConfigError(f"[params] {exc}") from None
-    targets = _two_components("pi1_grid", pi1_grid, mu1, mu2, sigma)
+    targets = _two_components("pi1_grid, mu1, mu2, sigma", pi1_grid, mu1, mu2, sigma)
     grid = [(p1, target, mu0, s0) for p1, target in zip(pi1_grid, targets) for mu0, s0 in cells]
 
     def one(item):

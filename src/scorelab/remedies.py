@@ -73,15 +73,13 @@ def kde_log_pdf(model: KdeModel, x) -> float | np.ndarray:
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-ReferenceDensity = KdeModel | GaussianMixture1D | Callable[[np.ndarray], np.ndarray]
+ReferenceDensity = KdeModel | GaussianMixture1D
 
 
 def _reference_log_pdf(ml: ReferenceDensity, x: np.ndarray) -> np.ndarray:
     if isinstance(ml, KdeModel):
         return np.asarray(kde_log_pdf(ml, x), dtype=float)
-    if isinstance(ml, GaussianMixture1D):
-        return _logpdf(ml, x)
-    return np.asarray(ml(x), dtype=float)
+    return _logpdf(ml, x)
 
 
 def cml_loss(
@@ -96,9 +94,8 @@ def cml_loss(
     d = log ml - log model that sum is sum_{i != j} (d_i - d_j)^2
     = 2n * sum_i (d_i - mean(d))^2, which is exact and takes O(n) time and
     memory.  The model enters only through `_logpdf`, which leaves its
-    additive log offset out, so the offset cancels bit for bit.  `ml` may be
-    a KdeModel, a mixture used as the true data density, or any callable
-    returning log densities.
+    additive log offset out, so the offset cancels bit for bit.  `ml` is a
+    KdeModel or a mixture used as the true data density.
     """
     xs = np.asarray(samples, dtype=float)
     if xs.size < 2:
@@ -165,16 +162,9 @@ class ImplicitModel:
 
 @dataclass(frozen=True)
 class EntropyGradientEstimate:
-    """Raw pushforward-score estimator value and its negation, side by side.
-
-    For the Gaussian scale family x = phi * z the raw estimator converges to
-    -1/phi while the entropy derivative is +1/phi, so `negated_value` is the
-    one matching dH/dphi there; both signs are reported so callers can apply
-    the convention their oracle confirms.
-    """
+    """Monte-Carlo dH/dphi of a pushforward law and its standard error."""
 
     value: float
-    negated_value: float
     std_error: float
 
 
@@ -184,8 +174,11 @@ def entropy_grad_estimate(
     n_samples: int,
     rng: np.random.Generator,
 ) -> EntropyGradientEstimate:
-    """Monte-Carlo mean of score_fn(transform(z)) * transform_dphi(z).
+    """Entropy gradient dH/dphi = -E[score(x) * transform_dphi(z)], with
+    x = transform(z, phi), by the Monte-Carlo mean over base draws z.
 
+    The identity holds for any pushforward (Li & Turner 2018, "Gradient
+    Estimators for Implicit Models"): for x = phi * z it gives +1/phi.
     `score_fn` must be the exact score of the pushforward law.  Sampling is
     under the same base law that defines the model, so isolated components
     cannot hide from this estimator the way they do from two-distribution
@@ -198,6 +191,6 @@ def entropy_grad_estimate(
     terms = np.asarray(score_fn(x), dtype=float) * np.asarray(
         model.transform_dphi(z, model.phi), dtype=float
     )
-    value = float(terms.mean())
+    value = -float(terms.mean())
     std_error = float(terms.std(ddof=1) / np.sqrt(n_samples))
-    return EntropyGradientEstimate(value, -value, std_error)
+    return EntropyGradientEstimate(value, std_error)

@@ -3,12 +3,12 @@ sample estimator (KSD).
 
 Two function classes are supported.  In the data-weighted L2 class the
 optimal witness is proportional to the score difference and the discrepancy
-is the square root of the Fisher divergence; in the unweighted L2 class the
-witness is q * score_p - q' and the discrepancy is its plain L2 norm.  The
-normalisation constants make each witness unit-norm in its own space, so
-the discrepancies equal the attained suprema.  The KSD sums are a 1-D fast
-Gauss transform: a Taylor expansion on boxes one bandwidth wide, exact to
-rounding, in O(N) work per model (`ksd_vstats`).
+is sqrt(J(q||p)) from `fisher_divergence`; in the unweighted L2 class the
+witness is q * score_p - q' and the discrepancy is its plain L2 norm.  Each
+witness is divided by its `stein_discrepancy`, so it is unit-norm in its
+own space and the discrepancies equal the attained suprema.  The KSD sums
+are a 1-D fast Gauss transform: a Taylor expansion on boxes one bandwidth
+wide, exact to rounding, in O(N) work per model (`ksd_vstats`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .mixture import GaussianMixture1D, pdf, quadrature_window, score
 from .numerics import QuadratureSpec, quad_integrate
-from .scorematch import MONTE_CARLO, QUADRATURE, DivergenceEstimate
+from .scorematch import MONTE_CARLO, QUADRATURE, DivergenceEstimate, _check_window, fisher_divergence
 
 L2_Q_WEIGHTED = "l2_q_weighted"
 L2_UNWEIGHTED = "l2_unweighted"
@@ -51,8 +51,8 @@ class KernelSpec:
 class WitnessTable:
     """Tabulated optimal witness before normalisation.
 
-    Multiplying `values` by `norm_constant` yields the unit-norm witness in
-    the table's function class.  When q and p coincide the witness vanishes
+    Multiplying `values` by `norm_constant`, one over the Stein discrepancy,
+    yields the unit-norm witness.  When q and p coincide the witness vanishes
     identically and no normalisation exists; such tables are flagged with
     `zero_discrepancy` and carry norm_constant 1.
     """
@@ -60,7 +60,6 @@ class WitnessTable:
     grid: np.ndarray
     values: np.ndarray
     norm_constant: float
-    function_class: str
     zero_discrepancy: bool = False
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class WitnessTable:
             raise ValueError("grid must be strictly increasing")
         if values.shape != grid.shape or not np.all(np.isfinite(values)):
             raise ValueError("values must be finite and match the grid")
-        if self.function_class not in (L2_Q_WEIGHTED, L2_UNWEIGHTED):
-            raise ValueError(f"unknown function class {self.function_class!r}")
         if not self.zero_discrepancy and self.norm_constant <= 0:
             raise ValueError("norm_constant must be positive")
         object.__setattr__(self, "grid", grid)
@@ -81,23 +78,15 @@ class WitnessTable:
         return self.norm_constant * self.values
 
 
-def _witness_norm_sq(q, p, function_class, spec):
-    if function_class == L2_Q_WEIGHTED:
-        integrand = lambda x: pdf(q, x) * (score(p, x) - score(q, x)) ** 2
-    else:
-        integrand = lambda x: (pdf(q, x) * (score(p, x) - score(q, x))) ** 2
-    return quad_integrate(integrand, spec)
-
-
 def _witness(q, p, grid, function_class):
     grid = np.asarray(grid, dtype=float)
     values = score(p, grid) - score(q, grid)
     if function_class == L2_UNWEIGHTED:
         values = pdf(q, grid) * values
-    norm_sq = _witness_norm_sq(q, p, function_class, quadrature_window(q, p))
-    if norm_sq <= 0.0:
-        return WitnessTable(grid, np.zeros_like(grid), 1.0, function_class, True)
-    return WitnessTable(grid, values, 1.0 / np.sqrt(norm_sq), function_class)
+    sd = stein_discrepancy(q, p, function_class).value
+    if sd == 0.0:
+        return WitnessTable(grid, np.zeros_like(grid), 1.0, True)
+    return WitnessTable(grid, values, 1.0 / sd)
 
 
 def witness_weighted(
@@ -126,16 +115,22 @@ def stein_discrepancy(
 ) -> DivergenceEstimate:
     """Attained supremum of E_q[(score_p - score_q) f] over unit-norm f.
 
-    For the q-weighted class the value is sqrt(int q (score_p - score_q)^2),
-    i.e. the square root of the Fisher divergence; for the unweighted class
-    it is sqrt(int (q score_p - q')^2).
+    For the q-weighted class the value is sqrt(J(q||p)) from
+    `fisher_divergence`; for the unweighted class it is
+    sqrt(int (q score_p - q')^2).  Either class rejects an explicit window
+    that drops more than 1e-6 of q's mass.
     """
     if function_class not in (L2_Q_WEIGHTED, L2_UNWEIGHTED):
         raise ValueError(f"unknown function class {function_class!r}")
     if spec is None:
         spec = quadrature_window(q, p)
-    norm_sq = max(_witness_norm_sq(q, p, function_class, spec), 0.0)
-    return DivergenceEstimate(float(np.sqrt(norm_sq)), QUADRATURE, spec.nodes)
+    if function_class == L2_Q_WEIGHTED:
+        norm_sq = fisher_divergence(q, p, spec).value
+    else:
+        _check_window(q, spec)
+        integrand = lambda x: (pdf(q, x) * (score(p, x) - score(q, x))) ** 2
+        norm_sq = max(quad_integrate(integrand, spec), 0.0)
+    return DivergenceEstimate(math.sqrt(norm_sq), QUADRATURE, spec.nodes)
 
 
 def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -582,6 +582,26 @@ class TestCliContract:
                 "score-plot", SCORE_PLOT, "grid_nodes = 801", "grid_nodes = 801\nwitness_pi1 = 0",
                 "[params] witness_pi1, mu1, mu2, sigma: pi1 must lie in (0, 1), got 0.0",
             ),
+            (
+                "stein-sweep", STEIN, "separations = 4, 8", "separations = 4, 8\npi1 = 1.5",
+                "[params] pi1, sigma: pi1 must lie in (0, 1), got 1.5",
+            ),
+            (
+                "stein-sweep", STEIN, "separations = 4, 8", "separations = 4, 8\nsigma = 0",
+                "[params] pi1, sigma: stds must be positive and finite",
+            ),
+            (
+                "fisher-sweep", FISHER, "pi_pairs = 0.5:0.9", "pi_pairs = 0.5:1.5",
+                "[params] pi_pairs, sigma: pi1 must lie in (0, 1), got 1.5",
+            ),
+            (
+                "fisher-sweep", FISHER, "pi_pairs = 0.5:0.9", "pi_pairs = 0.5:0.9\nsigma = 0",
+                "[params] pi_pairs, sigma: stds must be positive and finite",
+            ),
+            (
+                "fisher-sweep", FISHER, "pi_pairs = 0.5:0.9", "pi_pairs = 0.5:0.9\nsigma = nan",
+                "[params] pi_pairs, sigma: stds must be positive and finite",
+            ),
         ],
         ids=[
             "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
@@ -591,6 +611,8 @@ class TestCliContract:
             "stein negative separation", "stein infinite separation",
             "fisher empty separations", "stein empty separations", "svgd pi1_grid weight",
             "svgd zero sigma", "score-plot pi_grid weight", "score-plot witness_pi1 weight",
+            "stein pi1 weight", "stein zero sigma", "fisher pi_pairs weight", "fisher zero sigma",
+            "fisher nan sigma",
         ],
     )
     def test_bad_count_rejected_before_sampling(

@@ -173,14 +173,13 @@ class TestCmlLosses:
         return {
             "kde": sl.kde_fit(xs),
             "mixture": data,
-            "callable": lambda x: sl.log_unnorm(data, x),
         }
 
     def mismatch(self, ml, xs):
         """d = log ml - log model, formed as `cml_loss` forms it."""
         return _reference_log_pdf(ml, xs) - _logpdf(self.MODEL, xs)
 
-    @pytest.mark.parametrize("reference", ["kde", "mixture", "callable"])
+    @pytest.mark.parametrize("reference", ["kde", "mixture"])
     @pytest.mark.parametrize("n", [2, 3, 400])
     def test_matches_brute_force_pair_sum(self, reference, n):
         xs = sl.sample(self.DATA, n, sl.make_stream(20, n))
@@ -259,14 +258,12 @@ class TestEntropyGradient:
 
     @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
     def test_scale_family_magnitude(self, phi):
-        # pushforward is N(0, phi^2); exact dH/dphi = 1/phi while the raw
-        # estimator converges to -1/phi (sign convention fixed by this oracle)
+        # pushforward is N(0, phi^2), whose entropy log(phi) + const has
+        # dH/dphi = 1/phi
         model = self.scale_model(phi)
         score_fn = lambda x: -x / phi**2
         est = sl.entropy_grad_estimate(model, score_fn, 100_000, sl.make_stream(14, int(phi * 2)))
-        assert abs(abs(est.value) - 1.0 / phi) < 4 * est.std_error
-        assert est.value < 0
-        assert est.negated_value == -est.value
+        assert abs(est.value - 1 / phi) < 4 * est.std_error
 
     def test_location_family_is_flat(self):
         model = sl.ImplicitModel(

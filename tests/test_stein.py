@@ -99,9 +99,28 @@ class TestSteinDiscrepancy:
 
     def test_structural_identity_on_random_pairs(self):
         for q, p in random_mixture_pairs(31, 20):
-            sd = sl.stein_discrepancy(q, p, sl.L2_Q_WEIGHTED)
-            j = sl.fisher_divergence(q, p)
-            assert abs(sd.value**2 - j.value) < 1e-9
+            spec = sl.quadrature_window(q, p)
+            sd = sl.stein_discrepancy(q, p, sl.L2_Q_WEIGHTED, spec)
+            j = sl.fisher_divergence(q, p, spec)
+            assert sd.value == math.sqrt(j.value)
+
+    @pytest.mark.parametrize(
+        "witness, function_class",
+        [(sl.witness_weighted, sl.L2_Q_WEIGHTED), (sl.witness_unweighted, sl.L2_UNWEIGHTED)],
+    )
+    def test_witness_normalised_by_its_discrepancy(self, witness, function_class):
+        q = sl.gaussian(-1, 1.2)
+        p = sl.two_component(0.4, -1, 2, 1)
+        table = witness(q, p, GRID)
+        assert table.norm_constant == 1 / sl.stein_discrepancy(q, p, function_class).value
+
+    @pytest.mark.parametrize("function_class", [sl.L2_Q_WEIGHTED, sl.L2_UNWEIGHTED])
+    def test_narrow_window_rejected(self, function_class):
+        q = sl.gaussian(-1, 1.2)
+        p = sl.two_component(0.4, -1, 2, 1)
+        narrow = sl.QuadratureSpec(-2.0, 5.0, 801)
+        with pytest.raises(ValueError, match="misses .* of the data distribution's mass"):
+            sl.stein_discrepancy(q, p, function_class, narrow)
 
     def test_decay_with_separation(self):
         values_w, values_u = [], []

@@ -59,7 +59,13 @@ class TestDiffOutputs:
         (base / "run" / "value.csv").write_bytes(b"x\n0.1\n")
         (change / "run" / "value.csv").write_bytes(b"x\n0.10000000000000002\n")
         (change / "run" / "extra.svg").write_bytes(b"<svg/>")
+        (base / "run" / "label.csv").write_bytes(b"x,name\n1.0,a\n")
+        (change / "run" / "label.csv").write_bytes(b"x,name\n1.0,b\n")
+        (base / "run" / "rows.csv").write_bytes(b"x\n1.0\n")
+        (change / "run" / "rows.csv").write_bytes(b"x\n1.0\n2.0\n")
         assert _load(DIFF_OUTPUTS).compare_trees(base, change) == [
             "only in change: run/extra.svg",
-            "differs: run/value.csv",
+            "differs: run/label.csv",
+            "differs: run/rows.csv",
+            "differs: run/value.csv\n  x: 1 of 1 cells moved, largest relative move 1.4e-16",
         ]

@@ -7,6 +7,9 @@ Runs every `lab` command on its default config and on the configs the
 `python -m scorelab.cli` with PYTHONPATH set to BASE_SRC and then to
 CHANGE_SRC.  Prints every file that differs, is missing on one side, or
 belongs to a run that failed, and exits 1 if there is any; 0 otherwise.
+Under a differing CSV with the same header and row count on both sides
+whose differing cells are all numbers, it prints each differing column,
+how many of its cells moved and the largest relative move.
 Exits 2 if either source tree holds no `scorelab` package, since the child
 would otherwise import an installed scorelab and compare it with itself.
 """
@@ -94,16 +97,44 @@ def run_side(src: Path, cfgs: dict[str, Path], threads, out_root: Path) -> list[
     return failed
 
 
+def column_moves(base_text: str, change_text: str) -> list[str]:
+    """`<column>: <k> of <n> cells moved, largest relative move <r>` for each
+    differing column of two CSV texts, the move taken relative to the larger
+    magnitude; empty unless the headers and row counts match, no row is
+    ragged and every differing cell is a number on both sides."""
+    a = [line.split(",") for line in base_text.splitlines()]
+    b = [line.split(",") for line in change_text.splitlines()]
+    if not a or a[0] != b[0] or len(a) != len(b) or any(len(r) != len(a[0]) for r in a + b):
+        return []
+    out = []
+    for j, name in enumerate(a[0]):
+        pairs = [(ra[j], rb[j]) for ra, rb in zip(a[1:], b[1:]) if ra[j] != rb[j]]
+        if not pairs:
+            continue
+        try:
+            moves = [abs(float(x) - float(y)) / (max(abs(float(x)), abs(float(y))) or 1.0)
+                     for x, y in pairs]
+        except ValueError:
+            return []
+        out.append(f"{name}: {len(pairs)} of {len(a) - 1} cells moved, "
+                   f"largest relative move {max(moves):.2g}")
+    return out
+
+
 def compare_trees(base: Path, change: Path) -> list[str]:
-    """Relative paths of files that differ or exist under one root only."""
+    """Relative paths of files that differ or exist under one root only; a
+    differing CSV carries its `column_moves` lines, indented, after its own."""
     def files(root):
         return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
     a, b = files(base), files(change)
     out = [f"only in base: {p}" for p in sorted(a - b)]
     out += [f"only in change: {p}" for p in sorted(b - a)]
-    out += [f"differs: {p}" for p in sorted(a & b)
-            if (base / p).read_bytes() != (change / p).read_bytes()]
+    for p in sorted(a & b):
+        old, new = (base / p).read_bytes(), (change / p).read_bytes()
+        if old != new:
+            moves = column_moves(old.decode(), new.decode()) if p.endswith(".csv") else []
+            out.append("\n  ".join([f"differs: {p}", *moves]))
     return out
 
 
