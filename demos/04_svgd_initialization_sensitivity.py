@@ -5,6 +5,14 @@ Two hundred particles approximate the 50/50 mixture with means at -4 and
 the midpoint they split near 50/50; started in the right mode they all
 miss the left one.  The final left-mode fraction is a function of where
 the particles began, not of the target's weights.
+
+The remedy is noise annealing, as for Langevin in demo 05: run SVGD on
+the target smoothed by N(0, sigma^2) for each sigma of a falling schedule,
+then on the target itself.  At pi1 = 0.1 it ends near 0.15 from every
+start.  Tempering the score by beta does not help: the schedule
+beta = 0.1, 0.3, 1 over 3000 steps from N(-4, 1) ended at 0.42 to 0.46
+with the step divided by beta and at 0.71 to 0.735 without, so the
+library keeps only the noise.
 """
 
 import scorelab as sl
@@ -28,16 +36,23 @@ print(f"  direction at 2.5 = {sl.svgd_direction(e, target, cfg.kernel)[0]:.4f}"
       f" vs score {sl.score(target, 2.5):.4f}")
 
 print()
-print("experimental tempered schedule (flattened target early, true target late):")
-rng = sl.make_stream(42, 9)
-init = sl.ParticleEnsemble(-4 + rng.standard_normal(200))
-annealed = sl.SvgdConfig(
-    kernel=sl.KernelSpec(1.0),
-    step_size=0.1,
-    iterations=2000,
-    beta_schedule=(0.1, 0.3, 1.0),
-    rescale_step=True,
-)
-final, _ = sl.svgd_run(init, target, annealed)
-print(f"  left-mode fraction from left init: {sl.mode_fraction(final, 0.0):.3f}"
-      " (tempering alone does not restore the split)")
+print("noise-annealed SVGD on 0.1*N(-4,1) + 0.9*N(4,1): 200 steps on each")
+print("smoothed target, sigma 8 -> 0.5 over 8 levels, then 500 steps on the target")
+skewed = sl.two_component(0.1, -4, 4, 1)
+
+
+def annealed(ensemble):
+    for sigma in sl.geometric_schedule(8.0, 0.5, 8).sigmas:
+        level = sl.SvgdConfig(kernel=cfg.kernel, step_size=0.1 * (1 + sigma**2), iterations=200)
+        ensemble, _ = sl.svgd_run(ensemble, sl.smooth(skewed, sigma), level)
+    final = sl.SvgdConfig(kernel=cfg.kernel, step_size=0.1, iterations=500)
+    return sl.svgd_run(ensemble, skewed, final)[0]
+
+
+print(f"{'init':>16} {'plain, 2000 steps':>18} {'noise-annealed':>15}")
+for idx, (mu0, sigma0) in enumerate([(-4, 1), (0, 3), (4, 1)]):
+    rng = sl.make_stream(42, idx)
+    init = sl.ParticleEnsemble(mu0 + sigma0 * rng.standard_normal(200))
+    plain = sl.mode_fraction(sl.svgd_run(init, skewed, cfg)[0], 0.0)
+    noised = sl.mode_fraction(annealed(init), 0.0)
+    print(f"  N({mu0:+d}, {sigma0}^2)  {plain:18.3f} {noised:15.3f}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +70,10 @@ def _by_rows(names, rows) -> dict:
 def _map_cells(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: it pulls in logging, threading and queue, which a
+    # one-thread run never uses
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -44,6 +44,15 @@ class NoiseSchedule:
         if not (math.isfinite(self.base_step) and self.base_step > 0):
             raise ValueError(f"base_step: must be positive and finite, got {self.base_step}")
         object.__setattr__(self, "sigmas", sigmas)
+        try:
+            finite = all(math.isfinite(self.step_at(level)) for level in range(len(sigmas)))
+        except OverflowError:  # the float power in step_at raises on overflow
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"base_step: every level step base_step * (sigma_j / sigma_final)^2 must be "
+                f"finite, got base_step {self.base_step} and sigmas {sigmas[0]} to {sigmas[-1]}"
+            )
 
     def step_at(self, level: int) -> float:
         return self.base_step * (self.sigmas[level] / self.sigmas[-1]) ** 2

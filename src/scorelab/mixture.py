@@ -20,6 +20,7 @@ differ in the last bits (about 1e-14 relative).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,13 @@ class GaussianMixture1D:
             raise ValueError(f"mixing weights must sum to 1, got {float(self.weights.sum())!r}")
         if not np.all(np.isfinite(self.means)):
             raise ValueError("means must be finite")
-        if np.any(self.stds <= 0) or not np.all(np.isfinite(self.stds)):
-            raise ValueError("stds must be positive and finite")
+        # the densities and scores divide by stds^2, which must be a normal double
+        with np.errstate(over="ignore"):
+            squares = self.stds * self.stds
+        if not (np.all(self.stds > 0) and np.all((squares >= sys.float_info.min) & (squares < np.inf))):
+            raise ValueError(
+                f"stds must be positive and finite, each with a normal finite square, got {self.stds}"
+            )
 
     @property
     def n_components(self) -> int:

@@ -14,6 +14,7 @@ wide, exact to rounding, in O(N) work per model (`ksd_vstats`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,13 @@ class KernelSpec:
     bandwidth: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        # the kernel sums divide by bandwidth^2, so it must be a normal
+        # double; h * h, since h ** 2 raises where the square overflows
+        h = float(self.bandwidth)
+        if not (h > 0 and sys.float_info.min <= h * h < math.inf):
+            raise ValueError(
+                f"bandwidth must be positive and finite, with a normal finite square, got {self.bandwidth}"
+            )
 
 
 @dataclass(frozen=True)

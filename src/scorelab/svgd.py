@@ -1,17 +1,17 @@
 """Stein variational gradient descent for a particle ensemble.
 
 Updates are synchronous: all directions are computed from the current
-ensemble, then applied at once.  A run follows a schedule of tempering
-exponents beta, one per block of steps, each step using beta * score;
-the default schedule (1.0,) is plain SVGD.  Each step sorts the
-particles once, sums the kernel terms over the sorted positions in fixed
-square tiles (`_upper_tiles`), in a tile workspace that a run allocates
-once, and scatters the sums back to the particles.  This canonical order
-makes the update bit-exactly equivariant under particle permutation.
-Particles at equal positions get equal sums: the members of a run of equal
-sorted positions can be summed in different orders (as when the run
-straddles a tile edge), so each takes the sums of the run's first member.
-A step without ties skips that remap.
+ensemble, then applied at once.  A run is plain SVGD, whose mode fractions
+follow its start (demo 04); the remedy runs it on `smooth(target, sigma)`
+for each falling noise level in turn, then on the target.  Each step sorts
+the particles once, sums the kernel terms over the sorted positions in
+fixed square tiles (`_upper_tiles`), in a tile workspace that a run
+allocates once, and scatters the sums back to the particles.  This
+canonical order makes the update bit-exactly equivariant under particle
+permutation.  Particles at equal positions get equal sums: the members of
+a run of equal sorted positions can be summed in different orders (as when
+the run straddles a tile edge), so each takes the sums of the run's first
+member.  A step without ties skips that remap.
 
 At N = 200 the ensemble is one tile, and building it (`_gauss_tile`) is
 about half of a step, the score included; at bandwidths where 2 h^2 is not
@@ -111,22 +111,12 @@ class ParticleEnsemble:
 
 @dataclass(frozen=True)
 class SvgdConfig:
-    """Run parameters.
-
-    The run is split into equal blocks, one per entry of `beta_schedule`,
-    block l using the tempered score beta_l * score; the schedule must be
-    non-decreasing in (0, 1] and end at 1, so the final block targets the
-    true density.  The default (1.0,) is one untempered block.
-    `rescale_step` divides the step by the active beta to undo the
-    shrinkage of tempered update vectors.  `snapshot_every` records
-    positions every so many iterations.
-    """
+    """Run parameters: `iterations` steps of `step_size` with `kernel`;
+    `snapshot_every` records positions every so many iterations."""
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
     step_size: float = 0.1
     iterations: int = 1000
-    beta_schedule: tuple[float, ...] = (1.0,)
-    rescale_step: bool = False
     snapshot_every: int | None = None
 
     def __post_init__(self):
@@ -136,14 +126,6 @@ class SvgdConfig:
             raise ValueError(f"iterations: must be >= 1, got {self.iterations}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every: must be >= 1 when given")
-        betas = tuple(float(b) for b in self.beta_schedule)
-        if any(not 0.0 < b <= 1.0 for b in betas):
-            raise ValueError("beta schedule entries must lie in (0, 1]")
-        if any(b > a for a, b in zip(betas[1:], betas)):
-            raise ValueError("beta schedule must be non-decreasing")
-        if betas[-1:] != (1.0,):
-            raise ValueError("beta schedule must end at 1")
-        object.__setattr__(self, "beta_schedule", betas)
 
 
 def _direction_from_scores(
@@ -190,27 +172,19 @@ def svgd_run(
 ) -> tuple[ParticleEnsemble, list[tuple[int, np.ndarray]]]:
     """Iterate positions <- positions + step * direction.
 
-    Step t uses the score times the beta of its block, and the step size
-    over that beta under cfg.rescale_step; at beta = 1 both are exact, so
-    the default schedule runs the plain update bit for bit.  Returns the
-    final ensemble and the list of recorded (iteration, positions)
-    snapshots (empty unless cfg.snapshot_every is set).  The update is
-    deterministic, so the run takes no random stream.  The kernel sums of
-    every step reuse one tile workspace allocated for the run.
+    Returns the final ensemble and the list of recorded (iteration,
+    positions) snapshots (empty unless cfg.snapshot_every is set).  The
+    update is deterministic, so the run takes no random stream.  The kernel
+    sums of every step reuse one tile workspace allocated for the run.
     """
     x = init.positions.copy()
     work = _tile_work(x.size)
     snapshots: list[tuple[int, np.ndarray]] = []
-    blocks = np.array_split(np.arange(cfg.iterations), len(cfg.beta_schedule))
-    beta_at = np.repeat(cfg.beta_schedule, [idx.size for idx in blocks])
 
     for t in range(cfg.iterations):
         if cfg.snapshot_every is not None and t % cfg.snapshot_every == 0:
             snapshots.append((t, x.copy()))
-        beta = float(beta_at[t])
-        s = beta * score(target, x)
-        eps = cfg.step_size / beta if cfg.rescale_step else cfg.step_size
-        x = x + eps * _direction_from_scores(x, s, cfg.kernel, work)
+        x = x + cfg.step_size * _direction_from_scores(x, score(target, x), cfg.kernel, work)
         if not np.isfinite(x).all():
             bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise FloatingPointError(f"non-finite position at iteration {t}, particle {bad}")

@@ -339,18 +339,28 @@ class TestCommands:
         assert float(rows[1]["cml_loss"]) > 1.0
 
 
+def loaded_by_import(package):
+    """The modules of `package` that a fresh `import scorelab.cli` loads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = (
+        "import sys, scorelab.cli\n"
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    return out.stdout.strip()
+
+
 class TestCliContract:
     def test_import_loads_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = (
-            "import sys, scorelab.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
-        )
-        assert out.stdout.strip() == "[]"
+        assert loaded_by_import("scipy") == "[]"
+
+    def test_import_loads_no_thread_pool(self):
+        # concurrent.futures pulls in logging and queue; only --threads > 1
+        # uses the pool, and `_map_cells` imports it then
+        assert loaded_by_import("concurrent") == "[]"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.cfg", SVGD.format(out=tmp_path / "out_a"))
@@ -450,6 +460,47 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
         assert cli.main([command, "--config", cfg]) == 2
         assert "[params] bandwidth: bandwidth must be positive and finite" in capsys.readouterr().err
+        assert_no_outputs(tmp_path)
+
+    @pytest.mark.parametrize(
+        "command, body, key",
+        [
+            ("svgd-run", SVGD + "bandwidth = 1e200\n", "bandwidth: bandwidth"),
+            ("svgd-run", SVGD + "bandwidth = 1e-300\n", "bandwidth: bandwidth"),
+            ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-160\n"), "bandwidth: bandwidth"),
+            ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-200\n"), "bandwidth: bandwidth"),
+            ("fisher-sweep", FISHER + "sigma = 1e-170\n", "pi_pairs, sigma: stds"),
+            ("stein-sweep", STEIN + "sigma = 1e-170\n", "pi1, sigma: stds"),
+            ("svgd-run", SVGD + "sigma = 1e-170\n", "pi1_grid, mu1, mu2, sigma: stds"),
+            (
+                "ksd-run", KSD.replace("means=-5.0; stds=1.0\nn", "means=-5.0; stds=1e-170\nn"),
+                "samples_from: stds",
+            ),
+            ("langevin-run", LANGEVIN + "sigma_max = 1e160\n", "base_step: every level step"),
+            ("langevin-run", LANGEVIN + "base_step = 1e308\n", "base_step: every level step"),
+        ],
+        ids=[
+            "svgd bandwidth 1e200", "svgd bandwidth 1e-300", "ksd bandwidth 1e-160",
+            "ksd bandwidth 1e-200", "fisher sigma 1e-170", "stein sigma 1e-170",
+            "svgd sigma 1e-170", "ksd samples_from std 1e-170", "langevin sigma_max 1e160",
+            "langevin base_step 1e308",
+        ],
+    )
+    def test_width_or_step_out_of_double_range_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, command, body, key
+    ):
+        # each of these once crashed with exit 1 mid-run, on an overflow, a
+        # division by zero or a non-finite value
+        def no_running(*args, **kwargs):
+            raise AssertionError("sampled or integrated before the params were checked")
+
+        monkeypatch.setattr(cli.mx, "sample", no_running)
+        monkeypatch.setattr(cli, "make_stream", no_running)
+        monkeypatch.setattr(cli.mx, "quadrature_window", no_running)
+        monkeypatch.setattr(cli.sm, "quadrature_window", no_running)
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main([command, "--config", cfg]) == 2
+        assert f"lab: config error: [params] {key}" in capsys.readouterr().err
         assert_no_outputs(tmp_path)
 
     def test_nan_svgd_step_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
@@ -638,7 +689,7 @@ class TestCliContract:
         assert "declares command" in capsys.readouterr().err
 
     def test_module_failure_before_writing_leaves_no_outputs(self, tmp_path, capsys):
-        body = LANGEVIN.format(out=tmp_path / "out") + "base_step = 1e308\n"
+        body = LANGEVIN.format(out=tmp_path / "out") + "levels = 1\nbase_step = 1e308\n"
         cfg = write_config(tmp_path / "c.cfg", body)
         with np.errstate(over="ignore", invalid="ignore"):
             assert cli.main(["langevin-run", "--config", cfg]) == 1

@@ -1,7 +1,7 @@
 """The quick demos run to completion against this tree, and every demo
 uses only names the library exports.
 
-Demos 04 and 05 run SVGD and annealed Langevin for about 2 s each and are
+Demos 04 and 05 run SVGD and annealed Langevin for a few seconds each and are
 not run; the acceptance criteria cover what they show, and the name check
 reads them without running them.
 """

@@ -23,6 +23,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match="base_step"):
             sl.NoiseSchedule((1.0,), 1, bad)
 
+    @pytest.mark.parametrize("sigmas, base_step", [((1e160, 0.5), 0.01), ((8.0, 0.5), 1e308)])
+    def test_level_step_that_overflows_rejected(self, sigmas, base_step):
+        # the first raises OverflowError in the float power of step_at, the
+        # second gives an infinite step
+        with pytest.raises(ValueError, match="base_step: every level step"):
+            sl.NoiseSchedule(sigmas, 1, base_step)
+
     def test_single_level_allowed(self):
         sched = sl.NoiseSchedule((0.5,), 10, 0.01)
         assert sched.step_at(0) == 0.01

@@ -23,6 +23,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="stds"):
             sl.GaussianMixture1D([1.0], [0.0], [0.0])
 
+    def test_std_square_must_be_a_normal_double(self):
+        # std^2 overflows above about 1.34e154 and is subnormal or 0 below
+        # about 1.49e-154
+        for bad in (1e-300, 1e-170, 1e-154, 1.4e154, 1e200):
+            with pytest.raises(ValueError, match="each with a normal finite square"):
+                sl.GaussianMixture1D([0.5, 0.5], [-1.0, 1.0], [1.0, bad])
+        for good in (1.5e-154, 1.3e154):
+            assert sl.GaussianMixture1D([0.5, 0.5], [-1.0, 1.0], [1.0, good]).stds[1] == good
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             sl.GaussianMixture1D([0.5, 0.5], [0.0], [1.0, 1.0])

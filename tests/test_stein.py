@@ -261,6 +261,15 @@ class TestKsd:
         with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
             sl.KernelSpec(bad)
 
+    def test_bandwidth_square_must_be_a_normal_double(self):
+        # bandwidth^2 overflows above about 1.34e154 and is subnormal or 0
+        # below about 1.49e-154
+        for bad in (1e-300, 1e-160, 1e-154, 1.4e154, 1e200):
+            with pytest.raises(ValueError, match="with a normal finite square, got"):
+                sl.KernelSpec(bad)
+        for good in (1.5e-154, 1.3e154):
+            assert sl.KernelSpec(good).bandwidth == good
+
 
 def dense_ksd(xs, s, bandwidth, block=500):
     """Value and std_error from every ordered pair, formed in input order in

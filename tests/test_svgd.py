@@ -140,45 +140,31 @@ class TestRun:
             with pytest.raises(FloatingPointError, match=r"iteration \d+, particle 0"):
                 sl.svgd_run(init, sl.gaussian(0, 1), cfg)
 
-    def test_annealed_mode_runs_and_matches_plain_at_beta_one(self):
-        init = sl.ParticleEnsemble(np.array([-3.0, -1.0, 2.0]))
-        plain = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=30)
-        trivial = sl.SvgdConfig(
-            kernel=KERNEL, step_size=0.1, iterations=30, beta_schedule=(1.0,)
-        )
-        a, _ = sl.svgd_run(init, TARGET, plain)
-        b, _ = sl.svgd_run(init, TARGET, trivial)
-        assert np.array_equal(a.positions, b.positions)
-
-    def test_annealed_schedule_with_rescale(self):
-        init = sl.ParticleEnsemble(np.array([-3.0, -1.0, 2.0, 3.5]))
-        cfg = sl.SvgdConfig(
-            kernel=KERNEL,
-            step_size=0.05,
-            iterations=60,
-            beta_schedule=(0.25, 0.5, 1.0),
-            rescale_step=True,
-        )
-        final, _ = sl.svgd_run(init, TARGET, cfg)
-        assert np.all(np.isfinite(final.positions))
+    def test_noise_annealing_ends_near_pi1_from_either_mode(self):
+        # demo 04's remedy at N = 100: SVGD on smooth(target, sigma) for 200
+        # steps per level, sigma 8 -> 0.5 over 8 levels, then 500 steps on
+        # the target.  Over seeds 0 to 19 the runs from N(-4, 1) and N(4, 1)
+        # ended at 0.14 to 0.17, at most 0.03 apart; the bias above pi1 is
+        # SVGD's, not the schedule's.  Plain SVGD from the same starts keeps
+        # each start's mode.
+        target = sl.two_component(0.1, -4, 4, 1)
+        annealed, plain = [], []
+        for idx, mu0 in enumerate([-4, 4]):
+            init = sl.ParticleEnsemble(mu0 + sl.make_stream(0, idx).standard_normal(100))
+            ensemble = init
+            for sigma in sl.geometric_schedule(8.0, 0.5, 8).sigmas:
+                level = sl.SvgdConfig(kernel=KERNEL, step_size=0.1 * (1 + sigma**2), iterations=200)
+                ensemble, _ = sl.svgd_run(ensemble, sl.smooth(target, sigma), level)
+            ensemble, _ = sl.svgd_run(ensemble, target, sl.SvgdConfig(kernel=KERNEL, iterations=500))
+            annealed.append(sl.mode_fraction(ensemble, 0.0))
+            final, _ = sl.svgd_run(init, target, sl.SvgdConfig(kernel=KERNEL, iterations=500))
+            plain.append(sl.mode_fraction(final, 0.0))
+        assert abs(annealed[0] - annealed[1]) <= 0.03
+        assert all(0.12 <= f <= 0.19 for f in annealed), annealed
+        assert plain == [1.0, 0.0]
 
 
 class TestConfigValidation:
-    def test_beta_schedule_must_end_at_one(self):
-        with pytest.raises(ValueError, match="end at 1"):
-            sl.SvgdConfig(beta_schedule=(0.5, 0.9))
-        with pytest.raises(ValueError, match="end at 1"):
-            sl.SvgdConfig(beta_schedule=())
-
-    def test_beta_schedule_must_be_monotone(self):
-        with pytest.raises(ValueError, match="non-decreasing"):
-            sl.SvgdConfig(beta_schedule=(0.9, 0.5, 1.0))
-
-    def test_beta_schedule_range(self):
-        for beta in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match=r"\(0, 1\]"):
-                sl.SvgdConfig(beta_schedule=(beta, 1.0))
-
     def test_positive_step(self):
         with pytest.raises(ValueError):
             sl.SvgdConfig(step_size=0.0)

@@ -45,6 +45,20 @@ class TestDiffOutputs:
         assert sum(1 for p in (tmp_path / "base").rglob("*") if p.is_file()) == 16
         assert tool.compare_trees(tmp_path / "base", tmp_path / "change") == []
 
+    def test_demo_stdout_is_compared_and_a_failing_demo_reported(self, tmp_path):
+        tool = _load(DIFF_OUTPUTS)
+        demo = ROOT / "demos" / "01_scores_ignore_mixing_weights.py"
+        for side in ("base", "change"):
+            assert tool.run_demos(ROOT / "src", [demo], tmp_path / side) == []
+        assert (tmp_path / "base" / "demos" / f"{demo.stem}.txt").read_text()
+        assert tool.compare_trees(tmp_path / "base", tmp_path / "change") == []
+        broken = tmp_path / "broken.py"
+        broken.write_text("print('partial')\nraise SystemExit(3)\n")
+        assert tool.run_demos(ROOT / "src", [broken], tmp_path / "broken") == [
+            "demos/broken.py: exit 3: "
+        ]
+        assert (tmp_path / "broken" / "demos" / "broken.txt").read_text() == "partial\n"
+
     def test_rejects_a_tree_without_scorelab(self, tmp_path):
         argv = [sys.executable, str(DIFF_OUTPUTS), str(ROOT / "src"), str(tmp_path / "missing")]
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)

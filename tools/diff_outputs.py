@@ -5,8 +5,10 @@
 Runs every `lab` command on its default config and on the configs the
 `perfbench` workloads generate for each seed, once per thread count, as
 `python -m scorelab.cli` with PYTHONPATH set to BASE_SRC and then to
-CHANGE_SRC.  Prints every file that differs, is missing on one side, or
-belongs to a run that failed, and exits 1 if there is any; 0 otherwise.
+CHANGE_SRC.  Runs each `demos/*.py` of this checkout once per tree the same
+way and keeps its stdout as `demos/<name>.txt`.  Prints every file that
+differs, is missing on one side, or belongs to a run or demo that failed
+(exited non-zero), and exits 1 if there is any; 0 otherwise.
 Under a differing CSV with the same header and row count on both sides
 whose differing cells are all numbers, it prints each differing column,
 how many of its cells moved and the largest relative move.
@@ -80,11 +82,32 @@ def write_configs(configs: dict[str, str], root: Path) -> dict[str, Path]:
     return paths
 
 
-def run_side(src: Path, cfgs: dict[str, Path], threads, out_root: Path) -> list[str]:
-    """Run every config at every thread count; returns the runs that failed."""
+def _child_env(src: Path) -> dict[str, str]:
+    """The environment of a child on the tree `src`, with BLAS at 1 thread."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+def run_demos(src: Path, demos, out_root: Path) -> list[str]:
+    """Run each demo script once on the tree `src`, writing its stdout to
+    `out_root/demos/<name>.txt`; returns the demos that failed."""
+    env = _child_env(src)
+    (out_root / "demos").mkdir(parents=True, exist_ok=True)
+    failed = []
+    for demo in demos:
+        proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=out_root,
+                              capture_output=True, text=True)
+        (out_root / "demos" / f"{demo.stem}.txt").write_text(proc.stdout, encoding="utf-8")
+        if proc.returncode != 0:
+            failed.append(f"demos/{demo.name}: exit {proc.returncode}: {proc.stderr.strip()}")
+    return failed
+
+
+def run_side(src: Path, cfgs: dict[str, Path], threads, out_root: Path) -> list[str]:
+    """Run every config at every thread count; returns the runs that failed."""
+    env = _child_env(src)
     failed = []
     for key, cfg in cfgs.items():
         command = key.split("/")[1]
@@ -156,16 +179,20 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="diff_outputs_") as tmp:
         work = Path(tmp)
         cfgs = write_configs(configs(args.seeds, COMMANDS), work / "configs")
+        demos = sorted((ROOT / "demos").glob("*.py"))
         problems = []
         for side, src in (("base", args.base_src), ("change", args.change_src)):
             failed = run_side(src, cfgs, args.threads, work / side)
             problems += [f"{side} run failed: {f}" for f in failed]
+            failed = run_demos(src, demos, work / side)
+            problems += [f"{side} demo failed: {f}" for f in failed]
         problems += compare_trees(work / "base", work / "change")
         files = sum(1 for p in (work / "base").rglob("*") if p.is_file())
     runs = len(cfgs) * len(args.threads)
     for line in problems:
         print(line)
-    print(f"{runs} runs per side, {files} files per side, {len(problems)} differences or failures")
+    print(f"{runs} runs and {len(demos)} demos per side, {files} files per side, "
+          f"{len(problems)} differences or failures")
     return 1 if problems else 0
 
 
