@@ -244,6 +244,10 @@ def _run_ksd(cfg: ExperimentConfig):
     source = cfg.get_mixture("samples_from")
     n = _count(cfg, "n", 10_000, 1)
     kernel = _kernel(cfg)
+    try:
+        st._check_scale(n, kernel.bandwidth)
+    except ValueError as exc:
+        raise ConfigError(f"[params] bandwidth: {exc}") from None
 
     labels = list(cfg.models)
     models = []

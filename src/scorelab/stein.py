@@ -220,6 +220,18 @@ def _stein_row_sums(xs: np.ndarray, scores: np.ndarray, h: float) -> np.ndarray:
     return row_sums
 
 
+def _check_scale(n: int, h: float) -> None:
+    """Raise ValueError unless a KSD over n samples at bandwidth h stays in
+    double range: each row mean holds the self-pair term 1/(n h^2), and the
+    std_error sums the squares of n row means."""
+    scale = 1.0 / (n * h * h)
+    if not math.isfinite(n * scale * scale):
+        raise ValueError(
+            f"bandwidth {h} is too small for {n} samples: the self-pair term 1/(n h^2) = {scale:.3g} "
+            "of each row mean overflows when n of them are squared and summed"
+        )
+
+
 def ksd_vstats(
     samples: np.ndarray, models: list[GaussianMixture1D], kernel: KernelSpec
 ) -> list[DivergenceEstimate]:
@@ -273,7 +285,8 @@ def ksd_vstats(
     inner sum.  A target is in reach of at most 22 boxes and costs about
     (3 + 2 models) P multiply-adds in each, so the work is linear in N.
     The reported std_error uses the nondegenerate asymptotic approximation
-    2 * std(row means) / sqrt(N).
+    2 * std(row means) / sqrt(N).  A bandwidth too small for N (see
+    `_check_scale`), or any estimate that is not finite, raises ValueError.
     """
     if not models:
         raise ValueError("models must be nonempty")
@@ -283,16 +296,21 @@ def ksd_vstats(
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
     n = xs.size
+    _check_scale(n, kernel.bandwidth)
     scores = np.array([score(p, xs) for p in models])
     row_sums = _stein_row_sums(xs, scores, kernel.bandwidth)
     out = []
-    for sums in row_sums:
+    for i, sums in enumerate(row_sums):
         value = float(sums.sum() / (n * n))
         if n > 1:
             row_means = sums / n
             std_error = float(2.0 * row_means.std(ddof=1) / np.sqrt(n))
         else:
             std_error = 0.0
+        if not (math.isfinite(value) and math.isfinite(std_error)):
+            raise ValueError(
+                f"the estimate against model {i} is not finite: value {value}, std_error {std_error}"
+            )
         out.append(DivergenceEstimate(max(value, 0.0), MONTE_CARLO, n, std_error))
     return out
 

@@ -469,6 +469,8 @@ class TestCliContract:
             ("svgd-run", SVGD + "bandwidth = 1e-300\n", "bandwidth: bandwidth"),
             ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-160\n"), "bandwidth: bandwidth"),
             ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-200\n"), "bandwidth: bandwidth"),
+            ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-150\n"), "bandwidth: bandwidth 1e-150 is too small"),
+            ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-100\n"), "bandwidth: bandwidth 1e-100 is too small"),
             ("fisher-sweep", FISHER + "sigma = 1e-170\n", "pi_pairs, sigma: stds"),
             ("stein-sweep", STEIN + "sigma = 1e-170\n", "pi1, sigma: stds"),
             ("svgd-run", SVGD + "sigma = 1e-170\n", "pi1_grid, mu1, mu2, sigma: stds"),
@@ -481,7 +483,8 @@ class TestCliContract:
         ],
         ids=[
             "svgd bandwidth 1e200", "svgd bandwidth 1e-300", "ksd bandwidth 1e-160",
-            "ksd bandwidth 1e-200", "fisher sigma 1e-170", "stein sigma 1e-170",
+            "ksd bandwidth 1e-200", "ksd bandwidth 1e-150 at n 800", "ksd bandwidth 1e-100 at n 800",
+            "fisher sigma 1e-170", "stein sigma 1e-170",
             "svgd sigma 1e-170", "ksd samples_from std 1e-170", "langevin sigma_max 1e160",
             "langevin base_step 1e308",
         ],

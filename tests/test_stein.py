@@ -390,6 +390,23 @@ for e in sl.ksd_vstats(xs, models, sl.KernelSpec(1.0)):
         assert outputs[0].count("\n") == len(self.MODELS)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("bandwidth", [1e-150, 1e-100])
+    def test_bandwidth_too_small_for_n_rejected(self, bandwidth):
+        # 1/(n h^2) is the self-pair term of each row mean; at n = 800 its
+        # squares summed over the rows overflow, and the std_error came out
+        # inf with a finite value
+        xs = sl.sample(self.MODELS[0], 800, sl.make_stream(1, 0))
+        with pytest.raises(ValueError, match=f"bandwidth {bandwidth} is too small for 800 samples"):
+            sl.ksd_vstats(xs, self.MODELS, sl.KernelSpec(bandwidth))
+
+    def test_nonfinite_estimate_rejected(self):
+        # a model with a width of 1e-150 has scores near 1e150 at the
+        # samples, whose products overflow
+        models = [sl.gaussian(0.0, 1.0), sl.gaussian(0.0, 1e-150)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="the estimate against model 1 is not finite"):
+                sl.ksd_vstats(np.array([1.0, 2.0]), models, sl.KernelSpec(1.0))
+
     def test_empty_model_list_rejected(self):
         with pytest.raises(ValueError, match="models"):
             sl.ksd_vstats(np.array([0.0, 1.0]), [], sl.KernelSpec(1.0))

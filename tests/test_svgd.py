@@ -1,9 +1,17 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import scorelab as sl
+import scorelab.svgd as svgd_module
+from scorelab.svgd import _SPAN, _gauss_tile, _tile_work
 from scorelab.svgd import _TILE as TILE
-from scorelab.svgd import _gauss_tile, _tile_work
 
 KERNEL = sl.KernelSpec(1.0)
 TARGET = sl.two_component(0.5, -4, 4, 1)
@@ -36,22 +44,67 @@ class TestDirection:
         d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
         assert np.array_equal(d_perm, d[perm])
 
-    @pytest.mark.parametrize("n", [200, 2 * TILE + 37])
-    def test_tiles_match_sort_per_row_sum(self, n):
+    @pytest.mark.parametrize(
+        "n, from_target",
+        [(200, False), (2 * TILE + 37, False), (200, True)],
+        ids=["200", str(2 * TILE + 37), "200 from target"],
+    )
+    def test_tiles_match_sort_per_row_sum(self, n, from_target):
         # the earlier formula: each particle's N contributions sorted, then
-        # summed; the tiled sums agree with it to rounding
+        # summed; the tiled sums agree with it to rounding.  An ensemble drawn
+        # from the target is under _SPAN bandwidths wide, so its one tile is
+        # a rank-3 tile; it is held to 1e-14 of each row's sum of |terms| / N
+        # (2.4e-15 was the worst of six streams)
         rng = sl.make_stream(8, 1)
-        x = 3.0 * rng.standard_normal(n)
+        x = sl.sample(TARGET, n, rng) if from_target else 3.0 * rng.standard_normal(n)
         s = sl.score(TARGET, x)
         d = x[:, None] - x[None, :]
         contrib = np.exp(-d * d / 2.0) * (s[None, :] + d)
+        scale = np.abs(contrib).sum(axis=1) / x.size
         contrib.sort(axis=1)
         reference = contrib.sum(axis=1) / x.size
         got = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
-        assert np.max(np.abs(got - reference)) <= 1e-15
+        if from_target:
+            assert np.ptp(x) <= _SPAN * KERNEL.bandwidth
+            assert np.all(np.abs(got - reference) <= 1e-14 * scale)
+        else:
+            assert np.max(np.abs(got - reference)) <= 1e-15
         perm = np.random.default_rng(5).permutation(x.size)
         d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
         assert np.array_equal(d_perm, got[perm])
+
+    @pytest.mark.parametrize("n", [200, 600])
+    def test_matches_long_double_reference_on_both_tile_paths(self, n, monkeypatch):
+        # ensembles from two unit components `separation` apart: the narrow
+        # bandwidths take only elementwise tiles, the wide ones rank-3 tiles
+        # wherever a tile pair spans at most _SPAN bandwidths.  Every row is
+        # held to 1e-14 of its scale sum k (|s| + |d| / h^2) / N; the worst
+        # seen was 2.5e-15, and 9.5e-16 with elementwise tiles alone
+        paths = {"rank3": 0, "gauss": 0}
+
+        def counted(path, fn):
+            def call(*args):
+                paths[path] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(svgd_module, "_rank3_tile", counted("rank3", svgd_module._rank3_tile))
+        monkeypatch.setattr(svgd_module, "_gauss_tile", counted("gauss", svgd_module._gauss_tile))
+        for bandwidth, separation in itertools.product([0.05, 0.7, 1.0, 5.0], [8, 40, 200]):
+            target = sl.two_component(0.5, -separation / 2, separation / 2, 1.0)
+            x = sl.sample(target, n, sl.make_stream(3, n))
+            s = sl.score(target, x)
+            got = sl.svgd_direction(sl.ParticleEnsemble(x), target, sl.KernelSpec(bandwidth))
+            xl = x.astype(np.longdouble)
+            d = xl[:, None] - xl[None, :]
+            h2 = np.longdouble(bandwidth) ** 2
+            k = np.exp(-d * d / (2 * h2))
+            reference = (k * (s[None, :] + d / h2)).sum(axis=1) / n
+            scale = (k * (np.abs(s)[None, :] + np.abs(d) / h2)).sum(axis=1) / n
+            err = np.abs(got - reference) / scale
+            assert np.all(err <= 1e-14), (bandwidth, separation, float(err.max()))
+        assert paths["rank3"] > 0 and paths["gauss"] > 0, paths
 
     def test_equal_positions_across_a_tile_edge_move_together(self):
         x = np.sort(3.0 * sl.make_stream(8, 2).standard_normal(2 * TILE + 37))
@@ -92,6 +145,84 @@ class TestRun:
         for _ in range(20):
             x = x + 0.1 * sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, cfg.kernel)
         assert np.array_equal(final.positions, x)
+
+    def test_crossing_run_equals_direction_loop(self):
+        # a large step makes particles cross, so the run re-sorts its
+        # ensemble; the run must still equal the loop bit for bit and be
+        # permutation-equivariant
+        x0 = 3.0 * sl.make_stream(8, 4).standard_normal(2 * TILE + 37)
+        cfg = sl.SvgdConfig(kernel=sl.KernelSpec(0.3), step_size=5.0, iterations=20)
+        final, _ = sl.svgd_run(sl.ParticleEnsemble(x0), TARGET, cfg)
+        x, crossings = x0, 0
+        for _ in range(20):
+            step = x + 5.0 * sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, cfg.kernel)
+            crossings += not np.array_equal(np.argsort(x, kind="stable"), np.argsort(step, kind="stable"))
+            x = step
+        assert crossings >= 10
+        assert np.array_equal(final.positions, x)
+        perm = np.random.default_rng(9).permutation(x0.size)
+        moved, _ = sl.svgd_run(sl.ParticleEnsemble(x0[perm]), TARGET, cfg)
+        assert np.array_equal(moved.positions, final.positions[perm])
+
+    @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
+    def test_nonfinite_position_names_lowest_particle_in_input_order(self, perm):
+        # the particles at +-1e150 overflow in the first step and the one at
+        # 0.5 does not; the message names the lower of the two input indices,
+        # whatever their sorted positions
+        x = np.array([0.5, 1e150, -1e150])[list(perm)]
+        cfg = sl.SvgdConfig(kernel=KERNEL, step_size=1e300, iterations=5)
+        bad = min(i for i, v in enumerate(x) if abs(v) > 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=rf"iteration 0, particle {bad}$"):
+                sl.svgd_run(sl.ParticleEnsemble(x), sl.gaussian(0, 1), cfg)
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the rank-3 tiles are BLAS products, and the BLAS reads its thread
+        # count once at load, so each count runs in its own interpreter; each
+        # size runs once on rank-3 tiles (an ensemble from the target at
+        # bandwidth 1) and once on elementwise ones (bandwidth 0.05)
+        script = """
+import json, sys
+import scorelab as sl
+import scorelab.svgd as sv
+paths = {"rank3": 0, "gauss": 0}
+def counted(path, fn):
+    def call(*args):
+        paths[path] += 1
+        return fn(*args)
+    return call
+sv._rank3_tile = counted("rank3", sv._rank3_tile)
+sv._gauss_tile = counted("gauss", sv._gauss_tile)
+target = sl.two_component(0.5, -4.0, 4.0, 1.0)
+for n in json.loads(sys.argv[1]):
+    for bandwidth in (1.0, 0.05):
+        x = sl.sample(target, n, sl.make_stream(8, n))
+        cfg = sl.SvgdConfig(sl.KernelSpec(bandwidth), 0.1, 20)
+        final, _ = sl.svgd_run(sl.ParticleEnsemble(x), target, cfg)
+        print(n, bandwidth, paths["rank3"], paths["gauss"], final.positions.tobytes().hex())
+"""
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = str(Path(sl.__file__).resolve().parents[1])
+            proc = subprocess.run(
+                [sys.executable, "-c", script, json.dumps([200, 549])],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        counts = [line.split()[:4] for line in outputs[0].splitlines()]
+        assert len(counts) == 4
+        # the running totals: every rank-3 case adds rank-3 tiles, every
+        # bandwidth-0.05 case elementwise ones
+        previous = (0, 0)
+        for n, bandwidth, rank3, gauss in counts:
+            rank3, gauss = int(rank3), int(gauss)
+            if bandwidth == "1.0":
+                assert rank3 > previous[0]
+            else:
+                assert gauss > previous[1] and rank3 == previous[0]
+            previous = (rank3, gauss)
 
     def test_translation_equivariance(self):
         c = 2.0

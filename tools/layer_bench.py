@@ -5,7 +5,9 @@
 Times each row on the source tree DIR of `--src` (default: this checkout's
 `src`), labelled "change", and, with `--base`, on that tree too, labelled
 "parent".  The rows are mixture evaluation at several sizes, one Gaussian
-kernel tile of 200 and of 256 points a side, the SVGD direction and run,
+kernel tile of 200 and of 256 points a side, built elementwise and (where
+the tree has it) from BLAS products with its row sums, the SVGD direction
+and run, the run again on an ensemble drawn from the target,
 the annealed Langevin run on the `lab` defaults, the KSD V-statistic
 against one model at N = 1000, 3000 and 10,000, the KDE, the three models
 of one `ksd-run`, the three losses of one `remedies-run`, and the output
@@ -20,8 +22,9 @@ repeat (parent first in even repeats, change first in odd ones), so that
 host drift falls on both.  Each side records the min and median seconds per
 call and the CPU seconds per call (median).  The rows go under their label
 in the JSON file, next to those already there, with the host facts, and
-the mins are printed side by side.  Compare on the min: the host is shared
-and its medians are noisy.
+the mins are printed side by side, each with its side's median / min: a
+row whose spread is near the gap between the sides does not resolve it.
+Compare on the min: the host is shared and its medians are noisy.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ REPEAT_S = 0.05  # target length of one repeat; sets `number`
 def rows(sl, folder: Path) -> dict:
     """Name -> zero-argument callable, for the scorelab module `sl`; the
     output rows write their files into `folder`."""
+    import scorelab.svgd as svgd
     from scorelab.mixture import _logpdf
     from scorelab.svgd import _gauss_tile, _tile_work
 
@@ -63,11 +67,20 @@ def rows(sl, folder: Path) -> dict:
             out[f"score_derivative K={k} n={n}"] = lambda m=m, x=x: sl.score_derivative(m, x)
 
     # one kernel tile at bandwidth 1: SVGD's whole N = 200 ensemble, and a
-    # full tile; its own stream leaves `rng` to the rows after
+    # full tile; its own stream leaves `rng` to the rows after.  The rank-3
+    # tile adds its row sums, on sorted positions from the target, which
+    # span under 16 bandwidths
+    rank3 = getattr(svgd, "_rank3_tile", None)
     for t in (200, 256):
         xt = 3.0 * sl.make_stream(2, 0).standard_normal(t)
         work = _tile_work(t)
         out[f"_gauss_tile {t}x{t}"] = lambda xt=xt, work=work: _gauss_tile(xt, xt, 1.0, work)
+        if rank3 is not None:
+            xs = np.sort(sl.sample(mixtures[2], t, sl.make_stream(2, 1)))
+            ss, phi = sl.score(mixtures[2], xs), np.zeros(t)
+            out[f"_rank3_tile {t}x{t} with sums"] = lambda xs=xs, ss=ss, phi=phi, work=work, t=t: rank3(
+                xs, ss, 0, t, 0, t, 1.0, work, phi
+            )
 
     target = sl.two_component(0.5, -4.0, 4.0, 1.0)
     kernel = sl.KernelSpec(1.0)
@@ -75,6 +88,9 @@ def rows(sl, folder: Path) -> dict:
     out["svgd_direction N=200"] = lambda: sl.svgd_direction(ensemble, target, kernel)
     cfg = sl.SvgdConfig(kernel, 0.1, 600)
     out["svgd_run 200 x 600"] = lambda: sl.svgd_run(ensemble, target, cfg)
+    # its own stream leaves `rng` to the rows after
+    drawn = sl.ParticleEnsemble(sl.sample(target, 200, sl.make_stream(2, 2)))
+    out["svgd_run 200 x 600 from target"] = lambda: sl.svgd_run(drawn, target, cfg)
 
     # the langevin-run defaults of the CLI
     lv_target = sl.GaussianMixture1D([0.3, 0.7], [-4.0, 4.0], [1.0, 1.0])
@@ -249,8 +265,11 @@ def _time_rows(sides: dict[str, _Side]) -> dict[str, dict]:
                 samples[label][1].append(cpu)
         for label in present:
             timed[label][name] = _summary(*samples[label], numbers[label])
-        mins = " | ".join(f"{label} {timed[label][name]['min_s'] * 1e6:12.1f}" for label in present)
-        print(f"{name:34s} min us: {mins}", flush=True)
+        mins = " | ".join(
+            f"{label} {row['min_s'] * 1e6:12.1f} ({row['median_s'] / row['min_s']:.2f})"
+            for label, row in ((label, timed[label][name]) for label in present)
+        )
+        print(f"{name:34s} min us (median / min): {mins}", flush=True)
     return timed
 
 
