@@ -131,6 +131,15 @@ def _two_components(keys: str, weights, mu1: float, mu2: float, sigma: float) ->
         raise ConfigError(f"[params] {keys}: {exc}") from None
 
 
+def _window(keys: str, *mixtures: mx.GaussianMixture1D):
+    """The quadrature window of `mixtures`; components too narrow for its
+    pad are a ConfigError naming `keys`, the [params] keys that set them."""
+    try:
+        return mx.quadrature_window(*mixtures)
+    except ValueError as exc:
+        raise ConfigError(f"[params] {keys}: {exc}") from None
+
+
 def _threshold(cfg: ExperimentConfig, default: float) -> float:
     """The mode-fraction `threshold` [params] key, which must be finite."""
     value = cfg.get_float("threshold", default)
@@ -157,7 +166,7 @@ def _run_score_plot(cfg: ExperimentConfig):
 
     mixtures = _two_components("pi_grid, mu1, mu2, sigma", pi_grid, mu1, mu2, sigma)
     (p,) = _two_components("witness_pi1, mu1, mu2, sigma", [witness_pi1], mu1, mu2, sigma)
-    window = mx.quadrature_window(*mixtures)
+    window = _window("mu1, mu2, sigma", *mixtures)
     xs = np.linspace(window.lower, window.upper, grid_nodes)
 
     curves = {"x": xs}
@@ -188,10 +197,11 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
     separations = _separations(cfg)
     pi_pairs = cfg.get_pairs("pi_pairs", "0.5:0.9")
     sigma = cfg.get_float("sigma", 1.0)
-    # every mixture is built, and so checked, before the first quadrature
+    # every mixture and window is built, so checked, before any quadrature
     weights = [pi for pair in pi_pairs for pi in pair]
     for s in separations:
-        _two_components("pi_pairs, sigma", weights, -s / 2.0, s / 2.0, sigma)
+        mixtures = _two_components("pi_pairs, sigma", weights, -s / 2.0, s / 2.0, sigma)
+        _window("separations, sigma", *mixtures)
 
     rows = _map_cells(
         lambda s: sm.blindness_sweep([s], pi_pairs, sigma), separations, cfg.threads
@@ -212,15 +222,15 @@ def _run_stein_sweep(cfg: ExperimentConfig):
     separations = _separations(cfg)
     pi1 = cfg.get_float("pi1", 0.5)
     sigma = cfg.get_float("sigma", 1.0)
-    # every mixture is built, and so checked, before the first quadrature
+    # every mixture and window is built, so checked, before any quadrature
     cells = []
     for s in separations:
         (p,) = _two_components("pi1, sigma", [pi1], -s / 2.0, s / 2.0, sigma)
-        cells.append((s, p, mx.gaussian(-s / 2.0, sigma)))
+        q = mx.gaussian(-s / 2.0, sigma)
+        cells.append((s, p, q, _window("separations, sigma", q, p)))
 
     def one(cell):
-        s, p, q = cell
-        spec = mx.quadrature_window(q, p)
+        s, p, q, spec = cell
         w = st.stein_discrepancy(q, p, st.L2_Q_WEIGHTED, spec)
         u = st.stein_discrepancy(q, p, st.L2_UNWEIGHTED, spec)
         return (s, pi1, w.value, u.value, spec.nodes)
@@ -244,8 +254,10 @@ def _run_ksd(cfg: ExperimentConfig):
     source = cfg.get_mixture("samples_from")
     n = _count(cfg, "n", 10_000, 1)
     kernel = _kernel(cfg)
+    # a draw lies beyond 12 widths of its mean with probability 4e-33
+    reach = float(np.max(np.abs(source.means) + mx._WINDOW_PAD * source.stds))
     try:
-        st._check_scale(n, kernel.bandwidth)
+        st._check_scale(n, kernel.bandwidth, reach)
     except ValueError as exc:
         raise ConfigError(f"[params] bandwidth: {exc}") from None
 
@@ -299,6 +311,7 @@ def _run_svgd(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"[params] {exc}") from None
     targets = _two_components("pi1_grid, mu1, mu2, sigma", pi1_grid, mu1, mu2, sigma)
+    window = _window("mu1, mu2, sigma", *targets)
     grid = [(p1, target, mu0, s0) for p1, target in zip(pi1_grid, targets) for mu0, s0 in cells]
 
     def one(item):
@@ -310,7 +323,6 @@ def _run_svgd(cfg: ExperimentConfig):
 
     results = _map_cells(one, list(enumerate(grid)), cfg.threads)
 
-    window = mx.quadrature_window(*targets)
     tables = {}
     summary_rows = []
     for (p1, _, mu0, s0), (init, final, snapshots) in zip(grid, results):

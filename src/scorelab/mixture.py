@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DEFAULT_NODES, QuadratureSpec
+from .numerics import QuadratureSpec
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _WINDOW_PAD = 12.0  # quadrature_window's margin beyond the outer means, in widths
@@ -96,16 +96,15 @@ def two_component(
 
 @dataclass(frozen=True)
 class TwoComponentView:
-    """Validated projection of a two-component, equal-width mixture.
+    """Validated projection of a two-component, equal-width mixture with
+    mu1 < mu2, the form the far-separation `score_limit` is phrased in.
 
-    Exposes the quantities the far-separation limit is phrased in:
-    `separation` = (mu1 - mu2) / sigma^2 (always negative since mu1 < mu2)
-    and the midpoint between the component means.
+    Built from the mixture alone; `midpoint`, the point halfway between the
+    component means, is computed and is not a constructor argument.
     """
 
     base: GaussianMixture1D
-    separation: float = 0.0
-    midpoint: float = 0.0
+    midpoint: float = field(init=False)
 
     def __post_init__(self):
         m = self.base
@@ -117,7 +116,6 @@ class TwoComponentView:
         mu1, mu2 = float(m.means[0]), float(m.means[1])
         if not mu1 < mu2:
             raise ValueError(f"view requires mu1 < mu2, got {mu1} >= {mu2}")
-        object.__setattr__(self, "separation", (mu1 - mu2) / s1**2)
         object.__setattr__(self, "midpoint", (mu1 + mu2) / 2.0)
 
 
@@ -287,18 +285,26 @@ def mass_inside(m: GaussianMixture1D, lower: float, upper: float) -> float:
     return total
 
 
-def quadrature_window(*mixtures: GaussianMixture1D, nodes: int = DEFAULT_NODES) -> QuadratureSpec:
+def quadrature_window(*mixtures: GaussianMixture1D) -> QuadratureSpec:
     """Default integration window covering every component of every argument.
 
-    Spans [min means - 12 * max stds, max means + 12 * max stds]; the pad of
-    12 widths keeps truncated tail mass far below quadrature error.
+    Spans [min means - 12 * max stds, max means + 12 * max stds] on
+    `DEFAULT_NODES` nodes; the pad of 12 widths keeps truncated tail mass far
+    below quadrature error.  Components so narrow that the pad rounds away
+    against the means, which would end the window on a mean, are a
+    ValueError.
     """
     if not mixtures:
         raise ValueError("at least one mixture is required")
     lo = min(float(m.means.min()) for m in mixtures)
     hi = max(float(m.means.max()) for m in mixtures)
-    width = max(float(m.stds.max()) for m in mixtures)
-    return QuadratureSpec(lo - _WINDOW_PAD * width, hi + _WINDOW_PAD * width, nodes)
+    pad = _WINDOW_PAD * max(float(m.stds.max()) for m in mixtures)
+    if not (lo - pad < lo and hi < hi + pad):
+        raise ValueError(
+            f"the quadrature window's pad of {_WINDOW_PAD:g} component widths ({pad:.3g}) "
+            f"rounds away against the means in [{lo!r}, {hi!r}]: the components are too narrow"
+        )
+    return QuadratureSpec(lo - pad, hi + pad)
 
 
 def to_record(m: GaussianMixture1D) -> str:

@@ -17,7 +17,11 @@ DEFAULT_FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Fixed integration grid on [lower, upper] with `nodes` points."""
+    """Fixed integration grid on [lower, upper] with `nodes` points.
+
+    `nodes` must be odd and at least 17: composite Simpson pairs the
+    intervals, so an even count is a ValueError that names it.
+    """
 
     lower: float
     upper: float
@@ -28,8 +32,10 @@ class QuadratureSpec:
             raise ValueError("quadrature bounds must be finite")
         if self.lower >= self.upper:
             raise ValueError(f"lower must be < upper, got [{self.lower}, {self.upper}]")
-        if self.nodes < 16:
-            raise ValueError(f"nodes must be >= 16, got {self.nodes}")
+        if self.nodes < 17 or self.nodes % 2 == 0:
+            raise ValueError(
+                f"nodes must be odd and at least 17, as composite Simpson needs, got {self.nodes}"
+            )
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.nodes)
@@ -46,30 +52,19 @@ def _evaluate_on_grid(f, xs: np.ndarray) -> np.ndarray:
     return ys
 
 
-def _simpson(ys: np.ndarray, h: float) -> float:
-    # classic composite rule; requires an odd number of points
-    return h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum())
-
-
 def quad_integrate(f, spec: QuadratureSpec) -> float:
     """Composite-Simpson approximation of the integral of f over the spec grid.
 
     f is called once, on the whole grid, and must return one value per node;
     a result of another shape is a ValueError that names both shapes.  A
     scalar-only integrand (math.exp, or `lambda x: x if x > 0 else 0.0`)
-    must be wrapped in np.vectorize.  When the node count is even (odd
-    interval count), the last interval is integrated with the cubic through
-    the final four points, so polynomials of degree <= 3 stay exact for
-    every node count.
+    must be wrapped in np.vectorize.  Polynomials of degree <= 3 integrate
+    exactly.
     """
     xs = spec.grid()
     ys = _evaluate_on_grid(f, xs)
     h = (spec.upper - spec.lower) / (spec.nodes - 1)
-    if spec.nodes % 2 == 1:
-        return float(_simpson(ys, h))
-    head = _simpson(ys[:-1], h)
-    tail = h * (ys[-4] - 5.0 * ys[-3] + 19.0 * ys[-2] + 9.0 * ys[-1]) / 24.0
-    return float(head + tail)
+    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
 
 
 def finite_diff(f, x: float, h: float = DEFAULT_FD_STEP) -> float:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .mixture import _LOG_2PI, GaussianMixture1D, _logpdf, _logsumexp, quadrature_window
-from .numerics import QuadratureSpec, quad_integrate
+from .numerics import quad_integrate
 
 # Entries per temporary of `kde_log_pdf`: 16384 doubles are 128 KiB, glibc's
 # default mmap threshold.  Larger temporaries go back to the kernel when
@@ -107,13 +107,9 @@ def cml_loss(
     return 2 * xs.size * float(np.sum(centred * centred))
 
 
-def moment_discrepancy(
-    model: GaussianMixture1D,
-    samples: np.ndarray,
-    orders,
-    spec: QuadratureSpec | None = None,
-) -> np.ndarray:
-    """Model moments (quadrature) minus sample moments, one per order.
+def moment_discrepancy(model: GaussianMixture1D, samples: np.ndarray, orders) -> np.ndarray:
+    """Model moments (quadrature on `quadrature_window(model)`) minus sample
+    moments, one per order.
 
     Isolated spurious components shift low-order model moments by large
     amounts, so the discrepancy exposes exactly what score-based losses
@@ -127,8 +123,7 @@ def moment_discrepancy(
         raise ValueError("samples must be nonempty")
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
-    if spec is None:
-        spec = quadrature_window(model)
+    spec = quadrature_window(model)
     out = []
     for r in orders:
         model_moment = quad_integrate(lambda x: np.exp(_logpdf(model, x)) * x**r, spec)

@@ -30,34 +30,29 @@ _NEG_TOL = 1e-12
 _MASS_TOL = 1e-6
 
 QUADRATURE = "quadrature"
-MONTE_CARLO = "monte_carlo"
 
 
 @dataclass(frozen=True)
 class DivergenceEstimate:
-    """Divergence value plus estimator metadata.
+    """Divergence value, its resolution and, for a sample estimate, its
+    standard error.
 
-    `resolution` is the node count for quadrature and the sample count for
-    Monte Carlo; `std_error` is present exactly for the Monte-Carlo method.
+    `resolution` is the node count of a quadrature value and the sample
+    count of a sample estimate; `std_error` is None for a quadrature value.
     Values within round-off below zero are clamped to zero.
     """
 
     value: float
-    method: str
     resolution: int
     std_error: float | None = None
 
     def __post_init__(self):
-        if self.method not in (QUADRATURE, MONTE_CARLO):
-            raise ValueError(f"unknown estimator method {self.method!r}")
         if np.isnan(self.value):
             raise ValueError("divergence estimate is NaN")
         if self.value < -_NEG_TOL:
             raise ValueError(f"divergence estimate {self.value!r} is negative beyond round-off")
         if self.value < 0.0:
             object.__setattr__(self, "value", 0.0)
-        if (self.std_error is None) == (self.method == MONTE_CARLO):
-            raise ValueError("std_error must be present exactly for monte_carlo estimates")
         if self.std_error is not None and not self.std_error >= 0:
             raise ValueError(f"std_error must be nonnegative, got {self.std_error!r}")
 
@@ -88,7 +83,7 @@ def fisher_divergence(
         return pdf(q, x) * diff * diff
 
     value = quad_integrate(integrand, spec)
-    return DivergenceEstimate(value, QUADRATURE, spec.nodes)
+    return DivergenceEstimate(value, spec.nodes)
 
 
 def fisher_divergence_mc(
@@ -108,7 +103,7 @@ def fisher_divergence_mc(
     sq = diff * diff
     value = float(sq.mean())
     std_error = float(sq.std(ddof=1) / np.sqrt(sq.size)) if sq.size > 1 else 0.0
-    return DivergenceEstimate(value, MONTE_CARLO, int(sq.size), std_error)
+    return DivergenceEstimate(value, int(sq.size), std_error)
 
 
 def sm_objective_empirical(samples: np.ndarray, p: GaussianMixture1D) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .mixture import GaussianMixture1D, pdf, quadrature_window, score
 from .numerics import QuadratureSpec, quad_integrate
-from .scorematch import MONTE_CARLO, QUADRATURE, DivergenceEstimate, _check_window, fisher_divergence
+from .scorematch import DivergenceEstimate, _check_window, fisher_divergence
 
 L2_Q_WEIGHTED = "l2_q_weighted"
 L2_UNWEIGHTED = "l2_unweighted"
@@ -35,6 +35,11 @@ _CUTOFF = 10.0
 _BLOCK = 2048
 _GROUP = 256
 _INV_FACTORIAL = np.array([1.0 / math.factorial(n) for n in range(_TERMS)])
+# The least bandwidth, in units of eps * max|x|: the box centres and the
+# offsets round at eps * |x|, which moves an offset by up to about
+# 4 eps max|x| / h, so at this multiple |v| stays within 1/2 + 1/32 and the
+# truncation bound of `ksd_vstats` within 1.2e-18.
+_RESOLUTION = 128.0
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def stein_discrepancy(
         _check_window(q, spec)
         integrand = lambda x: (pdf(q, x) * (score(p, x) - score(q, x))) ** 2
         norm_sq = max(quad_integrate(integrand, spec), 0.0)
-    return DivergenceEstimate(math.sqrt(norm_sq), QUADRATURE, spec.nodes)
+    return DivergenceEstimate(math.sqrt(norm_sq), spec.nodes)
 
 
 def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -220,15 +225,23 @@ def _stein_row_sums(xs: np.ndarray, scores: np.ndarray, h: float) -> np.ndarray:
     return row_sums
 
 
-def _check_scale(n: int, h: float) -> None:
-    """Raise ValueError unless a KSD over n samples at bandwidth h stays in
-    double range: each row mean holds the self-pair term 1/(n h^2), and the
-    std_error sums the squares of n row means."""
+def _check_scale(n: int, h: float, reach: float) -> None:
+    """Raise ValueError unless a KSD over n samples, none farther than
+    `reach` from 0, stays in double range at bandwidth h and resolves its
+    boxes: each row mean holds the self-pair term 1/(n h^2), the std_error
+    sums the squares of n row means, and h must be at least `_RESOLUTION`
+    times eps * reach, the rounding of a box centre."""
     scale = 1.0 / (n * h * h)
     if not math.isfinite(n * scale * scale):
         raise ValueError(
             f"bandwidth {h} is too small for {n} samples: the self-pair term 1/(n h^2) = {scale:.3g} "
             "of each row mean overflows when n of them are squared and summed"
+        )
+    least = _RESOLUTION * sys.float_info.epsilon * reach
+    if h < least:
+        raise ValueError(
+            f"bandwidth {h} is too small for samples reaching {reach:.3g}: box offsets round at "
+            f"eps * {reach:.3g}, and the bandwidth must be at least {_RESOLUTION:g} times that, {least:.3g}"
         )
 
 
@@ -246,8 +259,8 @@ def ksd_vstats(
 
     - Boxes.  The sorted samples are cut into boxes one bandwidth wide,
       anchored at the smallest.  With c a box's centre, a source y in it
-      has offset v = (y - c) / h, |v| <= 1/2, and a target x has
-      t = (x - c) / h.
+      has offset v = (y - c) / h, |v| <= 1/2 (1/2 + 1/32 after rounding,
+      see `_RESOLUTION`), and a target x has t = (x - c) / h.
     - Expansion.  k = exp(-t^2 / 2) sum_{n < P} t^n [exp(-v^2 / 2) v^n / n!]
       plus a tail at most max_t exp(-t^2/2 + |t|/2 - 1/8) (|t|/2)^P / P!,
       2.3e-19 for P = _TERMS = 24: the smallest P whose bound is under
@@ -285,8 +298,9 @@ def ksd_vstats(
     inner sum.  A target is in reach of at most 22 boxes and costs about
     (3 + 2 models) P multiply-adds in each, so the work is linear in N.
     The reported std_error uses the nondegenerate asymptotic approximation
-    2 * std(row means) / sqrt(N).  A bandwidth too small for N (see
-    `_check_scale`), or any estimate that is not finite, raises ValueError.
+    2 * std(row means) / sqrt(N).  A bandwidth too small for N or for the
+    samples' magnitude (see `_check_scale`), or any estimate that is not
+    finite, raises ValueError.
     """
     if not models:
         raise ValueError("models must be nonempty")
@@ -296,7 +310,7 @@ def ksd_vstats(
     if not np.all(np.isfinite(xs)):
         raise ValueError("samples must be finite")
     n = xs.size
-    _check_scale(n, kernel.bandwidth)
+    _check_scale(n, kernel.bandwidth, max(abs(xs[0]), abs(xs[-1])))
     scores = np.array([score(p, xs) for p in models])
     row_sums = _stein_row_sums(xs, scores, kernel.bandwidth)
     out = []
@@ -311,7 +325,7 @@ def ksd_vstats(
             raise ValueError(
                 f"the estimate against model {i} is not finite: value {value}, std_error {std_error}"
             )
-        out.append(DivergenceEstimate(max(value, 0.0), MONTE_CARLO, n, std_error))
+        out.append(DivergenceEstimate(max(value, 0.0), n, std_error))
     return out
 
 

@@ -69,10 +69,11 @@ def _numeric(source: str, spec: PlotSpec, columns) -> dict[str, np.ndarray]:
     return out
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    # about six ticks, on steps of 1, 2 or 5 times a power of ten
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 6
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:
@@ -105,10 +106,10 @@ class _Canvas:
         if title:
             self.text(WIDTH / 2, 24, title, anchor="middle", size=15)
 
-    def text(self, x, y, content, anchor="start", size=11, fill="#000000"):
+    def text(self, x, y, content, anchor="start", size=11):
         self.parts.append(
             f'<text x="{_px(x)}" y="{_px(y)}" font-family="monospace" font-size="{size}" '
-            f'text-anchor="{anchor}" fill="{fill}">{content}</text>'
+            f'text-anchor="{anchor}" fill="#000000">{content}</text>'
         )
 
     def line(self, x1, y1, x2, y2, stroke="#888888", width=1.0):
@@ -117,15 +118,13 @@ class _Canvas:
             f'stroke="{stroke}" stroke-width="{width:g}"/>'
         )
 
-    def polyline(self, xs: np.ndarray, ys: np.ndarray, stroke, width=1.5):
+    def polyline(self, xs: np.ndarray, ys: np.ndarray, stroke):
         self.parts.append(
-            f'<polyline points="{_coords(xs, ys)}" fill="none" stroke="{stroke}" stroke-width="{width:g}"/>'
+            f'<polyline points="{_coords(xs, ys)}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
 
-    def polygon(self, xs: np.ndarray, ys: np.ndarray, fill, opacity=0.45):
-        self.parts.append(
-            f'<polygon points="{_coords(xs, ys)}" fill="{fill}" fill-opacity="{opacity:g}"/>'
-        )
+    def polygon(self, xs: np.ndarray, ys: np.ndarray, fill):
+        self.parts.append(f'<polygon points="{_coords(xs, ys)}" fill="{fill}" fill-opacity="0.45"/>')
 
     def render(self) -> str:
         return "\n".join(self.parts + ["</svg>"]) + "\n"

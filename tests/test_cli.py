@@ -471,6 +471,10 @@ class TestCliContract:
             ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-200\n"), "bandwidth: bandwidth"),
             ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-150\n"), "bandwidth: bandwidth 1e-150 is too small"),
             ("ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-100\n"), "bandwidth: bandwidth 1e-100 is too small"),
+            (
+                "ksd-run", KSD.replace("n = 800\n", "n = 800\nbandwidth = 1e-15\n"),
+                "bandwidth: bandwidth 1e-15 is too small for samples reaching 17",
+            ),
             ("fisher-sweep", FISHER + "sigma = 1e-170\n", "pi_pairs, sigma: stds"),
             ("stein-sweep", STEIN + "sigma = 1e-170\n", "pi1, sigma: stds"),
             ("svgd-run", SVGD + "sigma = 1e-170\n", "pi1_grid, mu1, mu2, sigma: stds"),
@@ -484,6 +488,7 @@ class TestCliContract:
         ids=[
             "svgd bandwidth 1e200", "svgd bandwidth 1e-300", "ksd bandwidth 1e-160",
             "ksd bandwidth 1e-200", "ksd bandwidth 1e-150 at n 800", "ksd bandwidth 1e-100 at n 800",
+            "ksd bandwidth 1e-15 below the samples' rounding",
             "fisher sigma 1e-170", "stein sigma 1e-170",
             "svgd sigma 1e-170", "ksd samples_from std 1e-170", "langevin sigma_max 1e160",
             "langevin base_step 1e308",
@@ -505,6 +510,47 @@ class TestCliContract:
         assert cli.main([command, "--config", cfg]) == 2
         assert f"lab: config error: [params] {key}" in capsys.readouterr().err
         assert_no_outputs(tmp_path)
+
+    @pytest.mark.parametrize(
+        "command, body, keys",
+        [
+            ("fisher-sweep", FISHER + "sigma = 1e-150\n", "separations, sigma"),
+            ("fisher-sweep", FISHER.replace("4, 6, 8, 10", "4") + "sigma = 1e-17\n", "separations, sigma"),
+            ("stein-sweep", STEIN + "sigma = 1e-150\n", "separations, sigma"),
+            ("score-plot", SCORE_PLOT.replace("sigma = 1\n", "sigma = 1e-150\n"), "mu1, mu2, sigma"),
+            ("svgd-run", SVGD + "sigma = 1e-150\n", "mu1, mu2, sigma"),
+        ],
+        ids=["fisher 1e-150", "fisher 1e-17 at means 2", "stein 1e-150", "score-plot 1e-150", "svgd 1e-150"],
+    )
+    def test_components_too_narrow_for_the_window_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, command, body, keys
+    ):
+        # the window's pad of 12 widths rounds away against the means, so the
+        # window would end on a mean and miss half the mass
+        def no_running(*args, **kwargs):
+            raise AssertionError("sampled or integrated before the window was checked")
+
+        monkeypatch.setattr(cli, "make_stream", no_running)
+        monkeypatch.setattr(cli.sm, "quad_integrate", no_running)
+        monkeypatch.setattr(cli.st, "quad_integrate", no_running)
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"lab: config error: [params] {keys}: the quadrature window's pad of 12 component widths" in err
+        assert_no_outputs(tmp_path)
+
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            ("fisher-sweep", FISHER.replace("4, 6, 8, 10", "4") + "sigma = 1e-3\n"),
+            ("stein-sweep", STEIN + "sigma = 1e-3\n"),
+            ("score-plot", SCORE_PLOT.replace("sigma = 1\n", "sigma = 1e-3\n")),
+        ],
+        ids=["fisher", "stein", "score-plot"],
+    )
+    def test_narrow_components_within_the_window_run(self, tmp_path, command, body):
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main([command, "--config", cfg]) == 0
 
     def test_nan_svgd_step_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
         def no_sampling(*args, **kwargs):

@@ -285,8 +285,14 @@ class TestScoreLimit:
         with pytest.raises(ValueError, match="equal"):
             sl.TwoComponentView(sl.GaussianMixture1D([0.5, 0.5], [-4, 4], [1, 2]))
         v = sl.TwoComponentView(sl.two_component(0.3, -4, 4, 1))
-        assert v.separation == -8.0
         assert v.midpoint == 0.0
+
+    @pytest.mark.parametrize("key", ["separation", "midpoint"])
+    def test_view_takes_only_the_mixture(self, key):
+        # the view computes its midpoint and keeps no separation, so neither
+        # is a constructor argument
+        with pytest.raises(TypeError, match=key):
+            sl.TwoComponentView(sl.two_component(0.3, -4, 4, 1), **{key: 99.0})
 
 
 class TestLimitConvergence:

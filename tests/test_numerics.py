@@ -9,22 +9,22 @@ from scorelab import QuadratureSpec, finite_diff, make_stream, quad_integrate
 
 class TestQuadrature:
     def test_constant_integrand(self):
-        assert quad_integrate(lambda x: np.ones_like(x), QuadratureSpec(0, 1, 64)) == pytest.approx(1.0, abs=1e-14)
+        assert quad_integrate(lambda x: np.ones_like(x), QuadratureSpec(0, 1, 65)) == pytest.approx(1.0, abs=1e-14)
 
     def test_odd_function_cancels(self):
-        assert quad_integrate(lambda x: x, QuadratureSpec(-1, 1, 64)) == pytest.approx(0.0, abs=1e-14)
+        assert quad_integrate(lambda x: x, QuadratureSpec(-1, 1, 65)) == pytest.approx(0.0, abs=1e-14)
 
     def test_standard_normal_mass(self):
         # oracle: closed form via erf
         expected = math.erf(10.0 / math.sqrt(2.0))
         got = quad_integrate(
-            lambda x: np.exp(-x * x / 2) / np.sqrt(2 * np.pi), QuadratureSpec(-10, 10, 2048)
+            lambda x: np.exp(-x * x / 2) / np.sqrt(2 * np.pi), QuadratureSpec(-10, 10, 2049)
         )
         assert abs(got - expected) < 1e-10
 
-    @pytest.mark.parametrize("nodes", [16, 17, 64, 101, 4096, 4097])
+    @pytest.mark.parametrize("nodes", [17, 101, 4097])
     def test_cubics_exact_any_node_count(self, nodes):
-        # degree <= 3 polynomials integrate exactly for odd and even grids
+        # composite Simpson integrates degree <= 3 polynomials exactly
         coeffs = [0.7, -1.3, 2.1, 0.4]
         a, b = -2.3, 1.7
 
@@ -76,9 +76,15 @@ class TestQuadrature:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(1, 0, 64)
+            QuadratureSpec(1, 0, 65)
         with pytest.raises(ValueError):
-            QuadratureSpec(0, 1, 8)
+            QuadratureSpec(0, 1, 7)
+
+    @pytest.mark.parametrize("nodes", [16, 64, 4096])
+    def test_even_node_count_rejected(self, nodes):
+        # composite Simpson pairs the intervals, so it needs an odd count
+        with pytest.raises(ValueError, match=rf"nodes must be odd .*got {nodes}$"):
+            QuadratureSpec(0, 1, nodes)
 
 
 class TestFiniteDiff:

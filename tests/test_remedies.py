@@ -220,7 +220,7 @@ class TestMomentDiscrepancy:
         # two-point sample set reproducing the first two model moments
         spread = math.sqrt(m2 - m1**2)
         xs = np.array([m1 - spread, m1 + spread])
-        diff = sl.moment_discrepancy(m, xs, [1, 2], spec)
+        diff = sl.moment_discrepancy(m, xs, [1, 2])
         assert np.max(np.abs(diff)) < 1e-9
 
     def test_matched_law_within_clt(self):

@@ -21,24 +21,18 @@ def q_score_second_moment(q: sl.GaussianMixture1D) -> float:
 
 class TestDivergenceEstimate:
     def test_clamps_rounding_noise(self):
-        est = sl.DivergenceEstimate(-5e-13, "quadrature", 64)
+        est = sl.DivergenceEstimate(-5e-13, 64)
         assert est.value == 0.0
 
     def test_rejects_truly_negative(self):
         with pytest.raises(ValueError, match="negative"):
-            sl.DivergenceEstimate(-1e-6, "quadrature", 64)
-
-    def test_std_error_only_for_monte_carlo(self):
-        with pytest.raises(ValueError, match="std_error"):
-            sl.DivergenceEstimate(1.0, "quadrature", 64, std_error=0.1)
-        with pytest.raises(ValueError, match="std_error"):
-            sl.DivergenceEstimate(1.0, "monte_carlo", 64)
+            sl.DivergenceEstimate(-1e-6, 64)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
-            sl.DivergenceEstimate(float("nan"), "quadrature", 64)
+            sl.DivergenceEstimate(float("nan"), 64)
         with pytest.raises(ValueError, match="std_error"):
-            sl.DivergenceEstimate(1.0, "monte_carlo", 64, std_error=float("nan"))
+            sl.DivergenceEstimate(1.0, 64, std_error=float("nan"))
 
 
 class TestFisherDivergence:
@@ -48,7 +42,7 @@ class TestFisherDivergence:
     def test_gaussian_closed_form(self):
         est = sl.fisher_divergence(N01, N04)
         assert est.value == pytest.approx(0.5625, abs=1e-9)
-        assert est.method == "quadrature"
+        assert est.std_error is None
         wider = sl.fisher_divergence(sl.gaussian(0, 2), sl.gaussian(0, 1))
         assert wider.value == pytest.approx(expected_gaussian_j(2, 1), rel=1e-9)
 
@@ -81,13 +75,30 @@ class TestFisherDivergence:
         spec = sl.quadrature_window(q, p)
         assert spec.lower < -16 and spec.upper > 16
 
+    @pytest.mark.parametrize("sigma", [1e-17, 1e-150])
+    def test_window_whose_pad_rounds_away_rejected(self, sigma):
+        # 12 widths of 1e-17 are below half an ulp of 2, so the window would
+        # end on the means and miss half the mass
+        expected = r"pad of 12 component widths .* rounds away against the means in \[-2.0, 2.0\]"
+        with pytest.raises(ValueError, match=expected):
+            sl.quadrature_window(sl.two_component(0.5, -2, 2, sigma))
+
+    def test_window_of_narrow_components_keeps_a_pad(self):
+        # from 1.9e-17, 12 widths round to at least one ulp of 2, which is at
+        # least 8 widths and leaves under 1e-15 of the mass outside
+        for sigma in (1.9e-17, 1e-16, 1e-3):
+            m = sl.two_component(0.5, -2, 2, sigma)
+            spec = sl.quadrature_window(m)
+            assert spec.lower < -2.0 and spec.upper > 2.0
+            assert 1.0 - sl.mass_inside(m, spec.lower, spec.upper) < 1e-15
+
 
 class TestFisherDivergenceMc:
     def test_zero_integrand_is_exact(self):
         xs = sl.sample(N01, 1000, sl.make_stream(1, 0))
         est = sl.fisher_divergence_mc(xs, N01, N01)
         assert est.value == 0.0
-        assert est.method == "monte_carlo"
+        assert est.std_error == 0.0
 
     def test_matches_quadrature_value(self):
         xs = sl.sample(N01, 100_000, sl.make_stream(2, 0))

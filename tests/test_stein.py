@@ -10,7 +10,7 @@ import pytest
 
 import scorelab as sl
 from conftest import random_mixture_pairs
-from scorelab.stein import _CUTOFF, _TERMS
+from scorelab.stein import _CUTOFF, _RESOLUTION, _TERMS
 
 N01 = sl.gaussian(0.0, 1.0)
 N04 = sl.gaussian(0.0, 2.0)  # variance 4
@@ -269,6 +269,37 @@ class TestKsd:
                 sl.KernelSpec(bad)
         for good in (1.5e-154, 1.3e154):
             assert sl.KernelSpec(good).bandwidth == good
+
+
+class TestTinyBandwidth:
+    # 800 draws 8.9e-6 apart or more: at these bandwidths every pair but
+    # the diagonal has k = 0, so V = (sum s^2 + N / h^2) / N^2 exactly
+    P = sl.two_component(0.5, -4, 4, 1)
+    XS = sl.sample(P, 800, sl.make_stream(1, 0))
+
+    def exact(self, bandwidth):
+        s = sl.score(self.P, self.XS)
+        return (np.sum(s * s) + self.XS.size / bandwidth**2) / self.XS.size**2
+
+    @pytest.mark.parametrize("bandwidth", [1e-15, 1e-16, 1e-18])
+    def test_below_the_rounding_of_the_samples_rejected(self, bandwidth):
+        # the box centres round at eps * |x|, so the offsets would leave
+        # |v| <= 1/2 and the sums read 0.99999999813, 0.778 and 0.65 of the
+        # exact value, each with a finite std_error
+        with pytest.raises(ValueError, match=f"bandwidth {bandwidth} is too small for samples reaching 7.53"):
+            sl.ksd_vstat(self.XS, self.P, sl.KernelSpec(bandwidth))
+
+    @pytest.mark.parametrize("bandwidth", [1e-12, 1e-9])
+    def test_small_bandwidth_reads_the_diagonal(self, bandwidth):
+        est = sl.ksd_vstat(self.XS, self.P, sl.KernelSpec(bandwidth))
+        assert est.value == pytest.approx(self.exact(bandwidth), rel=1e-15, abs=0)
+
+    def test_least_bandwidth_is_the_stated_multiple_of_the_rounding(self):
+        least = _RESOLUTION * np.finfo(float).eps * np.max(np.abs(self.XS))
+        est = sl.ksd_vstat(self.XS, self.P, sl.KernelSpec(least))
+        assert est.value == pytest.approx(self.exact(least), rel=1e-15, abs=0)
+        with pytest.raises(ValueError, match="too small"):
+            sl.ksd_vstat(self.XS, self.P, sl.KernelSpec(np.nextafter(least, 0.0)))
 
 
 def dense_ksd(xs, s, bandwidth, block=500):
