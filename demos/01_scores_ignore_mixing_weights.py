@@ -14,10 +14,10 @@ grid = np.array([-6.0, -4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 6.0])
 
 print("score of 0.5*N(-4,1) + 0.5*N(4,1) vs reweighted variants")
 print(f"{'x':>6} " + " ".join(f"pi1={p:<4}" for p in (0.1, 0.5, 0.9)) + "   limit")
-view = sl.TwoComponentView(sl.two_component(0.5, -4, 4, 1))
+mixture = sl.two_component(0.5, -4, 4, 1)
 for x in grid:
     scores = [sl.score(sl.two_component(p1, -4, 4, 1), x) for p1 in (0.1, 0.5, 0.9)]
-    limit = sl.score_limit(view, x)
+    limit = sl.score_limit(mixture, x)
     print(f"{x:6.1f} " + " ".join(f"{s:8.4f}" for s in scores) + f" {limit:8.4f}")
 
 print()

@@ -15,8 +15,9 @@ print()
 
 print("blindness sweep (mode distance s, weights 0.5 vs 0.9):")
 print(f"{'s':>4} {'J(p||p_reweighted)':>20} {'J(component||mixture)':>22}")
-for row in sl.blindness_sweep([4, 6, 8, 10], [(0.5, 0.9)], sigma=1.0):
-    print(f"{row.separation:4.0f} {row.j_pp_prime:20.3e} {row.j_q_p:22.3e}")
+sweep = sl.blindness_sweep([4, 6, 8, 10], [(0.5, 0.9)], sigma=1.0)
+for s, j_pp, j_qp in zip(sweep["separation"], sweep["j_pp_prime"], sweep["j_q_p"]):
+    print(f"{s:4.0f} {j_pp:20.3e} {j_qp:22.3e}")
 
 print()
 print("the Monte-Carlo estimator agrees with quadrature:")

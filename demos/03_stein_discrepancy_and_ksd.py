@@ -15,11 +15,11 @@ q = sl.gaussian(-4, 1)
 p = sl.two_component(0.5, -4, 4, 1)
 grid = np.linspace(-8, 8, 9)
 
-weighted = sl.witness_weighted(q, p, grid)
-unweighted = sl.witness_unweighted(q, p, grid)
+# the witnesses before normalisation: the score gap, and q times it
+gap = sl.score(p, grid) - sl.score(q, grid)
 print("witnesses for q = N(-4,1) against the 50/50 mixture (means +/-4):")
 print(f"{'x':>5} {'score gap':>12} {'density-weighted':>18}")
-for x, fw, fu in zip(grid, weighted.values, unweighted.values):
+for x, fw, fu in zip(grid, gap, sl.pdf(q, grid) * gap):
     print(f"{x:5.1f} {fw:12.4f} {fu:18.3e}")
 print("(the score gap reaches 8 on the right, exactly where q has no mass)")
 

@@ -11,7 +11,6 @@ estimators that retain probability-mass information.
 from .langevin import NoiseSchedule, annealed_langevin_run, geometric_schedule, langevin_step
 from .mixture import (
     GaussianMixture1D,
-    TwoComponentView,
     from_record,
     gaussian,
     log_unnorm,
@@ -38,7 +37,6 @@ from .remedies import (
     moment_discrepancy,
 )
 from .scorematch import (
-    BlindnessRow,
     DivergenceEstimate,
     blindness_sweep,
     fisher_divergence,
@@ -49,7 +47,6 @@ from .stein import (
     L2_Q_WEIGHTED,
     L2_UNWEIGHTED,
     KernelSpec,
-    WitnessTable,
     ksd_vstat,
     ksd_vstats,
     stein_discrepancy,
@@ -59,7 +56,6 @@ from .stein import (
 from .svgd import ParticleEnsemble, SvgdConfig, mode_fraction, svgd_direction, svgd_run
 
 __all__ = [
-    "BlindnessRow",
     "DivergenceEstimate",
     "EntropyGradientEstimate",
     "GaussianMixture1D",
@@ -72,8 +68,6 @@ __all__ = [
     "ParticleEnsemble",
     "QuadratureSpec",
     "SvgdConfig",
-    "TwoComponentView",
-    "WitnessTable",
     "annealed_langevin_run",
     "blindness_sweep",
     "cml_loss",

@@ -177,8 +177,8 @@ def _run_score_plot(cfg: ExperimentConfig):
     q = mx.gaussian(mu1, sigma)
     witness = {
         "x": xs,
-        "f_weighted": st.witness_weighted(q, p, xs).normalized(),
-        "f_unweighted": st.witness_unweighted(q, p, xs).normalized(),
+        "f_weighted": st.witness_weighted(q, p, xs),
+        "f_unweighted": st.witness_unweighted(q, p, xs),
         "q_pdf": mx.pdf(q, xs),
         "p_score": mx.score(p, xs),
         "q_score": mx.score(q, xs),
@@ -203,17 +203,10 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
         mixtures = _two_components("pi_pairs, sigma", weights, -s / 2.0, s / 2.0, sigma)
         _window("separations, sigma", *mixtures)
 
-    rows = _map_cells(
+    chunks = _map_cells(
         lambda s: sm.blindness_sweep([s], pi_pairs, sigma), separations, cfg.threads
     )
-    flat = [r for chunk in rows for r in chunk]
-    table = _by_rows(
-        ["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes"],
-        [
-            (r.separation, r.pi, r.pi_prime, r.j_pp_prime, r.j_q_p, r.method, r.nodes)
-            for r in flat
-        ],
-    )
+    table = {name: [v for chunk in chunks for v in chunk[name]] for name in chunks[0]}
     spec = PlotSpec("lines", x="separation", y=("j_pp_prime", "j_q_p"), title="fisher divergence vs separation")
     return {"sweep.csv": (table, {"sweep.svg": spec})}
 

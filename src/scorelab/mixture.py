@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,31 +92,6 @@ def two_component(
         np.array([sigma, sigma]),
         log_offset,
     )
-
-
-@dataclass(frozen=True)
-class TwoComponentView:
-    """Validated projection of a two-component, equal-width mixture with
-    mu1 < mu2, the form the far-separation `score_limit` is phrased in.
-
-    Built from the mixture alone; `midpoint`, the point halfway between the
-    component means, is computed and is not a constructor argument.
-    """
-
-    base: GaussianMixture1D
-    midpoint: float = field(init=False)
-
-    def __post_init__(self):
-        m = self.base
-        if m.n_components != 2:
-            raise ValueError("view requires exactly two components")
-        s1, s2 = float(m.stds[0]), float(m.stds[1])
-        if abs(s1 - s2) > 1e-12 * max(s1, s2):
-            raise ValueError("view requires equal component widths")
-        mu1, mu2 = float(m.means[0]), float(m.means[1])
-        if not mu1 < mu2:
-            raise ValueError(f"view requires mu1 < mu2, got {mu1} >= {mu2}")
-        object.__setattr__(self, "midpoint", (mu1 + mu2) / 2.0)
 
 
 def _as_array(x):
@@ -236,20 +211,29 @@ def score_derivative(m: GaussianMixture1D, x) -> float | np.ndarray:
     return float(out) if scalar else out
 
 
-def score_limit(view: TwoComponentView, x) -> float | np.ndarray:
+def score_limit(m: GaussianMixture1D, x) -> float | np.ndarray:
     """Piecewise limit of the score as the separation grows without bound.
 
-    Left of the midpoint the limit is the first component's score, right of
-    it the second's; the limit does not involve the mixing weights.
+    `m` must have two equal-width components with mu1 < mu2.  Left of the
+    midpoint between the means the limit is the first component's score,
+    right of it the second's; the limit does not involve the mixing weights.
     """
+    if m.n_components != 2:
+        raise ValueError("view requires exactly two components")
+    s1, s2 = float(m.stds[0]), float(m.stds[1])
+    if abs(s1 - s2) > 1e-12 * max(s1, s2):
+        raise ValueError("view requires equal component widths")
+    mu1, mu2 = float(m.means[0]), float(m.means[1])
+    if not mu1 < mu2:
+        raise ValueError(f"view requires mu1 < mu2, got {mu1} >= {mu2}")
+    midpoint = (mu1 + mu2) / 2.0
     xs, scalar = _as_array(x)
-    if np.any(xs == view.midpoint):
+    if np.any(xs == midpoint):
         raise ValueError("limit undefined at midpoint")
-    m = view.base
-    var = float(m.stds[0]) ** 2
-    left = -(xs - float(m.means[0])) / var
-    right = -(xs - float(m.means[1])) / var
-    out = np.where(xs < view.midpoint, left, right)
+    var = s1**2
+    left = -(xs - mu1) / var
+    right = -(xs - mu2) / var
+    out = np.where(xs < midpoint, left, right)
     return float(out) if scalar else out
 
 

@@ -120,29 +120,17 @@ def sm_objective_empirical(samples: np.ndarray, p: GaussianMixture1D) -> float:
     return float((0.5 * s * s + score_derivative(p, xs)).mean())
 
 
-@dataclass(frozen=True)
-class BlindnessRow:
-    """One sweep cell: mode distance, weight pair, and both divergences."""
-
-    separation: float
-    pi: float
-    pi_prime: float
-    j_pp_prime: float
-    j_q_p: float
-    method: str
-    nodes: int
-
-
 def blindness_sweep(
     separations,
     pi_pairs,
     sigma: float,
-) -> list[BlindnessRow]:
+) -> dict[str, list]:
     """Grid J(p||p') and J(q||p) over mode separations and weight pairs.
 
     For each separation s the component means sit at -s/2 and +s/2.  Per row:
     p has weight pair (pi, 1-pi), p' is p with pi replaced by pi_prime, and
-    q is p's first component alone (the spurious-component case).
+    q is p's first component alone (the spurious-component case).  Returns
+    the rows as a {column: list} table under the `sweep.csv` names.
     """
     seps = [float(s) for s in separations]
     if any(s <= 0 for s in seps) or any(b <= a for a, b in zip(seps, seps[1:])):
@@ -151,7 +139,10 @@ def blindness_sweep(
     if any(not (0 < a < 1 and 0 < b < 1) for a, b in pairs):
         raise ValueError("mixing proportions must lie in (0, 1)")
 
-    rows = []
+    table = {
+        name: []
+        for name in ("separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes")
+    }
     for s in seps:
         for pi, pi_prime in pairs:
             p = two_component(pi, -s / 2.0, s / 2.0, sigma)
@@ -160,7 +151,7 @@ def blindness_sweep(
             spec = quadrature_window(p, p_prime)
             j_pp = fisher_divergence(p, p_prime, spec)
             j_qp = fisher_divergence(q, p, spec)
-            rows.append(
-                BlindnessRow(s, pi, pi_prime, j_pp.value, j_qp.value, QUADRATURE, spec.nodes)
-            )
-    return rows
+            row = (s, pi, pi_prime, j_pp.value, j_qp.value, QUADRATURE, spec.nodes)
+            for column, value in zip(table.values(), row):
+                column.append(value)
+    return table

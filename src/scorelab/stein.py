@@ -58,59 +58,32 @@ class KernelSpec:
             )
 
 
-@dataclass(frozen=True)
-class WitnessTable:
-    """Tabulated optimal witness before normalisation.
-
-    Multiplying `values` by `norm_constant`, one over the Stein discrepancy,
-    yields the unit-norm witness.  When q and p coincide the witness vanishes
-    identically and no normalisation exists; such tables are flagged with
-    `zero_discrepancy` and carry norm_constant 1.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-    norm_constant: float
-    zero_discrepancy: bool = False
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if values.shape != grid.shape or not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite and match the grid")
-        if not self.zero_discrepancy and self.norm_constant <= 0:
-            raise ValueError("norm_constant must be positive")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    def normalized(self) -> np.ndarray:
-        return self.norm_constant * self.values
-
-
 def _witness(q, p, grid, function_class):
-    grid = np.asarray(grid, dtype=float)
     values = score(p, grid) - score(q, grid)
     if function_class == L2_UNWEIGHTED:
         values = pdf(q, grid) * values
+    if not np.all(np.isfinite(values)):
+        raise ValueError("witness values must be finite")
     sd = stein_discrepancy(q, p, function_class).value
+    # q == p: the witness vanishes identically and has no normalisation
     if sd == 0.0:
-        return WitnessTable(grid, np.zeros_like(grid), 1.0, True)
-    return WitnessTable(grid, values, 1.0 / sd)
+        return np.zeros_like(values)
+    return (1.0 / sd) * values
 
 
 def witness_weighted(
     q: GaussianMixture1D, p: GaussianMixture1D, grid: np.ndarray
-) -> WitnessTable:
-    """Optimal witness in the q-weighted L2 class: score_p - score_q."""
+) -> np.ndarray:
+    """Unit-norm optimal witness in the q-weighted L2 class on `grid`:
+    score_p - score_q over its `stein_discrepancy`, zeros where that is 0."""
     return _witness(q, p, grid, L2_Q_WEIGHTED)
 
 
 def witness_unweighted(
     q: GaussianMixture1D, p: GaussianMixture1D, grid: np.ndarray
-) -> WitnessTable:
-    """Optimal witness in the unweighted L2 class: q * score_p - q'.
+) -> np.ndarray:
+    """Unit-norm optimal witness in the unweighted L2 class on `grid`:
+    q * score_p - q' over its `stein_discrepancy`, zeros where that is 0.
 
     The data-density derivative q' equals q * score_q (chain rule), so the
     witness is q times the score difference.

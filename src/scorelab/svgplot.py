@@ -130,10 +130,16 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
+def _pad(v: float) -> float:
+    """The margin drawn either side of a constant v: 1, or where v +/- 1
+    rounds back to v (|v| >= 2^53), the relative 2^-50 |v|, a few ulps."""
+    return 1.0 if v - 1.0 < v < v + 1.0 else abs(v) * 2.0**-50
+
+
 class _Scale:
     def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float):
         if hi <= lo:
-            lo, hi = lo - 1.0, hi + 1.0
+            lo, hi = lo - _pad(lo), hi + _pad(hi)
         self.lo, self.hi = lo, hi
         self.px_lo, self.px_hi = px_lo, px_hi
 
@@ -146,7 +152,7 @@ class _Scale:
 def _padded(values: np.ndarray) -> tuple[float, float]:
     lo, hi = float(values.min()), float(values.max())
     if hi == lo:
-        return lo - 1.0, hi + 1.0
+        return lo - _pad(lo), hi + _pad(hi)
     pad = 0.05 * (hi - lo)
     return lo - pad, hi + pad
 

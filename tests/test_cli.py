@@ -10,7 +10,7 @@ import pytest
 import scorelab as sl
 import scorelab.cli as cli
 from scorelab.config import ConfigError, load_config
-from scorelab.svgplot import HIST_BIN_WIDTH, PlotSpec, render_svg
+from scorelab.svgplot import HIST_BIN_WIDTH, PlotSpec, _padded, render_svg
 
 
 def write_config(path, body):
@@ -124,6 +124,16 @@ class TestRenderSvg:
         # base, (left, top) and (right, top) of every bin, base
         points = content.split('<polygon points="')[1].split('"')[0].split()
         assert len(points) == 2 + 2 * round(1.0 / HIST_BIN_WIDTH)
+
+    @pytest.mark.parametrize("v", [0.0, -3.5, 2.0**53 - 1])
+    def test_constant_column_padded_by_one(self, v):
+        assert _padded(np.array([v, v])) == (v - 1.0, v + 1.0)
+
+    @pytest.mark.parametrize("v", [2.0**53, 1e21, -1e21])
+    def test_constant_column_beyond_2_53_padded_relative(self, v):
+        # v - 1 or v + 1 rounds back to v here, which left a zero-width scale
+        lo, hi = _padded(np.array([v, v]))
+        assert lo < v < hi and hi - lo <= 2**-48 * abs(v)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -551,6 +561,21 @@ class TestCliContract:
     def test_narrow_components_within_the_window_run(self, tmp_path, command, body):
         cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
         assert cli.main([command, "--config", cfg]) == 0
+
+    def test_ksd_value_beyond_2_53_plots(self, tmp_path):
+        # the self-pair term 1/(n h^2) puts the one KSD value near 1.25e21,
+        # where a pad of 1 around the constant column rounds away; this once
+        # exited 1 on a division by zero in the SVG
+        record = "weights=0.5,0.5; means=-4.0,4.0; stds=1.0,1.0"
+        body = (
+            f"[experiment]\ncommand = ksd-run\nseed = 5\nout_dir = {tmp_path / 'out'}\n\n"
+            f"[params]\nsamples_from = {record}\nn = 800\nbandwidth = 1e-12\n\n"
+            f"[models]\ntrue = {record}\n"
+        )
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert cli.main(["ksd-run", "--config", cfg]) == 0
+        assert float(read_rows(tmp_path / "out" / "ksd.csv")[0]["value"]) > 2.0**53
+        assert (tmp_path / "out" / "ksd.svg").read_text().endswith("</svg>\n")
 
     def test_nan_svgd_step_rejected_before_sampling(self, tmp_path, capsys, monkeypatch):
         def no_sampling(*args, **kwargs):

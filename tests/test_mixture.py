@@ -257,42 +257,36 @@ class TestComponentMajorLayout:
 
 class TestScoreLimit:
     def test_left_of_midpoint(self):
-        v = sl.TwoComponentView(sl.two_component(0.3, -4, 4, 1))
-        assert sl.score_limit(v, -4.0) == 0.0
+        assert sl.score_limit(sl.two_component(0.3, -4, 4, 1), -4.0) == 0.0
 
     def test_right_of_midpoint(self):
-        v = sl.TwoComponentView(sl.two_component(0.3, -4, 4, 1))
-        assert sl.score_limit(v, 5.0) == -1.0
+        assert sl.score_limit(sl.two_component(0.3, -4, 4, 1), 5.0) == -1.0
 
     def test_wider_components(self):
-        v = sl.TwoComponentView(sl.two_component(0.5, -4, 4, 2))
-        assert sl.score_limit(v, -6.0) == pytest.approx(0.5, abs=1e-14)
+        m = sl.two_component(0.5, -4, 4, 2)
+        assert sl.score_limit(m, -6.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_midpoint_rejected(self):
-        v = sl.TwoComponentView(sl.two_component(0.3, -4, 4, 1))
         with pytest.raises(ValueError, match="midpoint"):
-            sl.score_limit(v, 0.0)
+            sl.score_limit(sl.two_component(0.3, -4, 4, 1), 0.0)
 
     def test_weights_do_not_enter(self):
-        a = sl.TwoComponentView(sl.two_component(0.1, -4, 4, 1))
-        b = sl.TwoComponentView(sl.two_component(0.9, -4, 4, 1))
+        a = sl.two_component(0.1, -4, 4, 1)
+        b = sl.two_component(0.9, -4, 4, 1)
         xs = np.array([-5.0, -1.0, 2.0, 6.0])
         assert np.array_equal(sl.score_limit(a, xs), sl.score_limit(b, xs))
 
     def test_view_validation(self):
-        with pytest.raises(ValueError, match="mu1 < mu2"):
-            sl.TwoComponentView(sl.GaussianMixture1D([0.5, 0.5], [4, -4], [1, 1]))
-        with pytest.raises(ValueError, match="equal"):
-            sl.TwoComponentView(sl.GaussianMixture1D([0.5, 0.5], [-4, 4], [1, 2]))
-        v = sl.TwoComponentView(sl.two_component(0.3, -4, 4, 1))
-        assert v.midpoint == 0.0
-
-    @pytest.mark.parametrize("key", ["separation", "midpoint"])
-    def test_view_takes_only_the_mixture(self, key):
-        # the view computes its midpoint and keeps no separation, so neither
-        # is a constructor argument
-        with pytest.raises(TypeError, match=key):
-            sl.TwoComponentView(sl.two_component(0.3, -4, 4, 1), **{key: 99.0})
+        cases = [
+            ([0.2, 0.3, 0.5], [-4, 0, 4], [1, 1, 1], "view requires exactly two components"),
+            ([0.5, 0.5], [-4, 4], [1, 2], "view requires equal component widths"),
+            ([0.5, 0.5], [4, -4], [1, 1], "view requires mu1 < mu2, got 4.0 >= -4.0"),
+            ([0.5, 0.5], [4, 4], [1, 1], "view requires mu1 < mu2, got 4.0 >= 4.0"),
+        ]
+        for weights, means, stds, message in cases:
+            with pytest.raises(ValueError) as info:
+                sl.score_limit(sl.GaussianMixture1D(weights, means, stds), 1.0)
+            assert str(info.value) == message
 
 
 class TestLimitConvergence:
@@ -316,9 +310,8 @@ class TestLimitConvergence:
         maxima = []
         for s in (4, 5, 6):
             m = sl.two_component(0.3, -s, s, 1)
-            v = sl.TwoComponentView(m)
             xs = self._windows(s)
-            maxima.append(np.max(np.abs(sl.score(m, xs) - sl.score_limit(v, xs))))
+            maxima.append(np.max(np.abs(sl.score(m, xs) - sl.score_limit(m, xs))))
         assert maxima[0] > maxima[1] > maxima[2]
         assert maxima[1] < 1e-6  # measured 4.81e-08 at s=5
         assert maxima[1] == pytest.approx(4.809e-08, rel=1e-2)
@@ -328,9 +321,8 @@ class TestLimitConvergence:
         # so the maxima are O(s) there (2.80 and 4.20 in the fine-grid limit)
         for s, floor in [(2, 2.5), (3, 4.0)]:
             m = sl.two_component(0.3, -s, s, 1)
-            v = sl.TwoComponentView(m)
             xs = self._windows(s)
-            worst = np.max(np.abs(sl.score(m, xs) - sl.score_limit(v, xs)))
+            worst = np.max(np.abs(sl.score(m, xs) - sl.score_limit(m, xs)))
             assert floor < worst < 2 * s
 
     def test_weight_blindness_at_separation_ten(self):

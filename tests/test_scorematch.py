@@ -165,15 +165,23 @@ class TestSmObjective:
 
 class TestBlindnessSweep:
     def test_rows_and_monotone_decay(self):
-        rows = sl.blindness_sweep([4, 6, 8, 10], [(0.5, 0.9)], 1.0)
-        assert len(rows) == 4
-        jpp = [r.j_pp_prime for r in rows]
-        jqp = [r.j_q_p for r in rows]
+        table = sl.blindness_sweep([4, 6, 8, 10], [(0.5, 0.9)], 1.0)
+        assert all(len(column) == 4 for column in table.values())
+        jpp = table["j_pp_prime"]
+        jqp = table["j_q_p"]
         assert all(a > b for a, b in zip(jpp, jpp[1:]))
         assert all(a > b for a, b in zip(jqp, jqp[1:]))
         # frozen endpoint values (modes +/-5), adaptive-quadrature oracle
         assert jpp[-1] == pytest.approx(1.523870e-05, rel=1e-4)
         assert jqp[-1] == pytest.approx(2.232050e-05, rel=1e-4)
+
+    def test_table_has_the_sweep_csv_columns(self):
+        table = sl.blindness_sweep([4, 6], [(0.5, 0.9), (0.2, 0.7)], 1.0)
+        assert list(table) == ["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes"]
+        assert table["separation"] == [4.0, 4.0, 6.0, 6.0]
+        assert table["pi_prime"] == [0.9, 0.7, 0.9, 0.7]
+        assert table["method"] == ["quadrature"] * 4
+        assert table["nodes"] == [sl.QuadratureSpec(0.0, 1.0).nodes] * 4
 
     def test_flatness_across_weights_at_wide_separation(self):
         # with modes at +/-10 the map pi1 -> J(q||p) is flat below 1e-8

@@ -21,44 +21,41 @@ def fine_quad(f, lo, hi):
     return sl.quad_integrate(f, sl.QuadratureSpec(lo, hi, 8193))
 
 
+def scaled_up(witness, q, p, function_class):
+    """The witness on GRID times its Stein discrepancy: the raw witness."""
+    return witness(q, p, GRID) * sl.stein_discrepancy(q, p, function_class).value
+
+
 class TestWitnessWeighted:
     def test_identical_distributions_flagged(self):
-        table = sl.witness_weighted(N01, N01, GRID)
-        assert table.zero_discrepancy
-        assert np.all(table.values == 0.0)
+        assert np.all(sl.witness_weighted(N01, N01, GRID) == 0.0)
 
     def test_value_right_of_midpoint(self):
         # scores converge to -(x-mu2) on the right and -(x-mu1) under q,
         # leaving the mode-distance gap of 8
         q = sl.gaussian(-4, 1)
         p = sl.two_component(0.5, -4, 4, 1)
-        table = sl.witness_weighted(q, p, GRID)
-        at5 = table.values[np.argmin(np.abs(GRID - 5.0))]
+        raw = scaled_up(sl.witness_weighted, q, p, sl.L2_Q_WEIGHTED)
+        at5 = raw[np.argmin(np.abs(GRID - 5.0))]
         assert at5 == pytest.approx(8.0, abs=1e-6)
 
     def test_value_vanishes_left_of_midpoint(self):
         q = sl.gaussian(-4, 1)
         p = sl.two_component(0.5, -4, 4, 1)
-        table = sl.witness_weighted(q, p, GRID)
-        at_m4 = table.values[np.argmin(np.abs(GRID - (-4.0)))]
+        raw = scaled_up(sl.witness_weighted, q, p, sl.L2_Q_WEIGHTED)
+        at_m4 = raw[np.argmin(np.abs(GRID - (-4.0)))]
         assert abs(at_m4) < 1e-9
 
     def test_unit_norm_in_weighted_space(self):
         q = sl.gaussian(-1, 1.2)
         p = sl.two_component(0.4, -1, 2, 1)
-        table = sl.witness_weighted(q, p, GRID)
-        c = table.norm_constant
-        norm = fine_quad(
-            lambda x: sl.pdf(q, x) * (c * (sl.score(p, x) - sl.score(q, x))) ** 2, -16, 17
-        )
+        norm = fine_quad(lambda x: sl.pdf(q, x) * sl.witness_weighted(q, p, x) ** 2, -16, 17)
         assert norm == pytest.approx(1.0, abs=1e-6)
 
 
 class TestWitnessUnweighted:
     def test_identical_distributions_flagged(self):
-        table = sl.witness_unweighted(N01, N01, GRID)
-        assert table.zero_discrepancy
-        assert np.all(table.values == 0.0)
+        assert np.all(sl.witness_unweighted(N01, N01, GRID) == 0.0)
 
     def test_near_zero_left_of_midpoint(self):
         # q score_p - q' collapses to q (score_p - score_q); at the midpoint
@@ -66,27 +63,31 @@ class TestWitnessUnweighted:
         # absolute terms
         q = sl.gaussian(-4, 1)
         p = sl.two_component(0.5, -4, 4, 1)
-        table = sl.witness_unweighted(q, p, GRID)
-        at0 = table.values[np.argmin(np.abs(GRID))]
+        raw = scaled_up(sl.witness_unweighted, q, p, sl.L2_UNWEIGHTED)
+        at0 = raw[np.argmin(np.abs(GRID))]
         assert abs(at0) < 1e-3
         assert at0 == pytest.approx(5.353e-04, rel=1e-3)
 
     def test_vanishing_tail_kills_right_side(self):
         q = sl.gaussian(-4, 1)
         p = sl.two_component(0.5, -4, 4, 1)
-        table = sl.witness_unweighted(q, p, GRID)
-        at4 = table.values[np.argmin(np.abs(GRID - 4.0))]
+        raw = scaled_up(sl.witness_unweighted, q, p, sl.L2_UNWEIGHTED)
+        at4 = raw[np.argmin(np.abs(GRID - 4.0))]
         assert abs(at4) < 1e-13
 
     def test_unit_norm_in_plain_space(self):
         q = sl.gaussian(-1, 1.2)
         p = sl.two_component(0.4, -1, 2, 1)
-        table = sl.witness_unweighted(q, p, GRID)
-        c = table.norm_constant
-        norm = fine_quad(
-            lambda x: (c * sl.pdf(q, x) * (sl.score(p, x) - sl.score(q, x))) ** 2, -16, 17
-        )
+        norm = fine_quad(lambda x: sl.witness_unweighted(q, p, x) ** 2, -16, 17)
         assert norm == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("witness", [sl.witness_weighted, sl.witness_unweighted])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_witness_rejects_a_non_finite_grid_point(witness, bad):
+    grid = np.array([-1.0, 0.0, bad, 2.0])
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="witness values must be finite"):
+        witness(sl.gaussian(-1, 1.2), sl.two_component(0.4, -1, 2, 1), grid)
 
 
 class TestSteinDiscrepancy:
@@ -109,10 +110,14 @@ class TestSteinDiscrepancy:
         [(sl.witness_weighted, sl.L2_Q_WEIGHTED), (sl.witness_unweighted, sl.L2_UNWEIGHTED)],
     )
     def test_witness_normalised_by_its_discrepancy(self, witness, function_class):
+        # bit for bit the product (1 / sd) * raw, not the quotient raw / sd
         q = sl.gaussian(-1, 1.2)
         p = sl.two_component(0.4, -1, 2, 1)
-        table = witness(q, p, GRID)
-        assert table.norm_constant == 1 / sl.stein_discrepancy(q, p, function_class).value
+        raw = sl.score(p, GRID) - sl.score(q, GRID)
+        if function_class == sl.L2_UNWEIGHTED:
+            raw = sl.pdf(q, GRID) * raw
+        sd = sl.stein_discrepancy(q, p, function_class).value
+        assert np.array_equal(witness(q, p, GRID), (1.0 / sd) * raw)
 
     @pytest.mark.parametrize("function_class", [sl.L2_Q_WEIGHTED, sl.L2_UNWEIGHTED])
     def test_narrow_window_rejected(self, function_class):

@@ -1,4 +1,5 @@
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,34 @@ class TestDiffOutputs:
             "demos/broken.py: exit 3: "
         ]
         assert (tmp_path / "broken" / "demos" / "broken.txt").read_text() == "partial\n"
+
+    def test_traced_particle_runs_match_the_untraced(self, tmp_path):
+        tool = _load(DIFF_OUTPUTS)
+        cfgs = tool.write_configs(tool.configs([8], ["svgd-run", "langevin-run"]), tmp_path / "configs")
+        seeded = {key: cfg for key, cfg in cfgs.items() if key.startswith("seed8/")}
+        assert len(seeded) == 2
+        assert tool.run_side(ROOT / "src", seeded, [1], tmp_path / "change") == []
+        assert tool.run_traced(ROOT / "src", seeded, tmp_path / "traced", tmp_path / "change") == []
+        assert (tmp_path / "traced" / "seed8" / "langevin-run" / "final.csv").is_file()
+
+    def test_renamed_traced_parameter_fails_the_traced_run(self, tmp_path):
+        # the tracer counts langevin_step's work from its parameter `x`, by name
+        src = tmp_path / "src"
+        shutil.copytree(ROOT / "src" / "scorelab", src / "scorelab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        langevin = src / "scorelab" / "langevin.py"
+        text = langevin.read_text()
+        for old, new in [("def langevin_step(x,", "def langevin_step(pos,"),
+                         ("x = np.asarray(x, dtype=float)", "x = np.asarray(pos, dtype=float)")]:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        langevin.write_text(text)
+        tool = _load(DIFF_OUTPUTS)
+        cfgs = tool.write_configs(tool.configs([8], ["langevin-run"]), tmp_path / "configs")
+        seeded = {"seed8/langevin-run": cfgs["seed8/langevin-run"]}
+        (problem,) = tool.run_traced(src, seeded, tmp_path / "traced", None)
+        assert problem.startswith("traced run failed: seed8/langevin-run: exit 1: ")
+        assert "KeyError: 'x'" in problem
 
     def test_rejects_a_tree_without_scorelab(self, tmp_path):
         argv = [sys.executable, str(DIFF_OUTPUTS), str(ROOT / "src"), str(tmp_path / "missing")]

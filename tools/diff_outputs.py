@@ -5,8 +5,12 @@
 Runs every `lab` command on its default config and on the configs the
 `perfbench` workloads generate for each seed, once per thread count, as
 `python -m scorelab.cli` with PYTHONPATH set to BASE_SRC and then to
-CHANGE_SRC.  Runs each `demos/*.py` of this checkout once per tree the same
-way and keeps its stdout as `demos/<name>.txt`.  Prints every file that
+CHANGE_SRC.  Runs each `demos/*.py` beside a tree (`<tree>/../demos`) once
+on that tree the same way, so that each demo calls its own tree's API, and
+keeps its stdout as `demos/<name>.txt`.  Runs each workload config once
+more on CHANGE_SRC through `perfbench/traced_cli.py` at one thread, as the
+benchmark's traced passes do, and compares its files with the untraced
+one-thread run when the thread counts include 1.  Prints every file that
 differs, is missing on one side, or belongs to a run or demo that failed
 (exited non-zero), and exits 1 if there is any; 0 otherwise.
 Under a differing CSV with the same header and row count on both sides
@@ -27,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
 COMMANDS = (
     "score-plot",
     "fisher-sweep",
@@ -120,6 +125,29 @@ def run_side(src: Path, cfgs: dict[str, Path], threads, out_root: Path) -> list[
     return failed
 
 
+def run_traced(src: Path, cfgs: dict[str, Path], out_root: Path, untraced: Path | None) -> list[str]:
+    """Run every config once through `perfbench/traced_cli.py` on the tree
+    `src` at one thread; returns a line for each run that failed and, when
+    `untraced` holds the untraced runs, for each file that differs from its
+    one-thread run.  The tracer binds some parameters by name, so a renamed
+    one fails only the traced run."""
+    env = _child_env(src)
+    spans = out_root / "spans"
+    spans.mkdir(parents=True, exist_ok=True)
+    problems = []
+    for key, cfg in cfgs.items():
+        command = key.split("/")[1]
+        out = out_root / key
+        argv = [sys.executable, str(TRACED_CLI), str(spans / f"{key.replace('/', '_')}.json"),
+                command, "--config", str(cfg), "--out", str(out), "--threads", "1"]
+        proc = subprocess.run(argv, env=env, cwd=out_root.parent, capture_output=True, text=True)
+        if proc.returncode != 0:
+            problems.append(f"traced run failed: {key}: exit {proc.returncode}: {proc.stderr.strip()}")
+        elif untraced is not None:
+            problems += [f"traced {key}: {line}" for line in compare_trees(untraced / key / "t1", out)]
+    return problems
+
+
 def column_moves(base_text: str, change_text: str) -> list[str]:
     """`<column>: <k> of <n> cells moved, largest relative move <r>` for each
     differing column of two CSV texts, the move taken relative to the larger
@@ -179,20 +207,23 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="diff_outputs_") as tmp:
         work = Path(tmp)
         cfgs = write_configs(configs(args.seeds, COMMANDS), work / "configs")
-        demos = sorted((ROOT / "demos").glob("*.py"))
         problems = []
         for side, src in (("base", args.base_src), ("change", args.change_src)):
             failed = run_side(src, cfgs, args.threads, work / side)
             problems += [f"{side} run failed: {f}" for f in failed]
+            demos = sorted((src.resolve().parent / "demos").glob("*.py"))
             failed = run_demos(src, demos, work / side)
             problems += [f"{side} demo failed: {f}" for f in failed]
         problems += compare_trees(work / "base", work / "change")
         files = sum(1 for p in (work / "base").rglob("*") if p.is_file())
+        seeded = {key: cfg for key, cfg in cfgs.items() if not key.startswith("default/")}
+        untraced = work / "change" if 1 in args.threads else None
+        problems += run_traced(args.change_src, seeded, work / "traced", untraced)
     runs = len(cfgs) * len(args.threads)
     for line in problems:
         print(line)
     print(f"{runs} runs and {len(demos)} demos per side, {files} files per side, "
-          f"{len(problems)} differences or failures")
+          f"{len(seeded)} traced change runs, {len(problems)} differences or failures")
     return 1 if problems else 0
 
 
