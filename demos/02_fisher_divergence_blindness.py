@@ -15,8 +15,12 @@ print()
 
 print("blindness sweep (mode distance s, weights 0.5 vs 0.9):")
 print(f"{'s':>4} {'J(p||p_reweighted)':>20} {'J(component||mixture)':>22}")
-sweep = sl.blindness_sweep([4, 6, 8, 10], [(0.5, 0.9)], sigma=1.0)
-for s, j_pp, j_qp in zip(sweep["separation"], sweep["j_pp_prime"], sweep["j_q_p"]):
+for s in (4, 6, 8, 10):
+    p = sl.two_component(0.5, -s / 2, s / 2, 1.0)
+    p_reweighted = sl.two_component(0.9, -s / 2, s / 2, 1.0)
+    component = sl.gaussian(-s / 2, 1.0)
+    j_pp = sl.fisher_divergence(p, p_reweighted).value
+    j_qp = sl.fisher_divergence(component, p).value
     print(f"{s:4.0f} {j_pp:20.3e} {j_qp:22.3e}")
 
 print()

@@ -24,15 +24,14 @@ print("target: 0.5*N(-4,1) + 0.5*N(4,1); 200 particles, 2000 steps")
 print(f"{'init':>16} {'left-mode fraction':>20}")
 for idx, (mu0, sigma0) in enumerate([(-4, 1), (0, 3), (4, 1)]):
     rng = sl.make_stream(42, idx)
-    init = sl.ParticleEnsemble(mu0 + sigma0 * rng.standard_normal(200))
+    init = mu0 + sigma0 * rng.standard_normal(200)
     final, _ = sl.svgd_run(init, target, cfg)
     frac = sl.mode_fraction(final, 0.0)
     print(f"  N({mu0:+d}, {sigma0}^2)  {frac:20.3f}")
 
 print()
 print("single particle follows the plain score field (no interaction):")
-e = sl.ParticleEnsemble([2.5])
-print(f"  direction at 2.5 = {sl.svgd_direction(e, target, cfg.kernel)[0]:.4f}"
+print(f"  direction at 2.5 = {sl.svgd_direction([2.5], target, cfg.kernel)[0]:.4f}"
       f" vs score {sl.score(target, 2.5):.4f}")
 
 print()
@@ -41,18 +40,18 @@ print("smoothed target, sigma 8 -> 0.5 over 8 levels, then 500 steps on the targ
 skewed = sl.two_component(0.1, -4, 4, 1)
 
 
-def annealed(ensemble):
+def annealed(positions):
     for sigma in sl.geometric_schedule(8.0, 0.5, 8).sigmas:
         level = sl.SvgdConfig(kernel=cfg.kernel, step_size=0.1 * (1 + sigma**2), iterations=200)
-        ensemble, _ = sl.svgd_run(ensemble, sl.smooth(skewed, sigma), level)
+        positions, _ = sl.svgd_run(positions, sl.smooth(skewed, sigma), level)
     final = sl.SvgdConfig(kernel=cfg.kernel, step_size=0.1, iterations=500)
-    return sl.svgd_run(ensemble, skewed, final)[0]
+    return sl.svgd_run(positions, skewed, final)[0]
 
 
 print(f"{'init':>16} {'plain, 2000 steps':>18} {'noise-annealed':>15}")
 for idx, (mu0, sigma0) in enumerate([(-4, 1), (0, 3), (4, 1)]):
     rng = sl.make_stream(42, idx)
-    init = sl.ParticleEnsemble(mu0 + sigma0 * rng.standard_normal(200))
+    init = mu0 + sigma0 * rng.standard_normal(200)
     plain = sl.mode_fraction(sl.svgd_run(init, skewed, cfg)[0], 0.0)
     noised = sl.mode_fraction(annealed(init), 0.0)
     print(f"  N({mu0:+d}, {sigma0}^2)  {plain:18.3f} {noised:15.3f}")

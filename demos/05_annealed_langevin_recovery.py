@@ -16,21 +16,21 @@ print("annealed run: geometric noise 8 -> 0.5 over 8 levels, 200 steps each")
 print(f"{'pi1':>6} {'recovered left fraction':>25}")
 for pi1 in (0.1, 0.3, 0.5, 0.7):
     target = sl.two_component(pi1, -4, 4, 1)
-    ens = sl.annealed_langevin_run(
+    positions = sl.annealed_langevin_run(
         5000, target, sl.geometric_schedule(), sl.make_stream(7, int(pi1 * 10))
     )
-    print(f"{pi1:6.1f} {sl.mode_fraction(ens, 0.0):25.3f}")
+    print(f"{pi1:6.1f} {sl.mode_fraction(positions, 0.0):25.3f}")
 
 print()
 print("plain Langevin, same step budget, all particles started at -4:")
-ens = sl.annealed_langevin_run(
+positions = sl.annealed_langevin_run(
     5000,
     sl.two_component(0.5, -4, 4, 1),
     sl.NoiseSchedule((0.01,), 1600, 0.01),
     sl.make_stream(8, 0),
     init=np.full(5000, -4.0),
 )
-print(f"  left fraction stays at {sl.mode_fraction(ens, 0.0):.4f} (target weight is 0.5)")
+print(f"  left fraction stays at {sl.mode_fraction(positions, 0.0):.4f} (target weight is 0.5)")
 
 print()
 print("the noisy scores driving the run are exact smoothed-mixture scores:")

@@ -38,7 +38,6 @@ from .remedies import (
 )
 from .scorematch import (
     DivergenceEstimate,
-    blindness_sweep,
     fisher_divergence,
     fisher_divergence_mc,
     sm_objective_empirical,
@@ -53,7 +52,7 @@ from .stein import (
     witness_unweighted,
     witness_weighted,
 )
-from .svgd import ParticleEnsemble, SvgdConfig, mode_fraction, svgd_direction, svgd_run
+from .svgd import SvgdConfig, mode_fraction, svgd_direction, svgd_run
 
 __all__ = [
     "DivergenceEstimate",
@@ -65,11 +64,9 @@ __all__ = [
     "L2_Q_WEIGHTED",
     "L2_UNWEIGHTED",
     "NoiseSchedule",
-    "ParticleEnsemble",
     "QuadratureSpec",
     "SvgdConfig",
     "annealed_langevin_run",
-    "blindness_sweep",
     "cml_loss",
     "entropy_grad_estimate",
     "finite_diff",

@@ -197,16 +197,27 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
     separations = _separations(cfg)
     pi_pairs = cfg.get_pairs("pi_pairs", "0.5:0.9")
     sigma = cfg.get_float("sigma", 1.0)
-    # every mixture and window is built, so checked, before any quadrature
+    # every mixture and window is built, so checked, before any quadrature;
+    # the mixtures at one separation share their means and widths, so the
+    # window of all of them serves every pair.  q is p's first component
+    # alone, the spurious-component case
     weights = [pi for pair in pi_pairs for pi in pair]
+    cells = []
     for s in separations:
         mixtures = _two_components("pi_pairs, sigma", weights, -s / 2.0, s / 2.0, sigma)
-        _window("separations, sigma", *mixtures)
+        window = _window("separations, sigma", *mixtures)
+        q = mx.gaussian(-s / 2.0, sigma)
+        for (pi, pi_prime), p, p_prime in zip(pi_pairs, mixtures[::2], mixtures[1::2]):
+            cells.append((s, pi, pi_prime, p, p_prime, q, window))
 
-    chunks = _map_cells(
-        lambda s: sm.blindness_sweep([s], pi_pairs, sigma), separations, cfg.threads
-    )
-    table = {name: [v for chunk in chunks for v in chunk[name]] for name in chunks[0]}
+    def one(cell):
+        s, pi, pi_prime, p, p_prime, q, spec = cell
+        j_pp = sm.fisher_divergence(p, p_prime, spec)
+        j_qp = sm.fisher_divergence(q, p, spec)
+        return (s, pi, pi_prime, j_pp.value, j_qp.value, "quadrature", spec.nodes)
+
+    rows = _map_cells(one, cells, cfg.threads)
+    table = _by_rows(["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes"], rows)
     spec = PlotSpec("lines", x="separation", y=("j_pp_prime", "j_q_p"), title="fisher divergence vs separation")
     return {"sweep.csv": (table, {"sweep.svg": spec})}
 
@@ -287,6 +298,9 @@ def _run_svgd(cfg: ExperimentConfig):
         [f"{mu0!r}:{s0!r}" for mu0, s0 in cells],
         [f"mu{_tag(mu0)}_sd{_tag(s0)}" for mu0, s0 in cells],
     )
+    for mu0, s0 in cells:
+        if not (np.isfinite(mu0) and np.isfinite(s0)):
+            raise ConfigError(f"[params] cells: start mean and width must be finite, got {mu0!r}:{s0!r}")
     particles = _count(cfg, "particles", 200, 1)
     step_size = cfg.get_float("step_size", 0.1)
     iterations = cfg.get_int("iterations", 2000)
@@ -310,7 +324,7 @@ def _run_svgd(cfg: ExperimentConfig):
     def one(item):
         index, (_, target, mu0, s0) = item
         rng = make_stream(cfg.seed, index)
-        init = sv.ParticleEnsemble(mu0 + s0 * rng.standard_normal(particles))
+        init = mu0 + s0 * rng.standard_normal(particles)
         final, snapshots = sv.svgd_run(init, target, run_cfg)
         return init, final, snapshots
 
@@ -330,7 +344,7 @@ def _run_svgd(cfg: ExperimentConfig):
         positions_table = {
             "phase": ["initial"] * particles + ["final"] * particles,
             "particle_id": np.tile(np.arange(particles), 2),
-            "position": np.concatenate((init.positions, final.positions)),
+            "position": np.concatenate((init, final)),
         }
         hist = PlotSpec(
             "histogram",
@@ -364,20 +378,20 @@ def _run_langevin(cfg: ExperimentConfig):
         sched = lv.geometric_schedule(sigma_max, sigma_min, levels, steps_per_level, base_step)
     except ValueError as exc:
         raise ConfigError(f"[params] {exc}") from None
+    window = _window("target", target)
     trace_rows = []
 
     def observer(level, sigma_j, step, positions):
         if step % trace_every == 0 or step == steps_per_level - 1:
-            trace_rows.append((level, sigma_j, step, float(np.mean(positions <= threshold))))
+            trace_rows.append((level, sigma_j, step, sv.mode_fraction(positions, threshold)))
 
-    ensemble = lv.annealed_langevin_run(
+    positions = lv.annealed_langevin_run(
         particles, target, sched, make_stream(cfg.seed, 0), observer=observer
     )
 
-    window = mx.quadrature_window(target)
     levels_table = _by_rows(["level", "sigma_j", "step", "mode_fraction"], trace_rows)
     trace = PlotSpec("lines", x="step", y=("mode_fraction",), title="mode fraction during annealing")
-    final = {"particle_id": np.arange(particles), "position": ensemble.positions}
+    final = {"particle_id": np.arange(particles), "position": positions}
     hist = PlotSpec(
         "histogram",
         value="position",
@@ -407,10 +421,12 @@ def _run_remedies(cfg: ExperimentConfig):
     for lam in lambdas:
         if not (np.isfinite(lam) and lam >= 0):
             raise ConfigError(f"[params] lambdas: must be finite and nonnegative, got {lam}")
+    window = _window("data, model", data, model)
+    _window("model", model)  # the window of the model's moments
 
     samples = mx.sample(data, n_samples, make_stream(cfg.seed, 0))
     ml = rm.kde_fit(samples) if reference == "kde" else data
-    fisher = sm.fisher_divergence(data, model).value
+    fisher = sm.fisher_divergence(data, model, window).value
     moments = rm.moment_discrepancy(model, samples, [1, 2])
     # the loss is linear in lambda: one unweighted loss serves every lambda
     unit = rm.cml_loss(model, ml, samples)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixture import GaussianMixture1D, score, smooth
-from .svgd import ParticleEnsemble
 
 
 @dataclass(frozen=True)
@@ -98,14 +97,14 @@ def annealed_langevin_run(
     rng: np.random.Generator,
     init: np.ndarray | None = None,
     observer=None,
-) -> ParticleEnsemble:
+) -> np.ndarray:
     """Langevin sampling through the noise levels, largest to smallest.
 
     Particles start from N(target mean, sigma_max^2) unless an explicit init
     vector is supplied.  At level j the particles follow the score of the
     sigma_j-smoothed target for `steps_per_level` steps with the schedule's
     level step.  `observer(level, sigma, step, positions)` is called after
-    every step when provided.
+    every step when provided.  Returns the final positions.
     """
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
@@ -126,4 +125,4 @@ def annealed_langevin_run(
                 raise FloatingPointError(f"non-finite particle {bad} at level {level}, step {step}")
             if observer is not None:
                 observer(level, sigma_j, step, x)
-    return ParticleEnsemble(x)
+    return x

@@ -2,7 +2,7 @@
 
 The divergence J(q||p) = integral of q (score_q - score_p)^2 is evaluated on
 a fixed quadrature grid, with a Monte-Carlo form kept as an independent
-cross-check.  `blindness_sweep` grids the two failure modes of the loss:
+cross-check.  `lab fisher-sweep` grids the two failure modes of the loss:
 indifference to mixing proportions (model vs reweighted model) and to
 spurious isolated components (data concentrated on one component).
 """
@@ -15,21 +15,17 @@ import numpy as np
 
 from .mixture import (
     GaussianMixture1D,
-    gaussian,
     mass_inside,
     pdf,
     quadrature_window,
     score,
     score_derivative,
-    two_component,
 )
 from .numerics import QuadratureSpec, quad_integrate
 
 # largest negative value still treated as quadrature round-off
 _NEG_TOL = 1e-12
 _MASS_TOL = 1e-6
-
-QUADRATURE = "quadrature"
 
 
 @dataclass(frozen=True)
@@ -118,40 +114,3 @@ def sm_objective_empirical(samples: np.ndarray, p: GaussianMixture1D) -> float:
         raise ValueError("samples must be nonempty")
     s = score(p, xs)
     return float((0.5 * s * s + score_derivative(p, xs)).mean())
-
-
-def blindness_sweep(
-    separations,
-    pi_pairs,
-    sigma: float,
-) -> dict[str, list]:
-    """Grid J(p||p') and J(q||p) over mode separations and weight pairs.
-
-    For each separation s the component means sit at -s/2 and +s/2.  Per row:
-    p has weight pair (pi, 1-pi), p' is p with pi replaced by pi_prime, and
-    q is p's first component alone (the spurious-component case).  Returns
-    the rows as a {column: list} table under the `sweep.csv` names.
-    """
-    seps = [float(s) for s in separations]
-    if any(s <= 0 for s in seps) or any(b <= a for a, b in zip(seps, seps[1:])):
-        raise ValueError("separations must be positive and increasing")
-    pairs = [(float(a), float(b)) for a, b in pi_pairs]
-    if any(not (0 < a < 1 and 0 < b < 1) for a, b in pairs):
-        raise ValueError("mixing proportions must lie in (0, 1)")
-
-    table = {
-        name: []
-        for name in ("separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes")
-    }
-    for s in seps:
-        for pi, pi_prime in pairs:
-            p = two_component(pi, -s / 2.0, s / 2.0, sigma)
-            p_prime = two_component(pi_prime, -s / 2.0, s / 2.0, sigma)
-            q = gaussian(-s / 2.0, sigma)
-            spec = quadrature_window(p, p_prime)
-            j_pp = fisher_divergence(p, p_prime, spec)
-            j_qp = fisher_divergence(q, p, spec)
-            row = (s, pi, pi_prime, j_pp.value, j_qp.value, QUADRATURE, spec.nodes)
-            for column, value in zip(table.values(), row):
-                column.append(value)
-    return table

@@ -107,24 +107,6 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
     return d, q, k
 
 
-@dataclass
-class ParticleEnsemble:
-    """Particle positions: a nonempty, finite 1-D array."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 1 or self.positions.size == 0:
-            raise ValueError("positions must be a nonempty 1-D array")
-        if not np.all(np.isfinite(self.positions)):
-            raise ValueError("positions must be finite")
-
-    @property
-    def size(self) -> int:
-        return int(self.positions.size)
-
-
 @dataclass(frozen=True)
 class SvgdConfig:
     """Run parameters: `iterations` steps of `step_size` with `kernel`;
@@ -207,36 +189,46 @@ def _unsorted(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-def svgd_direction(
-    ensemble: ParticleEnsemble, target: GaussianMixture1D, kernel: KernelSpec
-) -> np.ndarray:
+def _positions(x) -> np.ndarray:
+    """x as particle positions: a nonempty, finite 1-D float array."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("positions must be a nonempty 1-D array")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("positions must be finite")
+    return x
+
+
+def svgd_direction(positions: np.ndarray, target: GaussianMixture1D, kernel: KernelSpec) -> np.ndarray:
     """Optimal update direction at every particle.
 
     For particle x': phi(x') = mean_n [ score(x_n) k(x', x_n) + d/dx_n k(x', x_n) ],
     the kernel-smoothed score plus the repulsion term.
     """
-    x = ensemble.positions
+    x = _positions(positions)
     order = np.argsort(x, kind="stable")
     xs = x[order]
     return _unsorted(_sorted_direction(xs, score(target, xs), kernel.bandwidth, _tile_work(x.size)), order)
 
 
 def svgd_run(
-    init: ParticleEnsemble,
+    init: np.ndarray,
     target: GaussianMixture1D,
     cfg: SvgdConfig,
-) -> tuple[ParticleEnsemble, list[tuple[int, np.ndarray]]]:
-    """Iterate positions <- positions + step * direction.
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Iterate positions <- positions + step * direction from the positions
+    `init`.
 
-    Returns the final ensemble and the list of recorded (iteration,
+    Returns the final positions and the list of recorded (iteration,
     positions) snapshots (empty unless cfg.snapshot_every is set).  The
     update is deterministic, so the run takes no random stream.  The run
     carries the positions in sorted order, with the permutation `order`
     back to the particles, and re-sorts only after a step that breaks the
     order; the kernel sums of every step reuse one tile workspace.
     """
-    order = np.argsort(init.positions, kind="stable")
-    xs = init.positions[order]
+    x = _positions(init)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
     work = _tile_work(xs.size)
     snapshots: list[tuple[int, np.ndarray]] = []
 
@@ -254,9 +246,9 @@ def svgd_run(
     x = _unsorted(xs, order)
     if cfg.snapshot_every is not None:
         snapshots.append((cfg.iterations, x.copy()))
-    return ParticleEnsemble(x), snapshots
+    return x, snapshots
 
 
-def mode_fraction(ensemble: ParticleEnsemble, threshold: float) -> float:
-    """Fraction of particles at or below the threshold (ties count as below)."""
-    return float(np.mean(ensemble.positions <= threshold))
+def mode_fraction(positions: np.ndarray, threshold: float) -> float:
+    """Fraction of positions at or below the threshold (ties count as below)."""
+    return float(np.mean(np.asarray(positions) <= threshold))

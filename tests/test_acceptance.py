@@ -198,7 +198,7 @@ def test_criterion_08_svgd_initialization_sensitivity():
         target = sl.two_component(pi1, -4, 4, 1)
         for mu0, s0 in cells:
             rng = sl.make_stream(808, index)
-            init = sl.ParticleEnsemble(mu0 + s0 * rng.standard_normal(200))
+            init = mu0 + s0 * rng.standard_normal(200)
             final, _ = sl.svgd_run(init, target, cfg)
             fractions[(pi1, mu0, s0)] = sl.mode_fraction(final, 0.0)
             index += 1

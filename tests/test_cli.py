@@ -234,6 +234,10 @@ lambdas = 0.5, 1.0
 """
 
 
+NARROW_DATA = "data = weights=0.9,0.1; means=-5.0,5.0; stds=1e-150,1e-150\n"
+NARROW_MODEL = "model = weights=0.1,0.9; means=-5.0,5.0; stds=1e-150,1e-150\n"
+
+
 class TestCommands:
     def test_score_plot_outputs_and_coincidence(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", SCORE_PLOT.format(out=tmp_path / "out"))
@@ -381,7 +385,8 @@ class TestCliContract:
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         for command, template, threads in (
-            ("fisher-sweep", FISHER, "4"),
+            # two pairs, so the cells of one separation split across threads
+            ("fisher-sweep", FISHER.replace("pi_pairs = 0.5:0.9", "pi_pairs = 0.5:0.9, 0.2:0.7"), "4"),
             ("ksd-run", KSD, "2"),
             ("svgd-run", SVGD, "2"),
         ):
@@ -529,8 +534,14 @@ class TestCliContract:
             ("stein-sweep", STEIN + "sigma = 1e-150\n", "separations, sigma"),
             ("score-plot", SCORE_PLOT.replace("sigma = 1\n", "sigma = 1e-150\n"), "mu1, mu2, sigma"),
             ("svgd-run", SVGD + "sigma = 1e-150\n", "mu1, mu2, sigma"),
+            ("langevin-run", LANGEVIN.replace("stds=1.0,1.0", "stds=1e-150,1e-150"), "target"),
+            ("remedies-run", REMEDIES + NARROW_DATA + NARROW_MODEL, "data, model"),
+            ("remedies-run", REMEDIES + NARROW_MODEL, "model"),
         ],
-        ids=["fisher 1e-150", "fisher 1e-17 at means 2", "stein 1e-150", "score-plot 1e-150", "svgd 1e-150"],
+        ids=[
+            "fisher 1e-150", "fisher 1e-17 at means 2", "stein 1e-150", "score-plot 1e-150", "svgd 1e-150",
+            "langevin 1e-150", "remedies 1e-150", "remedies model 1e-150",
+        ],
     )
     def test_components_too_narrow_for_the_window_rejected_before_running(
         self, tmp_path, capsys, monkeypatch, command, body, keys
@@ -649,6 +660,15 @@ class TestCliContract:
                 "svgd-run", SVGD, "cells = -4:1, 0:3, 4:1", "cells = -4:1, 0:3, -4:1",
                 "[params] cells: -4.0:1.0 and -4.0:1.0 give the same name tag mu-4_sd1",
             ),
+            # a non-finite start would fail inside its cell, naming no key
+            (
+                "svgd-run", SVGD, "cells = -4:1, 0:3, 4:1", "cells = -4:1, -4:nan",
+                "[params] cells: start mean and width must be finite, got -4.0:nan",
+            ),
+            (
+                "svgd-run", SVGD, "cells = -4:1, 0:3, 4:1", "cells = 0:inf",
+                "[params] cells: start mean and width must be finite, got 0.0:inf",
+            ),
             (
                 "score-plot", SCORE_PLOT, "pi_grid = 0.1, 0.5, 0.9", "pi_grid = 0.3, 0.3",
                 "[params] pi_grid: 0.3 and 0.3 give the same name tag pi0.3",
@@ -731,6 +751,7 @@ class TestCliContract:
         ids=[
             "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
             "svgd threshold", "langevin threshold", "svgd pi1_grid tags", "svgd cells tags",
+            "svgd nan cell", "svgd inf cell",
             "score-plot pi_grid tags", "score-plot empty pi_grid", "svgd empty pi1_grid",
             "fisher decreasing separations", "fisher repeated separation", "fisher negative separation",
             "stein negative separation", "stein infinite separation",

@@ -113,37 +113,44 @@ class TestAnnealedRun:
         sched = sl.geometric_schedule(4.0, 0.5, 4, 50, 0.01)
         a = sl.annealed_langevin_run(200, TARGET, sched, sl.make_stream(5, 0))
         b = sl.annealed_langevin_run(200, TARGET, sched, sl.make_stream(5, 0))
-        assert np.array_equal(a.positions, b.positions)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("pi1", [0.1, 0.3, 0.5])
     def test_recovers_mixing_proportion(self, pi1):
         target = sl.two_component(pi1, -4, 4, 1)
-        ens = sl.annealed_langevin_run(
+        positions = sl.annealed_langevin_run(
             5000, target, sl.geometric_schedule(), sl.make_stream(2024, int(pi1 * 10))
         )
-        assert abs(sl.mode_fraction(ens, 0.0) - pi1) < 0.05
+        assert abs(sl.mode_fraction(positions, 0.0) - pi1) < 0.05
 
     def test_plain_langevin_stays_in_start_mode(self):
         # same step budget, concentrated init, no annealing: no crossings
         single = sl.NoiseSchedule((0.01,), 1600, 0.01)
-        ens = sl.annealed_langevin_run(
+        positions = sl.annealed_langevin_run(
             5000,
             sl.two_component(0.5, -4, 4, 1),
             single,
             sl.make_stream(99, 0),
             init=np.full(5000, -4.0),
         )
-        assert sl.mode_fraction(ens, 0.0) > 0.99
+        assert sl.mode_fraction(positions, 0.0) > 0.99
 
     def test_single_gaussian_target_matches_moments(self):
         # the run equilibrates to the sigma_min-smoothed law, so recovering
         # the raw target needs a final level well below the target width
         target = sl.gaussian(1.0, 1.0)
-        ens = sl.annealed_langevin_run(
+        positions = sl.annealed_langevin_run(
             5000, target, sl.geometric_schedule(4.0, 0.1, 8, 500, 0.01), sl.make_stream(41, 0)
         )
-        assert abs(ens.positions.mean() - 1.0) < 0.05
-        assert abs(ens.positions.var() - 1.0) < 0.05
+        assert abs(positions.mean() - 1.0) < 0.05
+        assert abs(positions.var() - 1.0) < 0.05
+
+    def test_returns_a_float_array_of_the_particles(self):
+        sched = sl.geometric_schedule(2.0, 0.5, 2, 5, 0.01)
+        positions = sl.annealed_langevin_run(7, TARGET, sched, sl.make_stream(1, 0), init=np.arange(7))
+        assert isinstance(positions, np.ndarray)
+        assert positions.dtype == np.float64
+        assert positions.shape == (7,)
 
     def test_observer_sees_every_step(self):
         sched = sl.geometric_schedule(2.0, 0.5, 2, 5, 0.01)

@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 import scorelab as sl
+import scorelab.cli as cli
 from conftest import random_mixture, random_mixture_pairs
 
 N01 = sl.gaussian(0.0, 1.0)
@@ -163,25 +166,51 @@ class TestSmObjective:
             sl.sm_objective_empirical(np.array([]), N01)
 
 
+def fisher_sweep_rows(tmp_path, separations: str, pi_pairs: str) -> list[dict]:
+    """The rows of `lab fisher-sweep`'s sweep.csv at sigma 1."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        f"[experiment]\ncommand = fisher-sweep\nseed = 0\nout_dir = {tmp_path / 'out'}\n\n"
+        f"[params]\nseparations = {separations}\npi_pairs = {pi_pairs}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["fisher-sweep", "--config", str(cfg)]) == 0
+    with open(tmp_path / "out" / "sweep.csv", newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 class TestBlindnessSweep:
-    def test_rows_and_monotone_decay(self):
-        table = sl.blindness_sweep([4, 6, 8, 10], [(0.5, 0.9)], 1.0)
-        assert all(len(column) == 4 for column in table.values())
-        jpp = table["j_pp_prime"]
-        jqp = table["j_q_p"]
+    def test_rows_and_monotone_decay(self, tmp_path):
+        rows = fisher_sweep_rows(tmp_path, "4, 6, 8, 10", "0.5:0.9")
+        assert len(rows) == 4
+        jpp = [float(r["j_pp_prime"]) for r in rows]
+        jqp = [float(r["j_q_p"]) for r in rows]
         assert all(a > b for a, b in zip(jpp, jpp[1:]))
         assert all(a > b for a, b in zip(jqp, jqp[1:]))
         # frozen endpoint values (modes +/-5), adaptive-quadrature oracle
         assert jpp[-1] == pytest.approx(1.523870e-05, rel=1e-4)
         assert jqp[-1] == pytest.approx(2.232050e-05, rel=1e-4)
 
-    def test_table_has_the_sweep_csv_columns(self):
-        table = sl.blindness_sweep([4, 6], [(0.5, 0.9), (0.2, 0.7)], 1.0)
-        assert list(table) == ["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes"]
-        assert table["separation"] == [4.0, 4.0, 6.0, 6.0]
-        assert table["pi_prime"] == [0.9, 0.7, 0.9, 0.7]
-        assert table["method"] == ["quadrature"] * 4
-        assert table["nodes"] == [sl.QuadratureSpec(0.0, 1.0).nodes] * 4
+    def test_sweep_csv_header_and_row_order(self, tmp_path):
+        # one row per separation and pair, separation first, then pair
+        rows = fisher_sweep_rows(tmp_path, "4, 6", "0.5:0.9, 0.2:0.7")
+        assert list(rows[0]) == ["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes"]
+        assert [(r["separation"], r["pi"], r["pi_prime"]) for r in rows] == [
+            ("4.0", "0.5", "0.9"),
+            ("4.0", "0.2", "0.7"),
+            ("6.0", "0.5", "0.9"),
+            ("6.0", "0.2", "0.7"),
+        ]
+        assert [r["method"] for r in rows] == ["quadrature"] * 4
+        assert [int(r["nodes"]) for r in rows] == [sl.QuadratureSpec(0.0, 1.0).nodes] * 4
+        # the window of all mixtures at one separation is each pair's
+        # default window
+        for r in rows:
+            s, pi, pi_prime = float(r["separation"]), float(r["pi"]), float(r["pi_prime"])
+            p = sl.two_component(pi, -s / 2, s / 2, 1.0)
+            p_prime = sl.two_component(pi_prime, -s / 2, s / 2, 1.0)
+            assert float(r["j_pp_prime"]) == sl.fisher_divergence(p, p_prime).value
+            assert float(r["j_q_p"]) == sl.fisher_divergence(sl.gaussian(-s / 2, 1.0), p).value
 
     def test_flatness_across_weights_at_wide_separation(self):
         # with modes at +/-10 the map pi1 -> J(q||p) is flat below 1e-8
@@ -204,9 +233,3 @@ class TestBlindnessSweep:
         assert values[0.1] == pytest.approx(6.813412e-05, rel=1e-4)
         assert values[0.5] == pytest.approx(2.232050e-05, rel=1e-4)
         assert values[0.9] == pytest.approx(6.984283e-06, rel=1e-4)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="increasing"):
-            sl.blindness_sweep([4, 4], [(0.5, 0.9)], 1.0)
-        with pytest.raises(ValueError, match="proportions"):
-            sl.blindness_sweep([4], [(0.0, 0.9)], 1.0)

@@ -19,20 +19,18 @@ TARGET = sl.two_component(0.5, -4, 4, 1)
 
 class TestDirection:
     def test_single_particle_reduces_to_score(self):
-        e = sl.ParticleEnsemble(np.array([1.7]))
-        d = sl.svgd_direction(e, sl.gaussian(0, 1), KERNEL)
+        d = sl.svgd_direction(np.array([1.7]), sl.gaussian(0, 1), KERNEL)
         assert d[0] == sl.score(sl.gaussian(0, 1), 1.7)
 
     def test_two_symmetric_particles_oppose(self):
-        e = sl.ParticleEnsemble(np.array([-2.0, 2.0]))
-        d = sl.svgd_direction(e, TARGET, KERNEL)
+        d = sl.svgd_direction(np.array([-2.0, 2.0]), TARGET, KERNEL)
         assert d[0] == -d[1]
 
     def test_mode_local_ensemble_is_nearly_stationary(self):
         # calibrated: max |direction| 0.112, mean 0.050 for this stream
         rng = sl.make_stream(5, 0)
-        e = sl.ParticleEnsemble(sl.sample(sl.gaussian(-4, 1), 50, rng))
-        d = sl.svgd_direction(e, TARGET, KERNEL)
+        x = sl.sample(sl.gaussian(-4, 1), 50, rng)
+        d = sl.svgd_direction(x, TARGET, KERNEL)
         assert np.max(np.abs(d)) < 0.5
         assert abs(d.mean()) < 0.1
 
@@ -40,8 +38,8 @@ class TestDirection:
         rng = sl.make_stream(8, 0)
         x = sl.sample(TARGET, 64, rng)
         perm = np.random.default_rng(4).permutation(x.size)
-        d = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
-        d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
+        d = sl.svgd_direction(x, TARGET, KERNEL)
+        d_perm = sl.svgd_direction(x[perm], TARGET, KERNEL)
         assert np.array_equal(d_perm, d[perm])
 
     @pytest.mark.parametrize(
@@ -63,14 +61,14 @@ class TestDirection:
         scale = np.abs(contrib).sum(axis=1) / x.size
         contrib.sort(axis=1)
         reference = contrib.sum(axis=1) / x.size
-        got = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
+        got = sl.svgd_direction(x, TARGET, KERNEL)
         if from_target:
             assert np.ptp(x) <= _SPAN * KERNEL.bandwidth
             assert np.all(np.abs(got - reference) <= 1e-14 * scale)
         else:
             assert np.max(np.abs(got - reference)) <= 1e-15
         perm = np.random.default_rng(5).permutation(x.size)
-        d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
+        d_perm = sl.svgd_direction(x[perm], TARGET, KERNEL)
         assert np.array_equal(d_perm, got[perm])
 
     @pytest.mark.parametrize("n", [200, 600])
@@ -95,7 +93,7 @@ class TestDirection:
             target = sl.two_component(0.5, -separation / 2, separation / 2, 1.0)
             x = sl.sample(target, n, sl.make_stream(3, n))
             s = sl.score(target, x)
-            got = sl.svgd_direction(sl.ParticleEnsemble(x), target, sl.KernelSpec(bandwidth))
+            got = sl.svgd_direction(x, target, sl.KernelSpec(bandwidth))
             xl = x.astype(np.longdouble)
             d = xl[:, None] - xl[None, :]
             h2 = np.longdouble(bandwidth) ** 2
@@ -109,42 +107,66 @@ class TestDirection:
     def test_equal_positions_across_a_tile_edge_move_together(self):
         x = np.sort(3.0 * sl.make_stream(8, 2).standard_normal(2 * TILE + 37))
         x[TILE] = x[TILE + 1] = x[TILE - 1]
-        d = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
+        d = sl.svgd_direction(x, TARGET, KERNEL)
         assert d[TILE - 1] == d[TILE] == d[TILE + 1]
         perm = np.random.default_rng(6).permutation(x.size)
-        d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
+        d_perm = sl.svgd_direction(x[perm], TARGET, KERNEL)
         assert np.array_equal(d_perm, d[perm])
 
     def test_equal_positions_inside_one_tile_move_together(self):
         # N = 200 is one tile; three positions appear twice each
         x = 3.0 * sl.make_stream(8, 3).standard_normal(200)
         x[[10, 20, 30]] = x[[150, 160, 170]]
-        d = sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, KERNEL)
+        d = sl.svgd_direction(x, TARGET, KERNEL)
         assert np.array_equal(d[[10, 20, 30]], d[[150, 160, 170]])
         perm = np.random.default_rng(7).permutation(x.size)
-        d_perm = sl.svgd_direction(sl.ParticleEnsemble(x[perm]), TARGET, KERNEL)
+        d_perm = sl.svgd_direction(x[perm], TARGET, KERNEL)
         assert np.array_equal(d_perm, d[perm])
+
+
+class TestPositionsChecked:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([]), "positions must be a nonempty 1-D array"),
+            (np.zeros((2, 2)), "positions must be a nonempty 1-D array"),
+            (np.array([0.0, np.nan]), "positions must be finite"),
+            (np.array([np.inf]), "positions must be finite"),
+        ],
+        ids=["empty", "2-D", "nan", "inf"],
+    )
+    def test_direction_and_run_reject(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            sl.svgd_direction(bad, TARGET, KERNEL)
+        with pytest.raises(ValueError, match=message):
+            sl.svgd_run(bad, TARGET, sl.SvgdConfig(kernel=KERNEL, iterations=1))
+
+    def test_run_leaves_its_start_unchanged(self):
+        init = np.array([-1.0, 0.5, 2.0])
+        final, _ = sl.svgd_run(init, TARGET, sl.SvgdConfig(kernel=KERNEL, iterations=3))
+        assert np.array_equal(init, [-1.0, 0.5, 2.0])
+        assert not np.array_equal(final, init)
 
 
 class TestRun:
     def test_single_particle_is_score_ascent(self):
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.05, iterations=40)
-        final, _ = sl.svgd_run(sl.ParticleEnsemble(np.array([2.5])), TARGET, cfg)
+        final, _ = sl.svgd_run(np.array([2.5]), TARGET, cfg)
         x = 2.5
         for _ in range(40):
             x = x + 0.05 * sl.score(TARGET, x)
-        assert final.positions[0] == x
+        assert final[0] == x
 
     def test_run_equals_direction_loop(self):
         # the run reuses one tile workspace across steps; ragged tiles and
         # stale slab contents must not change a bit
         x0 = 3.0 * sl.make_stream(8, 3).standard_normal(2 * TILE + 37)
         cfg = sl.SvgdConfig(kernel=sl.KernelSpec(0.8), step_size=0.1, iterations=20)
-        final, _ = sl.svgd_run(sl.ParticleEnsemble(x0), TARGET, cfg)
+        final, _ = sl.svgd_run(x0, TARGET, cfg)
         x = x0
         for _ in range(20):
-            x = x + 0.1 * sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, cfg.kernel)
-        assert np.array_equal(final.positions, x)
+            x = x + 0.1 * sl.svgd_direction(x, TARGET, cfg.kernel)
+        assert np.array_equal(final, x)
 
     def test_crossing_run_equals_direction_loop(self):
         # a large step makes particles cross, so the run re-sorts its
@@ -152,17 +174,17 @@ class TestRun:
         # permutation-equivariant
         x0 = 3.0 * sl.make_stream(8, 4).standard_normal(2 * TILE + 37)
         cfg = sl.SvgdConfig(kernel=sl.KernelSpec(0.3), step_size=5.0, iterations=20)
-        final, _ = sl.svgd_run(sl.ParticleEnsemble(x0), TARGET, cfg)
+        final, _ = sl.svgd_run(x0, TARGET, cfg)
         x, crossings = x0, 0
         for _ in range(20):
-            step = x + 5.0 * sl.svgd_direction(sl.ParticleEnsemble(x), TARGET, cfg.kernel)
+            step = x + 5.0 * sl.svgd_direction(x, TARGET, cfg.kernel)
             crossings += not np.array_equal(np.argsort(x, kind="stable"), np.argsort(step, kind="stable"))
             x = step
         assert crossings >= 10
-        assert np.array_equal(final.positions, x)
+        assert np.array_equal(final, x)
         perm = np.random.default_rng(9).permutation(x0.size)
-        moved, _ = sl.svgd_run(sl.ParticleEnsemble(x0[perm]), TARGET, cfg)
-        assert np.array_equal(moved.positions, final.positions[perm])
+        moved, _ = sl.svgd_run(x0[perm], TARGET, cfg)
+        assert np.array_equal(moved, final[perm])
 
     @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
     def test_nonfinite_position_names_lowest_particle_in_input_order(self, perm):
@@ -174,7 +196,7 @@ class TestRun:
         bad = min(i for i, v in enumerate(x) if abs(v) > 1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=rf"iteration 0, particle {bad}$"):
-                sl.svgd_run(sl.ParticleEnsemble(x), sl.gaussian(0, 1), cfg)
+                sl.svgd_run(x, sl.gaussian(0, 1), cfg)
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # the rank-3 tiles are BLAS products, and the BLAS reads its thread
@@ -198,8 +220,8 @@ for n in json.loads(sys.argv[1]):
     for bandwidth in (1.0, 0.05):
         x = sl.sample(target, n, sl.make_stream(8, n))
         cfg = sl.SvgdConfig(sl.KernelSpec(bandwidth), 0.1, 20)
-        final, _ = sl.svgd_run(sl.ParticleEnsemble(x), target, cfg)
-        print(n, bandwidth, paths["rank3"], paths["gauss"], final.positions.tobytes().hex())
+        final, _ = sl.svgd_run(x, target, cfg)
+        print(n, bandwidth, paths["rank3"], paths["gauss"], final.tobytes().hex())
 """
         outputs = []
         for threads in ("1", "2"):
@@ -229,14 +251,14 @@ for n in json.loads(sys.argv[1]):
         rng = sl.make_stream(9, 0)
         init = sl.sample(sl.gaussian(-4, 1), 32, rng)
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=50)
-        base, _ = sl.svgd_run(sl.ParticleEnsemble(init), TARGET, cfg)
+        base, _ = sl.svgd_run(init, TARGET, cfg)
         shifted_target = sl.two_component(0.5, -4 + c, 4 + c, 1)
-        moved, _ = sl.svgd_run(sl.ParticleEnsemble(init + c), shifted_target, cfg)
-        assert np.allclose(moved.positions, base.positions + c, atol=1e-9)
+        moved, _ = sl.svgd_run(init + c, shifted_target, cfg)
+        assert np.allclose(moved, base + c, atol=1e-9)
 
     def test_mode_seeking_from_left_mode(self):
         rng = sl.make_stream(7, 0)
-        init = sl.ParticleEnsemble(-4 + rng.standard_normal(200))
+        init = -4 + rng.standard_normal(200)
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=2000)
         final, _ = sl.svgd_run(init, TARGET, cfg)
         assert sl.mode_fraction(final, 0.0) > 0.9
@@ -244,29 +266,29 @@ for n in json.loads(sys.argv[1]):
     def test_wide_midpoint_init_splits(self):
         # 20-seed calibration put the split in [0.465, 0.575]
         rng = sl.make_stream(7, 1)
-        init = sl.ParticleEnsemble(0 + 3 * rng.standard_normal(200))
+        init = 0 + 3 * rng.standard_normal(200)
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=1000)
         final, _ = sl.svgd_run(init, TARGET, cfg)
         assert 0.3 <= sl.mode_fraction(final, 0.0) <= 0.7
 
     def test_single_mode_sanity(self):
         rng = sl.make_stream(11, 0)
-        init = sl.ParticleEnsemble(rng.uniform(-3, 3, 200))
+        init = rng.uniform(-3, 3, 200)
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.05, iterations=2000)
         final, _ = sl.svgd_run(init, sl.gaussian(0, 1), cfg)
-        assert abs(final.positions.mean()) < 0.1
-        assert 0.8 <= final.positions.std() <= 1.2
+        assert abs(final.mean()) < 0.1
+        assert 0.8 <= final.std() <= 1.2
 
     def test_snapshots_recorded(self):
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=10, snapshot_every=4)
-        init = sl.ParticleEnsemble(np.array([-1.0, 1.0]))
+        init = np.array([-1.0, 1.0])
         final, snaps = sl.svgd_run(init, TARGET, cfg)
         assert [it for it, _ in snaps] == [0, 4, 8, 10]
-        assert np.array_equal(snaps[-1][1], final.positions)
+        assert np.array_equal(snaps[-1][1], final)
 
     def test_nonfinite_position_names_iteration_and_particle(self):
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=1e300, iterations=5)
-        init = sl.ParticleEnsemble(np.array([1.0]))
+        init = np.array([1.0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"iteration \d+, particle 0"):
                 sl.svgd_run(init, sl.gaussian(0, 1), cfg)
@@ -281,7 +303,7 @@ for n in json.loads(sys.argv[1]):
         target = sl.two_component(0.1, -4, 4, 1)
         annealed, plain = [], []
         for idx, mu0 in enumerate([-4, 4]):
-            init = sl.ParticleEnsemble(mu0 + sl.make_stream(0, idx).standard_normal(100))
+            init = mu0 + sl.make_stream(0, idx).standard_normal(100)
             ensemble = init
             for sigma in sl.geometric_schedule(8.0, 0.5, 8).sigmas:
                 level = sl.SvgdConfig(kernel=KERNEL, step_size=0.1 * (1 + sigma**2), iterations=200)
@@ -308,18 +330,18 @@ class TestConfigValidation:
 
 class TestModeFraction:
     def test_all_below(self):
-        assert sl.mode_fraction(sl.ParticleEnsemble(np.full(5, -1.0)), 0.0) == 1.0
+        assert sl.mode_fraction(np.full(5, -1.0), 0.0) == 1.0
 
     def test_even_split(self):
-        assert sl.mode_fraction(sl.ParticleEnsemble(np.array([-1.0, 1.0])), 0.0) == 0.5
+        assert sl.mode_fraction(np.array([-1.0, 1.0]), 0.0) == 0.5
 
     def test_tie_counts_as_below(self):
-        assert sl.mode_fraction(sl.ParticleEnsemble(np.array([0.0, 1.0])), 0.0) == 0.5
+        assert sl.mode_fraction(np.array([0.0, 1.0]), 0.0) == 0.5
 
     def test_matches_component_mass(self):
         m = sl.two_component(0.1, -4, 4, 1)
         xs = sl.sample(m, 100_000, sl.make_stream(13, 0))
-        frac = sl.mode_fraction(sl.ParticleEnsemble(xs), 0.0)
+        frac = sl.mode_fraction(xs, 0.0)
         assert frac == pytest.approx(0.1, abs=0.003)
 
 

@@ -84,12 +84,14 @@ def rows(sl, folder: Path) -> dict:
 
     target = sl.two_component(0.5, -4.0, 4.0, 1.0)
     kernel = sl.KernelSpec(1.0)
-    ensemble = sl.ParticleEnsemble(3.0 * rng.standard_normal(200))
+    # a tree whose SVGD takes its particles wrapped exports the wrapper
+    wrap = getattr(sl, "ParticleEnsemble", lambda positions: positions)
+    ensemble = wrap(3.0 * rng.standard_normal(200))
     out["svgd_direction N=200"] = lambda: sl.svgd_direction(ensemble, target, kernel)
     cfg = sl.SvgdConfig(kernel, 0.1, 600)
     out["svgd_run 200 x 600"] = lambda: sl.svgd_run(ensemble, target, cfg)
     # its own stream leaves `rng` to the rows after
-    drawn = sl.ParticleEnsemble(sl.sample(target, 200, sl.make_stream(2, 2)))
+    drawn = wrap(sl.sample(target, 200, sl.make_stream(2, 2)))
     out["svgd_run 200 x 600 from target"] = lambda: sl.svgd_run(drawn, target, cfg)
 
     # the langevin-run defaults of the CLI
