@@ -35,7 +35,7 @@ from . import remedies as rm
 from . import scorematch as sm
 from . import stein as st
 from . import svgd as sv
-from .config import COMMANDS, ConfigError, ExperimentConfig, check_label, load_config
+from .config import COMMANDS, ConfigError, ExperimentConfig, _as_config_error, check_label, load_config
 from .numerics import make_stream
 from .svgplot import PlotSpec, render_svg
 
@@ -122,24 +122,6 @@ def _separations(cfg: ExperimentConfig) -> list[float]:
     return seps
 
 
-def _two_components(keys: str, weights, mu1: float, mu2: float, sigma: float) -> list[mx.GaussianMixture1D]:
-    """One two-component mixture per weight; a bad weight, mean or width is
-    a ConfigError naming `keys`, the [params] keys that built it."""
-    try:
-        return [mx.two_component(p1, mu1, mu2, sigma) for p1 in weights]
-    except ValueError as exc:
-        raise ConfigError(f"[params] {keys}: {exc}") from None
-
-
-def _window(keys: str, *mixtures: mx.GaussianMixture1D):
-    """The quadrature window of `mixtures`; components too narrow for its
-    pad are a ConfigError naming `keys`, the [params] keys that set them."""
-    try:
-        return mx.quadrature_window(*mixtures)
-    except ValueError as exc:
-        raise ConfigError(f"[params] {keys}: {exc}") from None
-
-
 def _threshold(cfg: ExperimentConfig, default: float) -> float:
     """The mode-fraction `threshold` [params] key, which must be finite."""
     value = cfg.get_float("threshold", default)
@@ -164,9 +146,12 @@ def _run_score_plot(cfg: ExperimentConfig):
     tags = [f"pi{_tag(p1)}" for p1 in pi_grid]
     _unique_tags("pi_grid", map(repr, pi_grid), tags)
 
-    mixtures = _two_components("pi_grid, mu1, mu2, sigma", pi_grid, mu1, mu2, sigma)
-    (p,) = _two_components("witness_pi1, mu1, mu2, sigma", [witness_pi1], mu1, mu2, sigma)
-    window = _window("mu1, mu2, sigma", *mixtures)
+    with _as_config_error("[params] pi_grid, mu1, mu2, sigma: "):
+        mixtures = [mx.two_component(p1, mu1, mu2, sigma) for p1 in pi_grid]
+    with _as_config_error("[params] witness_pi1, mu1, mu2, sigma: "):
+        p = mx.two_component(witness_pi1, mu1, mu2, sigma)
+    with _as_config_error("[params] mu1, mu2, sigma: "):
+        window = mx.quadrature_window(*mixtures)
     xs = np.linspace(window.lower, window.upper, grid_nodes)
 
     curves = {"x": xs}
@@ -204,8 +189,10 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
     weights = [pi for pair in pi_pairs for pi in pair]
     cells = []
     for s in separations:
-        mixtures = _two_components("pi_pairs, sigma", weights, -s / 2.0, s / 2.0, sigma)
-        window = _window("separations, sigma", *mixtures)
+        with _as_config_error("[params] pi_pairs, sigma: "):
+            mixtures = [mx.two_component(pi, -s / 2.0, s / 2.0, sigma) for pi in weights]
+        with _as_config_error("[params] separations, sigma: "):
+            window = mx.quadrature_window(*mixtures)
         q = mx.gaussian(-s / 2.0, sigma)
         for (pi, pi_prime), p, p_prime in zip(pi_pairs, mixtures[::2], mixtures[1::2]):
             cells.append((s, pi, pi_prime, p, p_prime, q, window))
@@ -229,9 +216,11 @@ def _run_stein_sweep(cfg: ExperimentConfig):
     # every mixture and window is built, so checked, before any quadrature
     cells = []
     for s in separations:
-        (p,) = _two_components("pi1, sigma", [pi1], -s / 2.0, s / 2.0, sigma)
+        with _as_config_error("[params] pi1, sigma: "):
+            p = mx.two_component(pi1, -s / 2.0, s / 2.0, sigma)
         q = mx.gaussian(-s / 2.0, sigma)
-        cells.append((s, p, q, _window("separations, sigma", q, p)))
+        with _as_config_error("[params] separations, sigma: "):
+            cells.append((s, p, q, mx.quadrature_window(q, p)))
 
     def one(cell):
         s, p, q, spec = cell
@@ -245,34 +234,23 @@ def _run_stein_sweep(cfg: ExperimentConfig):
     return {"stein_sweep.csv": (table, {"stein_sweep.svg": spec})}
 
 
-def _kernel(cfg: ExperimentConfig) -> st.KernelSpec:
-    try:
-        return st.KernelSpec(cfg.get_float("bandwidth", 1.0))
-    except ValueError as exc:
-        raise ConfigError(f"[params] bandwidth: {exc}") from None
-
-
 def _run_ksd(cfg: ExperimentConfig):
     if not cfg.models:
         raise ConfigError("ksd-run needs a [models] section with one mixture record per key")
     source = cfg.get_mixture("samples_from")
     n = _count(cfg, "n", 10_000, 1)
-    kernel = _kernel(cfg)
-    # a draw lies beyond 12 widths of its mean with probability 4e-33
-    reach = float(np.max(np.abs(source.means) + mx._WINDOW_PAD * source.stds))
-    try:
+    with _as_config_error("[params] bandwidth: "):
+        kernel = st.KernelSpec(cfg.get_float("bandwidth", 1.0))
+        # a draw lies beyond 12 widths of its mean with probability 4e-33
+        reach = float(np.max(np.abs(source.means) + mx._WINDOW_PAD * source.stds))
         st._check_scale(n, kernel.bandwidth, reach)
-    except ValueError as exc:
-        raise ConfigError(f"[params] bandwidth: {exc}") from None
 
     labels = list(cfg.models)
     models = []
     for label in labels:
         check_label(f"[models] {label}", label)
-        try:
+        with _as_config_error(f"[models] {label}: "):
             models.append(mx.from_record(cfg.models[label]))
-        except ValueError as exc:
-            raise ConfigError(f"[models] {label}: {exc}") from None
 
     samples = mx.sample(source, n, make_stream(cfg.seed, 0))
     estimates = st.ksd_vstats(samples, models, kernel)
@@ -301,24 +279,28 @@ def _run_svgd(cfg: ExperimentConfig):
     for mu0, s0 in cells:
         if not (np.isfinite(mu0) and np.isfinite(s0)):
             raise ConfigError(f"[params] cells: start mean and width must be finite, got {mu0!r}:{s0!r}")
+        # a standard normal draw lies beyond 9 with probability 2e-19
+        if not np.isfinite(abs(mu0) + 9 * abs(s0)):
+            raise ConfigError(f"[params] cells: start mean + 9 widths must be finite, got {mu0!r}:{s0!r}")
     particles = _count(cfg, "particles", 200, 1)
     step_size = cfg.get_float("step_size", 0.1)
     iterations = cfg.get_int("iterations", 2000)
-    kernel = _kernel(cfg)
+    with _as_config_error("[params] bandwidth: "):
+        kernel = st.KernelSpec(cfg.get_float("bandwidth", 1.0))
     snapshot_every = cfg.get_int("snapshot_every", 500)
     threshold = _threshold(cfg, (mu1 + mu2) / 2.0)
 
-    try:
+    with _as_config_error("[params] "):
         run_cfg = sv.SvgdConfig(
             kernel=kernel,
             step_size=step_size,
             iterations=iterations,
             snapshot_every=snapshot_every,
         )
-    except ValueError as exc:
-        raise ConfigError(f"[params] {exc}") from None
-    targets = _two_components("pi1_grid, mu1, mu2, sigma", pi1_grid, mu1, mu2, sigma)
-    window = _window("mu1, mu2, sigma", *targets)
+    with _as_config_error("[params] pi1_grid, mu1, mu2, sigma: "):
+        targets = [mx.two_component(p1, mu1, mu2, sigma) for p1 in pi1_grid]
+    with _as_config_error("[params] mu1, mu2, sigma: "):
+        window = mx.quadrature_window(*targets)
     grid = [(p1, target, mu0, s0) for p1, target in zip(pi1_grid, targets) for mu0, s0 in cells]
 
     def one(item):
@@ -374,11 +356,10 @@ def _run_langevin(cfg: ExperimentConfig):
     trace_every = _count(cfg, "trace_every", 10, 1)
     threshold = _threshold(cfg, (float(target.means.min()) + float(target.means.max())) / 2.0)
 
-    try:
+    with _as_config_error("[params] "):
         sched = lv.geometric_schedule(sigma_max, sigma_min, levels, steps_per_level, base_step)
-    except ValueError as exc:
-        raise ConfigError(f"[params] {exc}") from None
-    window = _window("target", target)
+    with _as_config_error("[params] target: "):
+        window = mx.quadrature_window(target)
     trace_rows = []
 
     def observer(level, sigma_j, step, positions):
@@ -421,8 +402,10 @@ def _run_remedies(cfg: ExperimentConfig):
     for lam in lambdas:
         if not (np.isfinite(lam) and lam >= 0):
             raise ConfigError(f"[params] lambdas: must be finite and nonnegative, got {lam}")
-    window = _window("data, model", data, model)
-    _window("model", model)  # the window of the model's moments
+    with _as_config_error("[params] data, model: "):
+        window = mx.quadrature_window(data, model)
+    with _as_config_error("[params] model: "):
+        mx.quadrature_window(model)  # the window of the model's moments
 
     samples = mx.sample(data, n_samples, make_stream(cfg.seed, 0))
     ml = rm.kde_fit(samples) if reference == "kde" else data

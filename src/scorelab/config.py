@@ -9,6 +9,7 @@ text records as produced by `mixture.to_record`.
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,17 @@ _CSV_UNSAFE = (",", '"', "\r", "\n")
 
 class ConfigError(Exception):
     """Invalid experiment config; the message names the offending field."""
+
+
+@contextmanager
+def _as_config_error(prefix: str):
+    """Re-raise a ValueError from the block as a ConfigError of `prefix`
+    and its message, `prefix` naming the config keys that set the block's
+    inputs; other exceptions pass through."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from None
 
 
 def check_label(key: str, label: str) -> str:
@@ -108,10 +120,8 @@ class ExperimentConfig:
 
     def get_mixture(self, key: str, default: str | None = None) -> GaussianMixture1D:
         raw = self.get_str(key, default)
-        try:
+        with _as_config_error(f"[params] {key}: "):
             return from_record(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[params] {key}: {exc}") from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -321,8 +321,8 @@ def from_record(text: str) -> GaussianMixture1D:
     def parse(key):
         try:
             return np.array([float(v) for v in fields[key].split(",")])
-        except ValueError as exc:
-            raise ValueError(f"bad decimals in mixture field {key!r}: {fields[key]!r}") from exc
+        except ValueError:
+            raise ValueError(f"bad decimals in mixture field {key!r}: {fields[key]!r}") from None
 
     log_offset = float(fields.get("log_offset", "0"))
     return GaussianMixture1D(parse("weights"), parse("means"), parse("stds"), log_offset)

@@ -1,5 +1,5 @@
 """Deterministic numerical substrate: fixed-grid quadrature, central
-differences, and keyed random streams.
+differences, keyed random streams, and the estimators' sample check.
 
 Everything here is pure given its inputs, so results are reproducible and
 safe to use from parallel experiment cells.
@@ -39,6 +39,18 @@ class QuadratureSpec:
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.nodes)
+
+
+def _samples(x, name: str = "samples", least: int = 1) -> np.ndarray:
+    """x as a 1-D float array of at least `least` finite values; else a
+    ValueError that names it `name`.  The one input check of every
+    estimator that takes samples or positions."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < least:
+        raise ValueError(f"{name} must be a 1-D array of length at least {least}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 def _evaluate_on_grid(f, xs: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .mixture import _LOG_2PI, GaussianMixture1D, _logpdf, _logsumexp, quadrature_window
-from .numerics import quad_integrate
+from .numerics import _samples, quad_integrate
 
 # Entries per temporary of `kde_log_pdf`: 16384 doubles are 128 KiB, glibc's
 # default mmap threshold.  Larger temporaries go back to the kernel when
@@ -30,11 +30,7 @@ class KdeModel:
     bandwidth: float
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=float)
-        if centers.ndim != 1 or centers.size == 0:
-            raise ValueError("centers must be a nonempty 1-D array")
-        if not np.all(np.isfinite(centers)):
-            raise ValueError("centers must be finite")
+        centers = _samples(self.centers, "centers")
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         object.__setattr__(self, "centers", centers)
@@ -45,9 +41,7 @@ def kde_fit(samples: np.ndarray) -> KdeModel:
 
     A KDE of a given width is `KdeModel(samples, h)`.
     """
-    xs = np.asarray(samples, dtype=float)
-    if xs.size < 2:
-        raise ValueError("kde_fit needs at least 2 samples")
+    xs = _samples(samples, least=2)
     h = 1.06 * float(xs.std()) * xs.size ** (-0.2)
     if h <= 0:
         raise ValueError("silverman bandwidth degenerated to zero (constant sample)")
@@ -97,11 +91,7 @@ def cml_loss(
     additive log offset out, so the offset cancels bit for bit.  `ml` is a
     KdeModel or a mixture used as the true data density.
     """
-    xs = np.asarray(samples, dtype=float)
-    if xs.size < 2:
-        raise ValueError("cml_loss needs at least 2 samples")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("samples must be finite")
+    xs = _samples(samples, least=2)
     d = _reference_log_pdf(ml, xs) - _logpdf(model, xs)
     centred = d - d.mean()
     return 2 * xs.size * float(np.sum(centred * centred))
@@ -109,20 +99,17 @@ def cml_loss(
 
 def moment_discrepancy(model: GaussianMixture1D, samples: np.ndarray, orders) -> np.ndarray:
     """Model moments (quadrature on `quadrature_window(model)`) minus sample
-    moments, one per order.
+    moments, one per order, each a positive integer.
 
     Isolated spurious components shift low-order model moments by large
     amounts, so the discrepancy exposes exactly what score-based losses
     cannot see.
     """
+    orders = list(orders)
+    if not orders or not all(r >= 1 and float(r).is_integer() for r in orders):
+        raise ValueError(f"orders must be a nonempty list of positive integers, got {orders}")
     orders = [int(r) for r in orders]
-    if not orders or any(r < 1 for r in orders):
-        raise ValueError("orders must be a nonempty list of positive integers")
-    xs = np.asarray(samples, dtype=float)
-    if xs.size == 0:
-        raise ValueError("samples must be nonempty")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("samples must be finite")
+    xs = _samples(samples)
     spec = quadrature_window(model)
     out = []
     for r in orders:

@@ -21,7 +21,7 @@ from .mixture import (
     score,
     score_derivative,
 )
-from .numerics import QuadratureSpec, quad_integrate
+from .numerics import QuadratureSpec, _samples, quad_integrate
 
 # largest negative value still treated as quadrature round-off
 _NEG_TOL = 1e-12
@@ -90,11 +90,7 @@ def fisher_divergence_mc(
     Serves as an independent cross-check of the quadrature path; the two
     agree within a few standard errors when the samples really come from q.
     """
-    xs = np.asarray(q_samples, dtype=float)
-    if xs.size == 0:
-        raise ValueError("q_samples must be nonempty")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("samples must be finite")
+    xs = _samples(q_samples, "q_samples")
     diff = score(q, xs) - score(p, xs)
     sq = diff * diff
     value = float(sq.mean())
@@ -109,8 +105,6 @@ def sm_objective_empirical(samples: np.ndarray, p: GaussianMixture1D) -> float:
     -E[score_data^2]/2, so it can be driven entirely by samples.  Depends on
     the model only through its score, never through the normaliser.
     """
-    xs = np.asarray(samples, dtype=float)
-    if xs.size == 0:
-        raise ValueError("samples must be nonempty")
+    xs = _samples(samples)
     s = score(p, xs)
     return float((0.5 * s * s + score_derivative(p, xs)).mean())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixture import GaussianMixture1D, pdf, quadrature_window, score
-from .numerics import QuadratureSpec, quad_integrate
+from .numerics import QuadratureSpec, _samples, quad_integrate
 from .scorematch import DivergenceEstimate, _check_window, fisher_divergence
 
 L2_Q_WEIGHTED = "l2_q_weighted"
@@ -277,11 +277,7 @@ def ksd_vstats(
     """
     if not models:
         raise ValueError("models must be nonempty")
-    xs = np.sort(np.asarray(samples, dtype=float))
-    if xs.size == 0:
-        raise ValueError("samples must be nonempty")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("samples must be finite")
+    xs = np.sort(_samples(samples))
     n = xs.size
     _check_scale(n, kernel.bandwidth, max(abs(xs[0]), abs(xs[-1])))
     scores = np.array([score(p, xs) for p in models])

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mixture import GaussianMixture1D, score
+from .numerics import _samples
 from .stein import KernelSpec
 
 # Edge of the square tiles the dense Gaussian pair sums walk.  A tile's three
@@ -189,23 +190,13 @@ def _unsorted(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-def _positions(x) -> np.ndarray:
-    """x as particle positions: a nonempty, finite 1-D float array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("positions must be a nonempty 1-D array")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("positions must be finite")
-    return x
-
-
 def svgd_direction(positions: np.ndarray, target: GaussianMixture1D, kernel: KernelSpec) -> np.ndarray:
     """Optimal update direction at every particle.
 
     For particle x': phi(x') = mean_n [ score(x_n) k(x', x_n) + d/dx_n k(x', x_n) ],
     the kernel-smoothed score plus the repulsion term.
     """
-    x = _positions(positions)
+    x = _samples(positions, "positions")
     order = np.argsort(x, kind="stable")
     xs = x[order]
     return _unsorted(_sorted_direction(xs, score(target, xs), kernel.bandwidth, _tile_work(x.size)), order)
@@ -226,7 +217,7 @@ def svgd_run(
     back to the particles, and re-sorts only after a step that breaks the
     order; the kernel sums of every step reuse one tile workspace.
     """
-    x = _positions(init)
+    x = _samples(init, "positions")
     order = np.argsort(x, kind="stable")
     xs = x[order]
     work = _tile_work(xs.size)

@@ -9,7 +9,7 @@ import pytest
 
 import scorelab as sl
 import scorelab.cli as cli
-from scorelab.config import ConfigError, load_config
+from scorelab.config import ConfigError, _as_config_error, load_config
 from scorelab.svgplot import HIST_BIN_WIDTH, PlotSpec, _padded, render_svg
 
 
@@ -85,6 +85,17 @@ class TestConfigParsing:
         assert m.n_components == 2
         with pytest.raises(ConfigError, match="target2"):
             cfg.get_mixture("target2")
+
+
+    def test_value_error_guard_names_the_keys(self):
+        with pytest.raises(ConfigError) as info:
+            with _as_config_error("[params] mu1, sigma: "):
+                raise ValueError("stds must be positive")
+        assert str(info.value) == "[params] mu1, sigma: stds must be positive"
+        assert info.value.__suppress_context__
+        with pytest.raises(ZeroDivisionError):
+            with _as_config_error("[params] sigma: "):
+                1 / 0
 
 
 class TestRenderSvg:
@@ -669,6 +680,11 @@ class TestCliContract:
                 "svgd-run", SVGD, "cells = -4:1, 0:3, 4:1", "cells = 0:inf",
                 "[params] cells: start mean and width must be finite, got 0.0:inf",
             ),
+            # the start draws of a finite cell can overflow
+            (
+                "svgd-run", SVGD, "cells = -4:1, 0:3, 4:1", "cells = -4:1, 1e308:1e308",
+                "[params] cells: start mean + 9 widths must be finite, got 1e+308:1e+308",
+            ),
             (
                 "score-plot", SCORE_PLOT, "pi_grid = 0.1, 0.5, 0.9", "pi_grid = 0.3, 0.3",
                 "[params] pi_grid: 0.3 and 0.3 give the same name tag pi0.3",
@@ -751,7 +767,7 @@ class TestCliContract:
         ids=[
             "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
             "svgd threshold", "langevin threshold", "svgd pi1_grid tags", "svgd cells tags",
-            "svgd nan cell", "svgd inf cell",
+            "svgd nan cell", "svgd inf cell", "svgd overflowing cell",
             "score-plot pi_grid tags", "score-plot empty pi_grid", "svgd empty pi1_grid",
             "fisher decreasing separations", "fisher repeated separation", "fisher negative separation",
             "stein negative separation", "stein infinite separation",

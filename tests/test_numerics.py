@@ -4,7 +4,40 @@ import re
 import numpy as np
 import pytest
 
+import scorelab as sl
 from scorelab import QuadratureSpec, finite_diff, make_stream, quad_integrate
+
+N01 = sl.gaussian(0.0, 1.0)
+
+# every estimator that checks its samples or positions with `_samples`:
+# the argument's name in the message and the fewest values it takes
+SAMPLE_CALLERS = {
+    "ksd_vstat": (lambda x: sl.ksd_vstat(x, N01, sl.KernelSpec(1.0)), "samples", 1),
+    "cml_loss": (lambda x: sl.cml_loss(N01, N01, x), "samples", 2),
+    "kde_fit": (sl.kde_fit, "samples", 2),
+    "moment_discrepancy": (lambda x: sl.moment_discrepancy(N01, x, [1]), "samples", 1),
+    "fisher_divergence_mc": (lambda x: sl.fisher_divergence_mc(x, N01, N01), "q_samples", 1),
+    "sm_objective_empirical": (lambda x: sl.sm_objective_empirical(x, N01), "samples", 1),
+    "KdeModel": (lambda x: sl.KdeModel(x, 1.0), "centers", 1),
+    "svgd_run": (lambda x: sl.svgd_run(x, N01, sl.SvgdConfig(iterations=1)), "positions", 1),
+    "svgd_direction": (lambda x: sl.svgd_direction(x, N01, sl.KernelSpec(1.0)), "positions", 1),
+}
+
+
+class TestSampleCheck:
+    @pytest.mark.parametrize("caller", SAMPLE_CALLERS)
+    @pytest.mark.parametrize("bad", ["2-D", "too short", "nan", "inf"])
+    def test_rejects_with_the_argument_named(self, caller, bad):
+        fn, name, least = SAMPLE_CALLERS[caller]
+        shape = f"{name} must be a 1-D array of length at least {least}, got shape"
+        x, message = {
+            "2-D": (np.zeros((3, 2)), f"{shape} (3, 2)"),
+            "too short": (np.zeros(least - 1), f"{shape} ({least - 1},)"),
+            "nan": (np.array([0.0, np.nan, 1.0]), f"{name} must be finite"),
+            "inf": (np.array([0.0, 1.0, np.inf]), f"{name} must be finite"),
+        }[bad]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fn(x)
 
 
 class TestQuadrature:

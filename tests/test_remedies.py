@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,11 @@ class TestMomentDiscrepancy:
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(ValueError, match="samples must be finite"):
             sl.moment_discrepancy(N01, np.array([0.0, np.nan]), [1])
+
+    @pytest.mark.parametrize("orders", [[1.5], [1, 2.5], [0.5]])
+    def test_non_integral_order_rejected(self, orders):
+        with pytest.raises(ValueError, match=re.escape(f"positive integers, got {orders}")):
+            sl.moment_discrepancy(N01, np.array([0.0, 1.0]), orders)
 
 
 class TestEntropyGradient:

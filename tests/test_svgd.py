@@ -128,8 +128,8 @@ class TestPositionsChecked:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (np.array([]), "positions must be a nonempty 1-D array"),
-            (np.zeros((2, 2)), "positions must be a nonempty 1-D array"),
+            (np.array([]), "positions must be a 1-D array of length at least 1"),
+            (np.zeros((2, 2)), "positions must be a 1-D array of length at least 1"),
             (np.array([0.0, np.nan]), "positions must be finite"),
             (np.array([np.inf]), "positions must be finite"),
         ],

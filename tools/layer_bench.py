@@ -5,8 +5,8 @@
 Times each row on the source tree DIR of `--src` (default: this checkout's
 `src`), labelled "change", and, with `--base`, on that tree too, labelled
 "parent".  The rows are mixture evaluation at several sizes, one Gaussian
-kernel tile of 200 and of 256 points a side, built elementwise and (where
-the tree has it) from BLAS products with its row sums, the SVGD direction
+kernel tile of 200 and of 256 points a side, built elementwise and
+from BLAS products with its row sums, the SVGD direction
 and run, the run again on an ensemble drawn from the target,
 the annealed Langevin run on the `lab` defaults, the KSD V-statistic
 against one model at N = 1000, 3000 and 10,000, the KDE, the three models
@@ -49,9 +49,8 @@ REPEAT_S = 0.05  # target length of one repeat; sets `number`
 def rows(sl, folder: Path) -> dict:
     """Name -> zero-argument callable, for the scorelab module `sl`; the
     output rows write their files into `folder`."""
-    import scorelab.svgd as svgd
     from scorelab.mixture import _logpdf
-    from scorelab.svgd import _gauss_tile, _tile_work
+    from scorelab.svgd import _gauss_tile, _rank3_tile, _tile_work
 
     rng = sl.make_stream(0, 0)
     mixtures = {
@@ -70,28 +69,24 @@ def rows(sl, folder: Path) -> dict:
     # full tile; its own stream leaves `rng` to the rows after.  The rank-3
     # tile adds its row sums, on sorted positions from the target, which
     # span under 16 bandwidths
-    rank3 = getattr(svgd, "_rank3_tile", None)
     for t in (200, 256):
         xt = 3.0 * sl.make_stream(2, 0).standard_normal(t)
         work = _tile_work(t)
         out[f"_gauss_tile {t}x{t}"] = lambda xt=xt, work=work: _gauss_tile(xt, xt, 1.0, work)
-        if rank3 is not None:
-            xs = np.sort(sl.sample(mixtures[2], t, sl.make_stream(2, 1)))
-            ss, phi = sl.score(mixtures[2], xs), np.zeros(t)
-            out[f"_rank3_tile {t}x{t} with sums"] = lambda xs=xs, ss=ss, phi=phi, work=work, t=t: rank3(
-                xs, ss, 0, t, 0, t, 1.0, work, phi
-            )
+        xs = np.sort(sl.sample(mixtures[2], t, sl.make_stream(2, 1)))
+        ss, phi = sl.score(mixtures[2], xs), np.zeros(t)
+        out[f"_rank3_tile {t}x{t} with sums"] = lambda xs=xs, ss=ss, phi=phi, work=work, t=t: _rank3_tile(
+            xs, ss, 0, t, 0, t, 1.0, work, phi
+        )
 
     target = sl.two_component(0.5, -4.0, 4.0, 1.0)
     kernel = sl.KernelSpec(1.0)
-    # a tree whose SVGD takes its particles wrapped exports the wrapper
-    wrap = getattr(sl, "ParticleEnsemble", lambda positions: positions)
-    ensemble = wrap(3.0 * rng.standard_normal(200))
+    ensemble = 3.0 * rng.standard_normal(200)
     out["svgd_direction N=200"] = lambda: sl.svgd_direction(ensemble, target, kernel)
     cfg = sl.SvgdConfig(kernel, 0.1, 600)
     out["svgd_run 200 x 600"] = lambda: sl.svgd_run(ensemble, target, cfg)
     # its own stream leaves `rng` to the rows after
-    drawn = wrap(sl.sample(target, 200, sl.make_stream(2, 2)))
+    drawn = sl.sample(target, 200, sl.make_stream(2, 2))
     out["svgd_run 200 x 600 from target"] = lambda: sl.svgd_run(drawn, target, cfg)
 
     # the langevin-run defaults of the CLI
