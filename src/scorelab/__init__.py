@@ -22,10 +22,9 @@ from .mixture import (
     score_derivative,
     score_limit,
     smooth,
-    to_record,
     two_component,
 )
-from .numerics import QuadratureSpec, finite_diff, make_stream, quad_integrate
+from .numerics import QuadratureSpec, make_stream, quad_integrate
 from .remedies import (
     EntropyGradientEstimate,
     ImplicitModel,
@@ -69,7 +68,6 @@ __all__ = [
     "annealed_langevin_run",
     "cml_loss",
     "entropy_grad_estimate",
-    "finite_diff",
     "fisher_divergence",
     "fisher_divergence_mc",
     "from_record",
@@ -97,7 +95,6 @@ __all__ = [
     "stein_discrepancy",
     "svgd_direction",
     "svgd_run",
-    "to_record",
     "two_component",
     "witness_unweighted",
     "witness_weighted",

@@ -499,6 +499,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - surface module failures as exit 1
         print(f"lab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    for key in sorted(config.params.keys() - config.read):
+        print(f"lab: warning: [params] {key} is not read by {config.command}", file=sys.stderr)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -2,8 +2,9 @@
 
 One experiment per file.  The [experiment] section names the command, the
 seed and the output directory; [params] holds command-specific settings;
-ksd-run reads one mixture record per key from [models].  Mixtures are flat
-text records as produced by `mixture.to_record`.
+ksd-run reads one mixture record per key from [models].  A mixture is a
+flat text record such as `weights=0.3,0.7; means=-4,4; stds=1,1`, with an
+optional `log_offset=..` field (see `mixture.from_record`).
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ class ExperimentConfig:
     threads: int = 1
     params: dict[str, str] = field(default_factory=dict)
     models: dict[str, str] = field(default_factory=dict)
+    # the [params] keys the accessors were asked for, so a run can name the rest
+    read: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     # typed accessors; every failure names the [params] key
     def _raw(self, key: str, default=None):
+        self.read.add(key)
         if key in self.params:
             return self.params[key]
         if default is None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixture import GaussianMixture1D, score, smooth
+from .numerics import _samples
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def annealed_langevin_run(
     if init is None:
         x = target.mean() + sched.sigmas[0] * rng.standard_normal(n_particles)
     else:
-        x = np.asarray(init, dtype=float).copy()
+        x = _samples(init, "init").copy()
         if x.shape != (n_particles,):
             raise ValueError(f"init must have shape ({n_particles},), got {x.shape}")
 

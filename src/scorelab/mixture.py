@@ -291,20 +291,10 @@ def quadrature_window(*mixtures: GaussianMixture1D) -> QuadratureSpec:
     return QuadratureSpec(lo - pad, hi + pad)
 
 
-def to_record(m: GaussianMixture1D) -> str:
-    """Flat text record: `weights=..; means=..; stds=..; log_offset=..`."""
-
-    def fmt(values):
-        return ",".join(repr(float(v)) for v in np.atleast_1d(values))
-
-    return (
-        f"weights={fmt(m.weights)}; means={fmt(m.means)}; "
-        f"stds={fmt(m.stds)}; log_offset={repr(float(m.log_offset))}"
-    )
-
-
 def from_record(text: str) -> GaussianMixture1D:
-    """Parse the flat text record produced by `to_record`."""
+    """Parse a flat text record `weights=..; means=..; stds=..; log_offset=..`:
+    `;`-separated `key=value` fields, each value comma-separated decimals;
+    `log_offset` is optional and defaults to 0."""
     fields: dict[str, str] = {}
     for part in text.split(";"):
         part = part.strip()

@@ -1,5 +1,5 @@
-"""Deterministic numerical substrate: fixed-grid quadrature, central
-differences, keyed random streams, and the estimators' sample check.
+"""Deterministic numerical substrate: fixed-grid quadrature, keyed random
+streams, and the estimators' sample check.
 
 Everything here is pure given its inputs, so results are reproducible and
 safe to use from parallel experiment cells.
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_NODES = 4097
-DEFAULT_FD_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -77,21 +76,6 @@ def quad_integrate(f, spec: QuadratureSpec) -> float:
     ys = _evaluate_on_grid(f, xs)
     h = (spec.upper - spec.lower) / (spec.nodes - 1)
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
-
-
-def finite_diff(f, x: float, h: float = DEFAULT_FD_STEP) -> float:
-    """Central difference (f(x+h) - f(x-h)) / 2h.
-
-    The default step balances truncation against round-off at double
-    precision.  Used throughout the tests as the derivative oracle.
-    """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
-    hi = float(f(x + h))
-    lo = float(f(x - h))
-    if not (np.isfinite(hi) and np.isfinite(lo)):
-        raise ValueError(f"function not finite at {x} +/- {h}")
-    return (hi - lo) / (2.0 * h)
 
 
 _U64_MASK = 2**64 - 1

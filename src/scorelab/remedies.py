@@ -175,4 +175,8 @@ def entropy_grad_estimate(
     )
     value = -float(terms.mean())
     std_error = float(terms.std(ddof=1) / np.sqrt(n_samples))
+    if not (math.isfinite(value) and math.isfinite(std_error)):
+        raise ValueError(
+            f"the entropy gradient estimate is not finite: value {value}, std_error {std_error}"
+        )
     return EntropyGradientEstimate(value, std_error)

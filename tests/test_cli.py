@@ -240,7 +240,6 @@ out_dir = {out}
 [params]
 reference = true
 n_samples = 600
-pairs = 3000
 lambdas = 0.5, 1.0
 """
 
@@ -393,6 +392,37 @@ class TestCliContract:
         assert cli.main(["svgd-run", "--config", cfg_a]) == 0
         assert cli.main(["svgd-run", "--config", cfg_b]) == 0
         assert tree_bytes(tmp_path / "out_a") == tree_bytes(tmp_path / "out_b")
+
+    def test_unread_params_keys_warned_and_change_nothing_else(self, tmp_path, capsys):
+        results, errs = [], []
+        for name, body in (("out_a", SVGD), ("out_b", SVGD + "step-size = 0.5\nbeta = 1\n")):
+            cfg = write_config(tmp_path / f"{name}.cfg", body.format(out=tmp_path / name))
+            code = cli.main(["svgd-run", "--config", cfg])
+            captured = capsys.readouterr()
+            stdout = captured.out.replace(str(tmp_path / name), "OUT")
+            results.append((code, stdout, tree_bytes(tmp_path / name)))
+            errs.append(captured.err)
+        assert results[0] == results[1]
+        assert errs == [
+            "",
+            "lab: warning: [params] beta is not read by svgd-run\n"
+            "lab: warning: [params] step-size is not read by svgd-run\n",
+        ]
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_config_whose_keys_are_all_read_writes_no_stderr(self, tmp_path, capsys, command):
+        body = {
+            "score-plot": SCORE_PLOT,
+            "fisher-sweep": FISHER,
+            "stein-sweep": STEIN,
+            "ksd-run": KSD,
+            "svgd-run": SVGD,
+            "langevin-run": LANGEVIN,
+            "remedies-run": REMEDIES,
+        }[command]
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main([command, "--config", cfg]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         for command, template, threads in (

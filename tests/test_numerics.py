@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import scorelab as sl
-from scorelab import QuadratureSpec, finite_diff, make_stream, quad_integrate
+from scorelab import QuadratureSpec, make_stream, quad_integrate
 
 N01 = sl.gaussian(0.0, 1.0)
 
-# every estimator that checks its samples or positions with `_samples`:
-# the argument's name in the message and the fewest values it takes
+# every estimator or sampler that checks its samples or positions with
+# `_samples`: the argument's name in the message and the fewest values it takes
 SAMPLE_CALLERS = {
     "ksd_vstat": (lambda x: sl.ksd_vstat(x, N01, sl.KernelSpec(1.0)), "samples", 1),
     "cml_loss": (lambda x: sl.cml_loss(N01, N01, x), "samples", 2),
@@ -21,6 +21,11 @@ SAMPLE_CALLERS = {
     "KdeModel": (lambda x: sl.KdeModel(x, 1.0), "centers", 1),
     "svgd_run": (lambda x: sl.svgd_run(x, N01, sl.SvgdConfig(iterations=1)), "positions", 1),
     "svgd_direction": (lambda x: sl.svgd_direction(x, N01, sl.KernelSpec(1.0)), "positions", 1),
+    "annealed_langevin_run": (
+        lambda x: sl.annealed_langevin_run(3, N01, sl.NoiseSchedule((1.0,), 1, 0.01), make_stream(0), init=x),
+        "init",
+        1,
+    ),
 }
 
 
@@ -118,28 +123,6 @@ class TestQuadrature:
         # composite Simpson pairs the intervals, so it needs an odd count
         with pytest.raises(ValueError, match=rf"nodes must be odd .*got {nodes}$"):
             QuadratureSpec(0, 1, nodes)
-
-
-class TestFiniteDiff:
-    def test_quadratic(self):
-        assert abs(finite_diff(lambda x: x * x, 3.0, 1e-4) - 6.0) < 1e-7
-
-    def test_constant(self):
-        assert finite_diff(lambda x: 5.0, 0.3) == 0.0
-
-    def test_log_normal_density_score(self):
-        logpdf = lambda x: -0.5 * x * x - 0.5 * math.log(2 * math.pi)
-        assert abs(finite_diff(logpdf, 1.0, 1e-4) - (-1.0)) < 1e-7
-
-    def test_affine_slope_property(self):
-        rs = np.random.default_rng(0)
-        for _ in range(20):
-            a, b, x = rs.uniform(-5, 5, 3)
-            assert abs(finite_diff(lambda t: a * t + b, x) - a) < 1e-9
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            finite_diff(lambda x: x, 0.0, 0.0)
 
 
 class TestRngStream:

@@ -289,6 +289,12 @@ class TestEntropyGradient:
                 phi=1.0,
             )
 
+    def test_nonfinite_estimate_rejected(self):
+        score_fn = lambda x: np.where(x > 2, np.nan, -x)
+        message = r"^the entropy gradient estimate is not finite: value nan, std_error nan$"
+        with pytest.raises(ValueError, match=message):
+            sl.entropy_grad_estimate(self.scale_model(1.0), score_fn, 1000, sl.make_stream(16, 0))
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             sl.entropy_grad_estimate(self.scale_model(1.0), lambda x: -x, 1, sl.make_stream(0, 0))
