@@ -24,7 +24,7 @@ kde = sl.kde_fit(samples)
 loss_kde = sl.cml_loss(model, kde, samples)
 print(f"  pair log-ratio loss      {loss_true:.1f} (true reference), {loss_kde:.1f} (KDE reference)")
 
-moments = sl.moment_discrepancy(model, samples, [1, 2])
+moments = sl.moment_discrepancy(model, samples)
 print(f"  moment discrepancies     first {moments[0]:+.3f}, second {moments[1]:+.3f}")
 
 print()

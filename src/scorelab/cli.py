@@ -257,7 +257,7 @@ def _run_ksd(cfg: ExperimentConfig):
     table = _by_rows(
         ["index", "model", "value", "std_error", "n", "bandwidth"],
         [
-            (i, label, est.value, est.std_error, est.resolution, kernel.bandwidth)
+            (i, label, est.value, est.std_error, n, kernel.bandwidth)
             for i, (label, est) in enumerate(zip(labels, estimates))
         ],
     )
@@ -410,7 +410,7 @@ def _run_remedies(cfg: ExperimentConfig):
     samples = mx.sample(data, n_samples, make_stream(cfg.seed, 0))
     ml = rm.kde_fit(samples) if reference == "kde" else data
     fisher = sm.fisher_divergence(data, model, window).value
-    moments = rm.moment_discrepancy(model, samples, [1, 2])
+    moments = rm.moment_discrepancy(model, samples)
     # the loss is linear in lambda: one unweighted loss serves every lambda
     unit = rm.cml_loss(model, ml, samples)
     rows = [
@@ -499,8 +499,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - surface module failures as exit 1
         print(f"lab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    for key in sorted(config.params.keys() - config.read):
-        print(f"lab: warning: [params] {key} is not read by {config.command}", file=sys.stderr)
+    unread = config.ignored + [f"[params] {key}" for key in config.params.keys() - config.read]
+    for name in sorted(unread):
+        print(f"lab: warning: {name} is not read by {config.command}", file=sys.stderr)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -2,9 +2,10 @@
 
 One experiment per file.  The [experiment] section names the command, the
 seed and the output directory; [params] holds command-specific settings;
-ksd-run reads one mixture record per key from [models].  A mixture is a
-flat text record such as `weights=0.3,0.7; means=-4,4; stds=1,1`, with an
-optional `log_offset=..` field (see `mixture.from_record`).
+ksd-run reads one mixture record per key from [models].  The thread count
+comes from `lab --threads` alone.  A mixture is a flat text record such as
+`weights=0.3,0.7; means=-4,4; stds=1,1`, with an optional `log_offset=..`
+field (see `mixture.from_record`).
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ class ExperimentConfig:
     threads: int = 1
     params: dict[str, str] = field(default_factory=dict)
     models: dict[str, str] = field(default_factory=dict)
+    # the sections and [experiment] keys the command does not read, as
+    # `[section]` or `[experiment] key`, for the warnings after a run
+    ignored: list[str] = field(default_factory=list)
     # the [params] keys the accessors were asked for, so a run can name the rest
     read: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
@@ -162,23 +166,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"[experiment] seed must be an integer, got {seed_raw!r}") from None
 
-    threads_raw = exp.get("threads", "1").strip()
-    try:
-        threads = int(threads_raw)
-    except ValueError:
-        raise ConfigError(f"[experiment] threads must be an integer, got {threads_raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"[experiment] threads: must be at least 1, got {threads}")
-
     out_dir = exp.get("out_dir", "").strip() or None
 
     params = dict(parser["params"]) if parser.has_section("params") else {}
     models = dict(parser["models"]) if parser.has_section("models") else {}
+    sections = ["experiment", "params"] + (["models"] if command == "ksd-run" else [])
+    ignored = [f"[{name}]" for name in parser.sections() if name not in sections]
+    ignored += [f"[experiment] {key}" for key in exp if key not in ("command", "seed", "out_dir")]
     return ExperimentConfig(
         command=command,
         seed=seed,
         out_dir=Path(out_dir) if out_dir else None,
-        threads=threads,
         params=params,
         models=models,
+        ignored=ignored,
     )

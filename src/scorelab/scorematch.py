@@ -30,16 +30,12 @@ _MASS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DivergenceEstimate:
-    """Divergence value, its resolution and, for a sample estimate, its
-    standard error.
-
-    `resolution` is the node count of a quadrature value and the sample
-    count of a sample estimate; `std_error` is None for a quadrature value.
-    Values within round-off below zero are clamped to zero.
+    """Divergence value and, for a sample estimate, its standard error
+    (None for a quadrature value).  Values within round-off below zero are
+    clamped to zero.
     """
 
     value: float
-    resolution: int
     std_error: float | None = None
 
     def __post_init__(self):
@@ -79,7 +75,7 @@ def fisher_divergence(
         return pdf(q, x) * diff * diff
 
     value = quad_integrate(integrand, spec)
-    return DivergenceEstimate(value, spec.nodes)
+    return DivergenceEstimate(value)
 
 
 def fisher_divergence_mc(
@@ -95,7 +91,7 @@ def fisher_divergence_mc(
     sq = diff * diff
     value = float(sq.mean())
     std_error = float(sq.std(ddof=1) / np.sqrt(sq.size)) if sq.size > 1 else 0.0
-    return DivergenceEstimate(value, int(sq.size), std_error)
+    return DivergenceEstimate(value, std_error)
 
 
 def sm_objective_empirical(samples: np.ndarray, p: GaussianMixture1D) -> float:

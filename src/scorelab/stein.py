@@ -113,8 +113,9 @@ def stein_discrepancy(
     else:
         _check_window(q, spec)
         integrand = lambda x: (pdf(q, x) * (score(p, x) - score(q, x))) ** 2
-        norm_sq = max(quad_integrate(integrand, spec), 0.0)
-    return DivergenceEstimate(math.sqrt(norm_sq), spec.nodes)
+        # a square under Simpson's positive weights: never negative
+        norm_sq = quad_integrate(integrand, spec)
+    return DivergenceEstimate(math.sqrt(norm_sq))
 
 
 def _powers(t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -294,7 +295,7 @@ def ksd_vstats(
             raise ValueError(
                 f"the estimate against model {i} is not finite: value {value}, std_error {std_error}"
             )
-        out.append(DivergenceEstimate(max(value, 0.0), n, std_error))
+        out.append(DivergenceEstimate(max(value, 0.0), std_error))
     return out
 
 

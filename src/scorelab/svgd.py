@@ -35,8 +35,8 @@ from .mixture import GaussianMixture1D, score
 from .numerics import _samples
 from .stein import KernelSpec
 
-# Edge of the square tiles the dense Gaussian pair sums walk.  A tile's three
-# 256 x 256 float64 arrays (1.5 MB) stay in cache, and the default ensemble
+# Edge of the square tiles the dense Gaussian pair sums walk.  A tile's two
+# 256 x 256 float64 arrays (1 MB) stay in cache, and the default ensemble
 # of 200 is one tile.  256 was the fastest of 128 to 512 for a dense pair sum
 # at N = 10,000 on a Xeon with 4 MB of L2 per core.  The sums stay dense: at
 # N = 200 (one BLAS thread, 2-core x86_64) the box expansion of
@@ -69,7 +69,7 @@ def _upper_tiles(n: int):
 
 
 def _tile_work(n: int) -> np.ndarray:
-    """Workspace of the three tile slabs for the pair sums over n points.
+    """Workspace of the two tile slabs for the pair sums over n points.
 
     One call or one run owns it and reuses it on every tile; a ragged last
     tile uses the [:rows, :cols] corner of each slab.  Allocating per tile
@@ -77,12 +77,13 @@ def _tile_work(n: int) -> np.ndarray:
     the system and fault the pages back in on the next tile.
     """
     t = min(n, _TILE)
-    return np.empty((3, t, t))
+    return np.empty((2, t, t))
 
 
 def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
-    """Differences d = xi - xj, their squares q and the Gaussian kernel k on
-    the tile xi x xj, written into the three slabs of `work`.
+    """Differences d = xi - xj and the Gaussian kernel k on the tile
+    xi x xj, written into the two slabs of `work`; k is built over the
+    squares of d.
 
     dk/dy at (xi, xj) is k * d / h2 and dk/dx its negative.  k is symmetric
     in the pair and k * d antisymmetric, so a tile also gives the mirrored
@@ -92,8 +93,8 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
     same rounded differences as one outer-broadcast subtract, which numpy
     runs 1.4x to 1.7x slower (55 against 38 us at 200 x 200 and 108 against
     63 us at 256 x 256 on a 2-core x86_64 host, where the exp of a 256 x 256
-    tile takes 91 us).  The exponent is q * (-0.5 / h2), a multiply over
-    twice as fast as the divide q / (-2 h2).  When 2 h2 is a power of two
+    tile takes 91 us).  The exponent is d^2 * (-0.5 / h2), a multiply over
+    twice as fast as the divide d^2 / (-2 h2).  When 2 h2 is a power of two
     (bandwidth 1, 0.5 or 2, say) -0.5 / h2 is exact and the product equals
     the quotient bit for bit; otherwise an exponent can move by an ulp,
     which moves k by about |exponent| ulps.
@@ -102,10 +103,10 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
     d = work[0, :rows, :cols]
     d[...] = xi[:, None]
     np.subtract(d, xj, out=d)
-    q = np.square(d, out=work[1, :rows, :cols])
-    k = np.multiply(q, -0.5 / h2, out=work[2, :rows, :cols])
+    k = np.square(d, out=work[1, :rows, :cols])
+    np.multiply(k, -0.5 / h2, out=k)
     np.exp(k, out=k)
-    return d, q, k
+    return d, k
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _rank3_tile(xs, ss, a, b, c, e, h2, work, phi):
     f[1] = 1.0
     f[5] = 1.0
     rows, cols = f[:, : b - a], f[:, c - a :]
-    k = np.matmul(rows[3:].T, cols[1:4], out=work[2, : b - a, : e - c])
+    k = np.matmul(rows[3:].T, cols[1:4], out=work[1, : b - a, : e - c])
     np.exp(k, out=k)
     m = cols[:2] @ k.T
     phi[a:b] += m[0] + m[1] * rows[4]
@@ -168,7 +169,7 @@ def _sorted_direction(xs: np.ndarray, ss: np.ndarray, h: float, work: np.ndarray
         if xs[e - 1] - xs[a] <= _SPAN * h:
             _rank3_tile(xs, ss, a, b, c, e, h2, work, phi)
             continue
-        d, _, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
+        d, k = _gauss_tile(xs[a:b], xs[c:e], h2, work)
         # phi_i sums s_j k + dk/dy over j, with dk/dy = k d / h2
         phi[a:b] += np.einsum("ij,j->i", k, ss[c:e]) + np.einsum("ij,ij->i", k, d) / h2
         if c != a:

@@ -15,7 +15,7 @@ SAMPLE_CALLERS = {
     "ksd_vstat": (lambda x: sl.ksd_vstat(x, N01, sl.KernelSpec(1.0)), "samples", 1),
     "cml_loss": (lambda x: sl.cml_loss(N01, N01, x), "samples", 2),
     "kde_fit": (sl.kde_fit, "samples", 2),
-    "moment_discrepancy": (lambda x: sl.moment_discrepancy(N01, x, [1]), "samples", 1),
+    "moment_discrepancy": (lambda x: sl.moment_discrepancy(N01, x), "samples", 1),
     "fisher_divergence_mc": (lambda x: sl.fisher_divergence_mc(x, N01, N01), "q_samples", 1),
     "sm_objective_empirical": (lambda x: sl.sm_objective_empirical(x, N01), "samples", 1),
     "KdeModel": (lambda x: sl.KdeModel(x, 1.0), "centers", 1),

@@ -24,18 +24,18 @@ def q_score_second_moment(q: sl.GaussianMixture1D) -> float:
 
 class TestDivergenceEstimate:
     def test_clamps_rounding_noise(self):
-        est = sl.DivergenceEstimate(-5e-13, 64)
+        est = sl.DivergenceEstimate(-5e-13)
         assert est.value == 0.0
 
     def test_rejects_truly_negative(self):
         with pytest.raises(ValueError, match="negative"):
-            sl.DivergenceEstimate(-1e-6, 64)
+            sl.DivergenceEstimate(-1e-6)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
-            sl.DivergenceEstimate(float("nan"), 64)
+            sl.DivergenceEstimate(float("nan"))
         with pytest.raises(ValueError, match="std_error"):
-            sl.DivergenceEstimate(1.0, 64, std_error=float("nan"))
+            sl.DivergenceEstimate(1.0, std_error=float("nan"))
 
 
 class TestFisherDivergence:

@@ -60,11 +60,11 @@ class TestDiffOutputs:
         ]
         assert (tmp_path / "broken" / "demos" / "broken.txt").read_text() == "partial\n"
 
-    def test_traced_particle_runs_match_the_untraced(self, tmp_path):
+    def test_traced_runs_match_the_untraced(self, tmp_path):
         tool = _load(DIFF_OUTPUTS)
-        cfgs = tool.write_configs(tool.configs([8], ["svgd-run", "langevin-run"]), tmp_path / "configs")
+        cfgs = tool.write_configs(tool.configs([8], tool.COMMANDS), tmp_path / "configs")
         seeded = {key: cfg for key, cfg in cfgs.items() if key.startswith("seed8/")}
-        assert len(seeded) == 2
+        assert len(seeded) == len(tool.COMMANDS)
         assert tool.run_side(ROOT / "src", seeded, [1], tmp_path / "change") == []
         assert tool.run_traced(ROOT / "src", seeded, tmp_path / "traced", tmp_path / "change") == []
         assert (tmp_path / "traced" / "seed8" / "langevin-run" / "final.csv").is_file()
