@@ -314,6 +314,12 @@ class TestCommands:
         rows = {r["model"]: float(r["value"]) for r in read_rows(tmp_path / "out" / "ksd.csv")}
         assert rows["far"] > 10 * rows["near"]
 
+    def test_ksd_run_writes_its_sample_count(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", KSD.format(out=tmp_path / "out"))
+        assert cli.main(["ksd-run", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "out" / "ksd.csv")
+        assert [(r["model"], r["n"]) for r in rows] == [("near", "800"), ("far", "800")]
+
     def test_stein_sweep_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", STEIN.format(out=tmp_path / "out"))
         assert cli.main(["stein-sweep", "--config", cfg]) == 0
@@ -853,6 +859,19 @@ class TestCliContract:
         assert cli.main(["fisher-sweep", "--config", cfg, "--threads", "0"]) == 2
         assert "config error: --threads: must be at least 1, got 0" in capsys.readouterr().err
         assert_no_outputs(tmp_path)
+
+    def test_experiment_threads_key_is_not_read(self, tmp_path, capsys):
+        # only --threads sets the thread count; even an invalid key is ignored
+        results, errs = [], []
+        for name, body in (("out_a", FISHER), ("out_b", FISHER.replace("seed = 1\n", "seed = 1\nthreads = -3\n"))):
+            cfg = write_config(tmp_path / f"{name}.cfg", body.format(out=tmp_path / name))
+            code = cli.main(["fisher-sweep", "--config", cfg])
+            captured = capsys.readouterr()
+            results.append((code, captured.out.replace(str(tmp_path / name), "OUT"), tree_bytes(tmp_path / name)))
+            errs.append(captured.err)
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+        assert errs == ["", "lab: warning: [experiment] threads is not read by fisher-sweep\n"]
 
 
 class TestOutputDirectory:

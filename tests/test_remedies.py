@@ -230,6 +230,13 @@ class TestMomentDiscrepancy:
         sigma = math.sqrt(np.var(xs))
         assert abs(diff[0]) < 4 * sigma / math.sqrt(xs.size)
 
+    def test_returns_the_first_two_moment_gaps(self):
+        m = sl.two_component(0.1, -4, 4, 1)
+        # E_p[x] = 3.2 and E_p[x^2] = 16 + 1 = 17; the samples' moments are 2 and 5
+        diff = sl.moment_discrepancy(m, np.array([1.0, 3.0]))
+        assert diff.shape == (2,)
+        assert diff == pytest.approx([1.2, 12.0], abs=1e-9)
+
     def test_detects_spurious_component(self):
         data = sl.sample(sl.gaussian(-4, 1), 100_000, sl.make_stream(13, 0))
         model = sl.two_component(0.5, -4, 4, 1)

@@ -364,6 +364,15 @@ class TestGaussTile:
         arg0 = np.square(d0) / (-2.0 * h2)
         return (d, k), (d0, np.exp(arg0)), arg0
 
+    def test_workspace_is_two_slabs_holding_d_and_k(self):
+        assert _tile_work(100).shape == (2, 100, 100)
+        work = _tile_work(self.N)
+        assert work.shape == (2, TILE, TILE)
+        xs = sl.make_stream(4, 2).standard_normal(TILE + 5)
+        d, k = _gauss_tile(xs[:TILE], xs[TILE:], 1.0, work)
+        assert d.base is work and k.base is work
+        assert np.shares_memory(d, work[0]) and np.shares_memory(k, work[1])
+
     @pytest.mark.parametrize("tile", list(TILES))
     @pytest.mark.parametrize("bandwidth", [0.5, 1.0, 2.0])
     def test_bits_equal_the_reference_when_2h2_is_a_power_of_two(self, bandwidth, tile):
