@@ -122,14 +122,6 @@ def _separations(cfg: ExperimentConfig) -> list[float]:
     return seps
 
 
-def _threshold(cfg: ExperimentConfig, default: float) -> float:
-    """The mode-fraction `threshold` [params] key, which must be finite."""
-    value = cfg.get_float("threshold", default)
-    if not np.isfinite(value):
-        raise ConfigError(f"[params] threshold: must be finite, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns {csv name: (table, {svg name: PlotSpec})},
 # a table being {column name: column} in column order; `run` writes every
@@ -194,18 +186,19 @@ def _run_fisher_sweep(cfg: ExperimentConfig):
         with _as_config_error("[params] separations, sigma: "):
             window = mx.quadrature_window(*mixtures)
         q = mx.gaussian(-s / 2.0, sigma)
-        for (pi, pi_prime), p, p_prime in zip(pi_pairs, mixtures[::2], mixtures[1::2]):
-            cells.append((s, pi, pi_prime, p, p_prime, q, window))
+        for pair, ((pi, pi_prime), p, p_prime) in enumerate(zip(pi_pairs, mixtures[::2], mixtures[1::2])):
+            cells.append((s, pi, pi_prime, p, p_prime, q, window, pair))
 
     def one(cell):
-        s, pi, pi_prime, p, p_prime, q, spec = cell
+        s, pi, pi_prime, p, p_prime, q, spec, pair = cell
         j_pp = sm.fisher_divergence(p, p_prime, spec)
         j_qp = sm.fisher_divergence(q, p, spec)
-        return (s, pi, pi_prime, j_pp.value, j_qp.value, "quadrature", spec.nodes)
+        return (s, pi, pi_prime, j_pp.value, j_qp.value, "quadrature", spec.nodes, pair)
 
     rows = _map_cells(one, cells, cfg.threads)
-    table = _by_rows(["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes"], rows)
-    spec = PlotSpec("lines", x="separation", y=("j_pp_prime", "j_q_p"), title="fisher divergence vs separation")
+    table = _by_rows(["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes", "pair"], rows)
+    # rows run separation-major: one line per divergence and pair
+    spec = PlotSpec("lines", x="separation", y=("j_pp_prime", "j_q_p"), group="pair", title="fisher divergence vs separation")
     return {"sweep.csv": (table, {"sweep.svg": spec})}
 
 
@@ -288,7 +281,6 @@ def _run_svgd(cfg: ExperimentConfig):
     with _as_config_error("[params] bandwidth: "):
         kernel = st.KernelSpec(cfg.get_float("bandwidth", 1.0))
     snapshot_every = cfg.get_int("snapshot_every", 500)
-    threshold = _threshold(cfg, (mu1 + mu2) / 2.0)
 
     with _as_config_error("[params] "):
         run_cfg = sv.SvgdConfig(
@@ -316,7 +308,7 @@ def _run_svgd(cfg: ExperimentConfig):
     summary_rows = []
     for (p1, _, mu0, s0), (init, final, snapshots) in zip(grid, results):
         tag = f"pi{_tag(p1)}_mu{_tag(mu0)}_sd{_tag(s0)}"
-        summary_rows.append((cfg.seed, mu0, s0, p1, sv.mode_fraction(final, threshold)))
+        summary_rows.append((cfg.seed, mu0, s0, p1, sv.mode_fraction(final, (mu1 + mu2) / 2.0)))
         # svgd_run always records the final positions, so snapshots is nonempty
         snapshot_table = {
             "iteration": np.repeat([it for it, _ in snapshots], particles),
@@ -343,6 +335,11 @@ def _run_svgd(cfg: ExperimentConfig):
     return tables
 
 
+# langevin-run traces the mode fraction at every _TRACE_EVERY-th step and
+# the last step of each level
+_TRACE_EVERY = 10
+
+
 def _run_langevin(cfg: ExperimentConfig):
     target = cfg.get_mixture(
         "target", "weights=0.3,0.7; means=-4.0,4.0; stds=1.0,1.0; log_offset=0.0"
@@ -353,25 +350,26 @@ def _run_langevin(cfg: ExperimentConfig):
     levels = cfg.get_int("levels", 8)
     steps_per_level = cfg.get_int("steps_per_level", 200)
     base_step = cfg.get_float("base_step", 0.01)
-    trace_every = _count(cfg, "trace_every", 10, 1)
-    threshold = _threshold(cfg, (float(target.means.min()) + float(target.means.max())) / 2.0)
 
     with _as_config_error("[params] "):
         sched = lv.geometric_schedule(sigma_max, sigma_min, levels, steps_per_level, base_step)
     with _as_config_error("[params] target: "):
         window = mx.quadrature_window(target)
+    # the midpoint of the outer means; the window check keeps it finite
+    split = (float(target.means.min()) + float(target.means.max())) / 2.0
     trace_rows = []
 
     def observer(level, sigma_j, step, positions):
-        if step % trace_every == 0 or step == steps_per_level - 1:
-            trace_rows.append((level, sigma_j, step, sv.mode_fraction(positions, threshold)))
+        if step % _TRACE_EVERY == 0 or step == steps_per_level - 1:
+            total = level * steps_per_level + step
+            trace_rows.append((level, sigma_j, step, sv.mode_fraction(positions, split), total))
 
     positions = lv.annealed_langevin_run(
         particles, target, sched, make_stream(cfg.seed, 0), observer=observer
     )
 
-    levels_table = _by_rows(["level", "sigma_j", "step", "mode_fraction"], trace_rows)
-    trace = PlotSpec("lines", x="step", y=("mode_fraction",), title="mode fraction during annealing")
+    levels_table = _by_rows(["level", "sigma_j", "step", "mode_fraction", "total_step"], trace_rows)
+    trace = PlotSpec("lines", x="total_step", y=("mode_fraction",), title="mode fraction during annealing")
     final = {"particle_id": np.arange(particles), "position": positions}
     hist = PlotSpec(
         "histogram",

@@ -65,17 +65,19 @@ def geometric_schedule(
     steps_per_level: int = 200,
     base_step: float = 0.01,
 ) -> NoiseSchedule:
-    """Geometrically spaced noise levels from sigma_max down to sigma_min."""
+    """Geometrically spaced noise levels from sigma_max down to sigma_min;
+    one level is sigma_max alone."""
     for name, sigma in (("sigma_max", sigma_max), ("sigma_min", sigma_min)):
         if not (math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"{name}: must be positive and finite, got {sigma}")
     if levels < 1:
         raise ValueError("levels: must be >= 1")
-    if levels == 1:
-        sigmas = (float(sigma_max),)
-    else:
-        sigmas = tuple(np.geomspace(sigma_max, sigma_min, levels))
-    return NoiseSchedule(sigmas, steps_per_level, base_step)
+    if sigma_min > sigma_max or (sigma_min == sigma_max and levels > 1):
+        raise ValueError(
+            "sigma_max, sigma_min: sigma_min must be below sigma_max, or equal to it for one "
+            f"level, got {sigma_max} and {sigma_min} over {levels} levels"
+        )
+    return NoiseSchedule(tuple(np.geomspace(sigma_max, sigma_min, levels)), steps_per_level, base_step)
 
 
 def langevin_step(x, score_value, eps: float, rng: np.random.Generator):

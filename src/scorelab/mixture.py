@@ -219,13 +219,13 @@ def score_limit(m: GaussianMixture1D, x) -> float | np.ndarray:
     right of it the second's; the limit does not involve the mixing weights.
     """
     if m.n_components != 2:
-        raise ValueError("view requires exactly two components")
+        raise ValueError("score_limit requires exactly two components")
     s1, s2 = float(m.stds[0]), float(m.stds[1])
     if abs(s1 - s2) > 1e-12 * max(s1, s2):
-        raise ValueError("view requires equal component widths")
+        raise ValueError("score_limit requires equal component widths")
     mu1, mu2 = float(m.means[0]), float(m.means[1])
     if not mu1 < mu2:
-        raise ValueError(f"view requires mu1 < mu2, got {mu1} >= {mu2}")
+        raise ValueError(f"score_limit requires mu1 < mu2, got {mu1} >= {mu2}")
     midpoint = (mu1 + mu2) / 2.0
     xs, scalar = _as_array(x)
     if np.any(xs == midpoint):

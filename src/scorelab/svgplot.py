@@ -26,8 +26,9 @@ class PlotSpec:
 
     kind "lines": columns `y` against column `x` on the left scale, and
     columns `y2`, when given, on a right scale.
-    kind "histogram": column `value` binned at `HIST_BIN_WIDTH` over [lo, hi],
-    one overlaid histogram per distinct entry of `group` when given.
+    kind "histogram": column `value` binned at `HIST_BIN_WIDTH` over [lo, hi].
+    Either kind draws one line or overlaid histogram per distinct entry of
+    `group` when given.
     """
 
     kind: str
@@ -67,6 +68,15 @@ def _numeric(source: str, spec: PlotSpec, columns) -> dict[str, np.ndarray]:
             raise ValueError(f"{source}: column {name!r} has non-finite values")
         out[name] = values
     return out
+
+
+def _groups(spec: PlotSpec, columns) -> list[tuple[str, np.ndarray | slice]]:
+    """(group value, row selector) per distinct entry of the spec's `group`
+    column, in sorted order of their text; ("", every row) without one."""
+    if not spec.group:
+        return [("", slice(None))]
+    order, index = np.unique(np.asarray(columns[spec.group], dtype=str), return_inverse=True)
+    return [(str(g), index == i) for i, g in enumerate(order)]
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -224,10 +234,12 @@ def _render_lines(source: str, spec: PlotSpec, columns) -> str:
     labels = []
     px = xs(xvals)
     series = [(name, ys) for name in spec.y] + [(name, right) for name in spec.y2]
-    for idx, (name, scale) in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
-        cv.polyline(px, scale(cols[name]), color)
-        labels.append((name, color))
+    groups = _groups(spec, columns)
+    for name, scale in series:
+        for group, rows in groups:
+            color = PALETTE[len(labels) % len(PALETTE)]
+            cv.polyline(px[rows], scale(cols[name][rows]), color)
+            labels.append((f"{name} {spec.group} {group}" if spec.group else name, color))
     _legend(cv, labels)
     cv.text(WIDTH / 2, HEIGHT - 10, spec.x, anchor="middle")
     return cv.render()
@@ -240,12 +252,7 @@ def _render_histogram(source: str, spec: PlotSpec, columns) -> str:
     if edges.size < 2:
         edges = np.array([spec.lo, spec.hi])
 
-    if spec.group:
-        order, index = np.unique(np.asarray(columns[spec.group], dtype=str), return_inverse=True)
-        grouped = [(str(g), values[index == i]) for i, g in enumerate(order)]
-    else:
-        grouped = [("", values)]
-
+    grouped = [(group, values[rows]) for group, rows in _groups(spec, columns)]
     counts = [np.histogram(v, bins=edges)[0] if v.size else np.zeros(edges.size - 1) for _, v in grouped]
     peak = max((float(c.max()) for c in counts), default=0.0)
     xs = _Scale(float(edges[0]), float(edges[-1]), MARGIN_L, WIDTH - MARGIN_R)

@@ -27,6 +27,12 @@ def tree_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
+def polyline_xs(path):
+    """The x coordinates of each polyline of an SVG, in drawing order."""
+    lines = path.read_text().split('<polyline points="')[1:]
+    return [[float(pt.split(",")[0]) for pt in line.split('"')[0].split()] for line in lines]
+
+
 def assert_no_outputs(root):
     """Neither `root / "out"` nor a hidden staging sibling `.out.*` exists."""
     assert not (root / "out").exists()
@@ -285,6 +291,7 @@ class TestCommands:
             "j_q_p",
             "method",
             "nodes",
+            "pair",
         ]
         jpp = [float(r["j_pp_prime"]) for r in rows]
         assert all(a > b for a, b in zip(jpp, jpp[1:]))
@@ -303,10 +310,35 @@ class TestCommands:
         cfg = write_config(tmp_path / "c.cfg", LANGEVIN.format(out=tmp_path / "out"))
         assert cli.main(["langevin-run", "--config", cfg]) == 0
         levels = read_rows(tmp_path / "out" / "levels.csv")
-        assert list(levels[0]) == ["level", "sigma_j", "step", "mode_fraction"]
+        assert list(levels[0]) == ["level", "sigma_j", "step", "mode_fraction", "total_step"]
         final = read_rows(tmp_path / "out" / "final.csv")
         assert list(final[0]) == ["particle_id", "position"]
         assert len(final) == 400
+
+    def test_langevin_trace_runs_forward_through_the_levels(self, tmp_path):
+        cfg = write_config(tmp_path / "c.cfg", LANGEVIN.format(out=tmp_path / "out"))
+        assert cli.main(["langevin-run", "--config", cfg]) == 0
+        levels = read_rows(tmp_path / "out" / "levels.csv")
+        # steps 0, 10, 20, 30 and the last, 39, of each of the 8 levels
+        assert [int(r["total_step"]) for r in levels] == [
+            level * 40 + step for level in range(8) for step in (0, 10, 20, 30, 39)
+        ]
+        [xs] = polyline_xs(tmp_path / "out" / "trace.svg")
+        assert len(xs) == 40
+        assert all(a <= b for a, b in zip(xs, xs[1:]))
+
+    def test_fisher_sweep_draws_one_line_per_pair(self, tmp_path):
+        body = FISHER.replace("pi_pairs = 0.5:0.9", "pi_pairs = 0.5:0.9, 0.2:0.7, 0.1:0.3")
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["fisher-sweep", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "out" / "sweep.csv")
+        assert [r["pair"] for r in rows] == ["0", "1", "2"] * 4
+        lines = polyline_xs(tmp_path / "out" / "sweep.svg")
+        # two divergences for each of three pairs, one point per separation
+        assert len(lines) == 6
+        for xs in lines:
+            assert len(xs) == 4
+            assert all(a < b for a, b in zip(xs, xs[1:]))
 
     def test_ksd_run_contrast(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", KSD.format(out=tmp_path / "out"))
@@ -405,8 +437,19 @@ class TestCliContract:
             (
                 "svgd-run",
                 SVGD,
-                svgd + "step-size = 0.5\nbeta = 1\n\n[models]\nnear = weights=1.0; means=-5.0; stds=1.0\n",
-                ["[experiment] thread", "[experiment] threads", "[models]", "[params] beta", "[params] step-size"],
+                svgd + "step-size = 0.5\nbeta = 1\nthreshold = 100\n\n[models]\nnear = weights=1.0; means=-5.0; stds=1.0\n",
+                [
+                    "[experiment] thread", "[experiment] threads", "[models]", "[params] beta",
+                    "[params] step-size", "[params] threshold",
+                ],
+            ),
+            # the mode split is the midpoint of the outer means and the trace
+            # takes every 10th step, whatever these keys say
+            (
+                "langevin-run",
+                LANGEVIN,
+                LANGEVIN + "threshold = -100\ntrace_every = 1\n",
+                ["[params] threshold", "[params] trace_every"],
             ),
             ("stein-sweep", STEIN, STEIN + "\n[param]\nseparations = 6\n", ["[param]"]),
         ):
@@ -668,21 +711,6 @@ class TestCliContract:
         assert f"config error: [params] {key}: must be positive and finite" in err
         assert_no_outputs(tmp_path)
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_bad_langevin_trace_every_rejected_before_sampling(
-        self, tmp_path, capsys, monkeypatch, value
-    ):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before trace_every was checked")
-
-        monkeypatch.setattr(cli, "make_stream", no_sampling)
-        body = LANGEVIN + f"trace_every = {value}\n"
-        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
-        assert cli.main(["langevin-run", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: [params] trace_every: must be at least 1, got {value}" in err
-        assert_no_outputs(tmp_path)
-
     @pytest.mark.parametrize(
         "command, body, old, new, key",
         [
@@ -696,13 +724,19 @@ class TestCliContract:
                 "score-plot", SCORE_PLOT, "grid_nodes = 801", "grid_nodes = 1",
                 "[params] grid_nodes: must be at least 2, got 1",
             ),
+            # the levels fall from sigma_max to sigma_min, whatever their count
             (
-                "svgd-run", SVGD, "particles = 60", "particles = 60\nthreshold = nan",
-                "[params] threshold: must be finite, got nan",
+                "langevin-run", LANGEVIN, "particles = 400", "particles = 400\nsigma_max = 0.5\nsigma_min = 8.0",
+                "[params] sigma_max, sigma_min: sigma_min must be below sigma_max",
             ),
             (
-                "langevin-run", LANGEVIN, "particles = 400", "particles = 400\nthreshold = -inf",
-                "[params] threshold: must be finite, got -inf",
+                "langevin-run", LANGEVIN, "particles = 400", "particles = 400\nlevels = 1\nsigma_min = 100",
+                "[params] sigma_max, sigma_min: sigma_min must be below sigma_max",
+            ),
+            (
+                "langevin-run", LANGEVIN, "particles = 400", "particles = 400\nsigma_max = 2\nsigma_min = 2",
+                "[params] sigma_max, sigma_min: sigma_min must be below sigma_max, or equal to it for one "
+                "level, got 2.0 and 2.0 over 8 levels",
             ),
             # two values that print alike would write one file or column twice
             (
@@ -808,7 +842,8 @@ class TestCliContract:
         ],
         ids=[
             "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
-            "svgd threshold", "langevin threshold", "svgd pi1_grid tags", "svgd cells tags",
+            "langevin sigma_min above sigma_max", "langevin one level sigma_min above sigma_max",
+            "langevin equal sigmas", "svgd pi1_grid tags", "svgd cells tags",
             "svgd nan cell", "svgd inf cell", "svgd overflowing cell",
             "score-plot pi_grid tags", "score-plot empty pi_grid", "svgd empty pi1_grid",
             "fisher decreasing separations", "fisher repeated separation", "fisher negative separation",

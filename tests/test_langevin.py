@@ -40,6 +40,17 @@ class TestSchedule:
         assert sched.step_at(0) == pytest.approx(0.01 * 256.0)
         assert sched.step_at(2) == pytest.approx(0.01)
 
+    def test_single_level_is_sigma_max(self):
+        assert sl.geometric_schedule(8.0, 0.5, 1).sigmas == (8.0,)
+        assert sl.geometric_schedule(2.0, 2.0, 1).sigmas == (2.0,)
+
+    @pytest.mark.parametrize(
+        "sigma_max, sigma_min, levels", [(0.5, 8.0, 1), (0.5, 8.0, 8), (8.0, 100.0, 1), (2.0, 2.0, 2)]
+    )
+    def test_levels_that_cannot_fall_from_sigma_max_to_sigma_min_rejected(self, sigma_max, sigma_min, levels):
+        with pytest.raises(ValueError, match="^sigma_max, sigma_min: "):
+            sl.geometric_schedule(sigma_max, sigma_min, levels)
+
     def test_geometric_shape(self):
         sched = sl.geometric_schedule(8.0, 0.5, 8, 200, 0.01)
         assert len(sched.sigmas) == 8

@@ -279,10 +279,10 @@ class TestScoreLimit:
 
     def test_view_validation(self):
         cases = [
-            ([0.2, 0.3, 0.5], [-4, 0, 4], [1, 1, 1], "view requires exactly two components"),
-            ([0.5, 0.5], [-4, 4], [1, 2], "view requires equal component widths"),
-            ([0.5, 0.5], [4, -4], [1, 1], "view requires mu1 < mu2, got 4.0 >= -4.0"),
-            ([0.5, 0.5], [4, 4], [1, 1], "view requires mu1 < mu2, got 4.0 >= 4.0"),
+            ([0.2, 0.3, 0.5], [-4, 0, 4], [1, 1, 1], "score_limit requires exactly two components"),
+            ([0.5, 0.5], [-4, 4], [1, 2], "score_limit requires equal component widths"),
+            ([0.5, 0.5], [4, -4], [1, 1], "score_limit requires mu1 < mu2, got 4.0 >= -4.0"),
+            ([0.5, 0.5], [4, 4], [1, 1], "score_limit requires mu1 < mu2, got 4.0 >= 4.0"),
         ]
         for weights, means, stds, message in cases:
             with pytest.raises(ValueError) as info:

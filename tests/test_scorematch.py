@@ -194,12 +194,12 @@ class TestBlindnessSweep:
     def test_sweep_csv_header_and_row_order(self, tmp_path):
         # one row per separation and pair, separation first, then pair
         rows = fisher_sweep_rows(tmp_path, "4, 6", "0.5:0.9, 0.2:0.7")
-        assert list(rows[0]) == ["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes"]
-        assert [(r["separation"], r["pi"], r["pi_prime"]) for r in rows] == [
-            ("4.0", "0.5", "0.9"),
-            ("4.0", "0.2", "0.7"),
-            ("6.0", "0.5", "0.9"),
-            ("6.0", "0.2", "0.7"),
+        assert list(rows[0]) == ["separation", "pi", "pi_prime", "j_pp_prime", "j_q_p", "method", "nodes", "pair"]
+        assert [(r["separation"], r["pi"], r["pi_prime"], r["pair"]) for r in rows] == [
+            ("4.0", "0.5", "0.9", "0"),
+            ("4.0", "0.2", "0.7", "1"),
+            ("6.0", "0.5", "0.9", "0"),
+            ("6.0", "0.2", "0.7", "1"),
         ]
         assert [r["method"] for r in rows] == ["quadrature"] * 4
         assert [int(r["nodes"]) for r in rows] == [sl.QuadratureSpec(0.0, 1.0).nodes] * 4
