@@ -13,7 +13,6 @@ from .mixture import (
     GaussianMixture1D,
     from_record,
     gaussian,
-    log_unnorm,
     mass_inside,
     pdf,
     quadrature_window,
@@ -78,7 +77,6 @@ __all__ = [
     "ksd_vstat",
     "ksd_vstats",
     "langevin_step",
-    "log_unnorm",
     "make_stream",
     "mass_inside",
     "mode_fraction",

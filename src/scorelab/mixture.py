@@ -160,13 +160,6 @@ def pdf(m: GaussianMixture1D, x) -> float | np.ndarray:
     return float(out) if scalar else out
 
 
-def log_unnorm(m: GaussianMixture1D, x) -> float | np.ndarray:
-    """Log density plus the mixture's additive log offset."""
-    xs, scalar = _as_array(x)
-    out = _logpdf(m, xs) + m.log_offset
-    return float(out) if scalar else out
-
-
 def score(m: GaussianMixture1D, x) -> float | np.ndarray:
     """Derivative of the log density, d/dx log p(x).
 

@@ -23,16 +23,14 @@ from .mixture import (
 )
 from .numerics import QuadratureSpec, _samples, quad_integrate
 
-# largest negative value still treated as quadrature round-off
-_NEG_TOL = 1e-12
 _MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class DivergenceEstimate:
     """Divergence value and, for a sample estimate, its standard error
-    (None for a quadrature value).  Values within round-off below zero are
-    clamped to zero.
+    (None for a quadrature value).  A negative value is a ValueError: every
+    producer sums nonnegative terms or takes a square root.
     """
 
     value: float
@@ -41,10 +39,8 @@ class DivergenceEstimate:
     def __post_init__(self):
         if np.isnan(self.value):
             raise ValueError("divergence estimate is NaN")
-        if self.value < -_NEG_TOL:
-            raise ValueError(f"divergence estimate {self.value!r} is negative beyond round-off")
         if self.value < 0.0:
-            object.__setattr__(self, "value", 0.0)
+            raise ValueError(f"divergence estimate {self.value!r} is negative")
         if self.std_error is not None and not self.std_error >= 0:
             raise ValueError(f"std_error must be nonnegative, got {self.std_error!r}")
 

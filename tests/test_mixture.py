@@ -10,7 +10,7 @@ from scipy.stats import norm
 
 import scorelab as sl
 from conftest import random_mixture
-from scorelab.mixture import _LOG_2PI, _logsumexp
+from scorelab.mixture import _LOG_2PI, _logpdf, _logsumexp
 
 STANDARD = sl.gaussian(0.0, 1.0)
 
@@ -75,21 +75,17 @@ class TestPdf:
     def test_far_tail_not_minus_inf(self):
         # log density stays finite out to 35 widths from the nearest mean
         m = sl.two_component(0.5, -3, 3, 1)
-        val = sl.log_unnorm(m, 3 + 35.0)
+        val = _logpdf(m, np.asarray(3 + 35.0))
         assert np.isfinite(val)
 
 
-class TestLogUnnorm:
+class TestLogPdf:
     def test_standard_normal(self):
-        assert sl.log_unnorm(STANDARD, 0.0) == pytest.approx(-0.91893853, abs=1e-8)
-
-    def test_offset_is_additive(self):
-        shifted = sl.gaussian(0.0, 1.0, log_offset=3.0)
-        assert sl.log_unnorm(shifted, 0.0) == pytest.approx(-0.91893853 + 3.0, abs=1e-8)
+        assert _logpdf(STANDARD, np.asarray(0.0)) == pytest.approx(-0.91893853, abs=1e-8)
 
     def test_mixture_matches_pdf(self):
         m = sl.two_component(0.5, -2, 2, 1)
-        assert sl.log_unnorm(m, 0.0) == pytest.approx(math.log(sl.pdf(m, 0.0)), abs=1e-12)
+        assert _logpdf(m, np.asarray(0.0)) == pytest.approx(math.log(sl.pdf(m, 0.0)), abs=1e-12)
 
 
 class TestScore:
@@ -116,7 +112,7 @@ class TestScore:
             m = random_mixture(rs)
             spec = sl.quadrature_window(m)
             xs = np.linspace(spec.lower, spec.upper, 41)
-            fd = derivative(lambda t: sl.log_unnorm(m, t), xs).df
+            fd = derivative(lambda t: _logpdf(m, t), xs).df
             assert np.max(np.abs(sl.score(m, xs) - fd)) < 1e-6
 
     def test_score_ignores_log_offset_bitwise(self):
@@ -168,10 +164,15 @@ def _oracle_score_derivative(m, x):
     return np.sum(r * (z * z - 1.0) / m.stds**2, axis=-1) - mean_score**2
 
 
+def logpdf(m, x):
+    # the log density as pdf and cml_loss form it, at a scalar or an array
+    return _logpdf(m, np.asarray(x, dtype=float))
+
+
 ORACLES = {
     sl.score: _oracle_score,
     sl.pdf: lambda m, x: np.exp(logsumexp(_oracle_logs(m, x), axis=-1)),
-    sl.log_unnorm: lambda m, x: logsumexp(_oracle_logs(m, x), axis=-1) + m.log_offset,
+    logpdf: lambda m, x: logsumexp(_oracle_logs(m, x), axis=-1),
     sl.score_derivative: _oracle_score_derivative,
 }
 
