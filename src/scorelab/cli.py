@@ -353,6 +353,10 @@ def _run_langevin(cfg: ExperimentConfig):
 
     with _as_config_error("[params] "):
         sched = lv.geometric_schedule(sigma_max, sigma_min, levels, steps_per_level, base_step)
+    # every level's smoothed target is built, so checked, before the chain runs
+    with _as_config_error("[params] target, sigma_max: "):
+        for sigma_j in sched.sigmas:
+            mx.smooth(target, sigma_j)
     with _as_config_error("[params] target: "):
         window = mx.quadrature_window(target)
     # the midpoint of the outer means; the window check keeps it finite

@@ -66,18 +66,21 @@ def geometric_schedule(
     base_step: float = 0.01,
 ) -> NoiseSchedule:
     """Geometrically spaced noise levels from sigma_max down to sigma_min;
-    one level is sigma_max alone."""
+    one level is sigma_max alone.  Each width must have a finite square, as
+    smoothing adds squared widths, and the levels must strictly decrease as
+    doubles; either failure is a ValueError naming the keys."""
     for name, sigma in (("sigma_max", sigma_max), ("sigma_min", sigma_min)):
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"{name}: must be positive and finite, got {sigma}")
+        if not (sigma > 0 and float(sigma) * float(sigma) < math.inf):
+            raise ValueError(f"{name}: must be positive and finite, with a finite square, got {sigma}")
     if levels < 1:
         raise ValueError("levels: must be >= 1")
-    if sigma_min > sigma_max or (sigma_min == sigma_max and levels > 1):
+    sigmas = tuple(np.geomspace(sigma_max, sigma_min, levels))
+    if sigma_min > sigma_max or any(b >= a for a, b in zip(sigmas, sigmas[1:])):
         raise ValueError(
             "sigma_max, sigma_min: sigma_min must be below sigma_max, or equal to it for one "
-            f"level, got {sigma_max} and {sigma_min} over {levels} levels"
+            f"level, got {sigma_max} and {sigma_min} over {levels} levels, which must not round equal"
         )
-    return NoiseSchedule(tuple(np.geomspace(sigma_max, sigma_min, levels)), steps_per_level, base_step)
+    return NoiseSchedule(sigmas, steps_per_level, base_step)
 
 
 def langevin_step(x, score_value, eps: float, rng: np.random.Generator):

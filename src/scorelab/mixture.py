@@ -231,15 +231,15 @@ def score_limit(m: GaussianMixture1D, x) -> float | np.ndarray:
 
 
 def smooth(m: GaussianMixture1D, noise_std: float) -> GaussianMixture1D:
-    """Convolve with N(0, noise_std^2): widths add in quadrature."""
-    if noise_std <= 0:
-        raise ValueError(f"noise_std must be positive, got {noise_std}")
-    return GaussianMixture1D(
-        m.weights.copy(),
-        m.means.copy(),
-        np.sqrt(m.stds**2 + noise_std**2),
-        m.log_offset,
-    )
+    """Convolve with N(0, noise_std^2): widths add in quadrature.  A
+    noise_std whose square overflows, or that widens a component past a
+    finite square, is a ValueError."""
+    if not (noise_std > 0 and float(noise_std) * float(noise_std) < math.inf):
+        raise ValueError(f"noise_std must be positive, with a finite square, got {noise_std}")
+    # an overflowing width reaches the constructor as inf, which rejects it
+    with np.errstate(over="ignore"):
+        stds = np.sqrt(m.stds**2 + noise_std**2)
+    return GaussianMixture1D(m.weights.copy(), m.means.copy(), stds, m.log_offset)
 
 
 def sample(m: GaussianMixture1D, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,6 +17,9 @@ import numpy as np
 WIDTH, HEIGHT = 800.0, 500.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70.0, 70.0, 42.0, 48.0
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf")
+# the dash attribute of each pass through the palette, so up to 21 lines
+# keep distinct (colour, dash) pairs; the first seven lines are solid
+DASHES = ("", ' stroke-dasharray="6,3"', ' stroke-dasharray="1.5,2.5"')
 HIST_BIN_WIDTH = 0.2
 
 
@@ -122,15 +125,15 @@ class _Canvas:
             f'text-anchor="{anchor}" fill="#000000">{content}</text>'
         )
 
-    def line(self, x1, y1, x2, y2, stroke="#888888", width=1.0):
+    def line(self, x1, y1, x2, y2, stroke="#888888", width=1.0, dash=""):
         self.parts.append(
             f'<line x1="{_px(x1)}" y1="{_px(y1)}" x2="{_px(x2)}" y2="{_px(y2)}" '
-            f'stroke="{stroke}" stroke-width="{width:g}"/>'
+            f'stroke="{stroke}" stroke-width="{width:g}"{dash}/>'
         )
 
-    def polyline(self, xs: np.ndarray, ys: np.ndarray, stroke):
+    def polyline(self, xs: np.ndarray, ys: np.ndarray, stroke, dash=""):
         self.parts.append(
-            f'<polyline points="{_coords(xs, ys)}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
+            f'<polyline points="{_coords(xs, ys)}" fill="none" stroke="{stroke}" stroke-width="1.5"{dash}/>'
         )
 
     def polygon(self, xs: np.ndarray, ys: np.ndarray, fill):
@@ -188,11 +191,12 @@ def _axes(cv: _Canvas, xs: _Scale, ys: _Scale, right: _Scale | None = None):
             cv.text(x1 + 7, py + 3.5, _fmt(t), anchor="start")
 
 
-def _legend(cv: _Canvas, labels: list[tuple[str, str]]):
+def _legend(cv: _Canvas, labels: list[tuple[str, str, str]]):
+    """One swatch per (label, colour, dash), drawn as its line is."""
     x = MARGIN_L + 8
     y = MARGIN_T + 14
-    for label, color in labels:
-        cv.line(x, y - 4, x + 18, y - 4, color, 2.4)
+    for label, color, dash in labels:
+        cv.line(x, y - 4, x + 18, y - 4, color, 2.4, dash)
         cv.text(x + 24, y, label)
         y += 15
 
@@ -237,9 +241,10 @@ def _render_lines(source: str, spec: PlotSpec, columns) -> str:
     groups = _groups(spec, columns)
     for name, scale in series:
         for group, rows in groups:
-            color = PALETTE[len(labels) % len(PALETTE)]
-            cv.polyline(px[rows], scale(cols[name][rows]), color)
-            labels.append((f"{name} {spec.group} {group}" if spec.group else name, color))
+            cycle, index = divmod(len(labels), len(PALETTE))
+            color, dash = PALETTE[index], DASHES[cycle % len(DASHES)]
+            cv.polyline(px[rows], scale(cols[name][rows]), color, dash)
+            labels.append((f"{name} {spec.group} {group}" if spec.group else name, color, dash))
     _legend(cv, labels)
     cv.text(WIDTH / 2, HEIGHT - 10, spec.x, anchor="middle")
     return cv.render()
@@ -268,7 +273,7 @@ def _render_histogram(source: str, spec: PlotSpec, columns) -> str:
         color = PALETTE[idx % len(PALETTE)]
         cv.polygon(outline_x, np.concatenate(([base], np.repeat(ys(c), 2), [base])), color)
         if gname:
-            labels.append((gname, color))
+            labels.append((gname, color, ""))
     if labels:
         _legend(cv, labels)
     cv.text(WIDTH / 2, HEIGHT - 10, spec.value, anchor="middle")

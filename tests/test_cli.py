@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -340,6 +341,21 @@ class TestCommands:
             assert len(xs) == 4
             assert all(a < b for a, b in zip(xs, xs[1:]))
 
+    def test_score_plot_lines_past_the_palette_keep_distinct_strokes(self, tmp_path):
+        weights = ", ".join(f"0.0{i}" for i in range(1, 10)) + ", 0.5"
+        body = SCORE_PLOT.replace("pi_grid = 0.1, 0.5, 0.9", f"pi_grid = {weights}")
+        body = body.replace("grid_nodes = 801", "grid_nodes = 21")
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["score-plot", "--config", cfg]) == 0
+        svg = (tmp_path / "out" / "curves.svg").read_text()
+        dash = r'(?: stroke-dasharray="([^"]+)")?'
+        lines = re.findall(r'<polyline [^>]*stroke="([^"]+)" stroke-width="1.5"' + dash + "/>", svg)
+        swatches = re.findall(r'<line [^>]*stroke="([^"]+)" stroke-width="2.4"' + dash + "/>", svg)
+        # ten densities and ten scores; the first seven are solid
+        assert len(set(lines)) == len(lines) == 20
+        assert swatches == lines
+        assert [d for _, d in lines[:7]] == [""] * 7
+
     def test_ksd_run_contrast(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", KSD.format(out=tmp_path / "out"))
         assert cli.main(["ksd-run", "--config", cfg]) == 0
@@ -536,8 +552,9 @@ class TestCliContract:
             ("lambdas = 0.5, 1.0", "lambdas = inf, 1.0", "[params] lambdas:"),
             ("lambdas = 0.5, 1.0", "lambdas =", "[params] lambdas:"),
             ("n_samples = 600", "n_samples = 1", "[params] n_samples:"),
+            ("reference = true", "reference = model", "[params] reference must be kde or true, got 'model'"),
         ],
-        ids=["negative lambda", "nan lambda", "inf lambda", "no lambdas", "one sample"],
+        ids=["negative lambda", "nan lambda", "inf lambda", "no lambdas", "one sample", "unknown reference"],
     )
     def test_bad_remedies_param_rejected_before_sampling(
         self, tmp_path, capsys, monkeypatch, old, new, key
@@ -593,7 +610,7 @@ class TestCliContract:
                 "ksd-run", KSD.replace("means=-5.0; stds=1.0\nn", "means=-5.0; stds=1e-170\nn"),
                 "samples_from: stds",
             ),
-            ("langevin-run", LANGEVIN + "sigma_max = 1e160\n", "base_step: every level step"),
+            ("langevin-run", LANGEVIN + "sigma_max = 1e160\n", "sigma_max: must be positive and finite, with a"),
             ("langevin-run", LANGEVIN + "base_step = 1e308\n", "base_step: every level step"),
         ],
         ids=[
@@ -839,6 +856,81 @@ class TestCliContract:
                 "fisher-sweep", FISHER, "pi_pairs = 0.5:0.9", "pi_pairs = 0.5:0.9\nsigma = nan",
                 "[params] pi_pairs, sigma: stds must be positive and finite",
             ),
+            # levels that np.geomspace rounds equal, and widths whose squares
+            # overflow, alone or once smoothing adds them, name sigma_max
+            (
+                "langevin-run", LANGEVIN, "particles = 400",
+                "particles = 400\nsigma_max = 1.0\nsigma_min = 0.9999999999999998",
+                "[params] sigma_max, sigma_min: sigma_min must be below sigma_max",
+            ),
+            (
+                "langevin-run", LANGEVIN, "particles = 400",
+                "particles = 400\nlevels = 1\nsigma_max = 1.7e308\nsigma_min = 1.7e308",
+                "[params] sigma_max: must be positive and finite, with a finite square, got 1.7e+308",
+            ),
+            (
+                "langevin-run", LANGEVIN, "particles = 400", "particles = 400\nsigma_max = 1.7e308",
+                "[params] sigma_max: must be positive and finite, with a finite square, got 1.7e+308",
+            ),
+            (
+                "langevin-run", LANGEVIN, "stds=1.0,1.0\n",
+                "stds=1e154,1e154\nlevels = 1\nsigma_max = 1e154\nsigma_min = 1e154\n",
+                "[params] target, sigma_max: stds must be positive and finite",
+            ),
+            (
+                "langevin-run", LANGEVIN, "particles = 400", "particles = 400\nlevels = 0",
+                "[params] levels: must be >= 1",
+            ),
+            (
+                "langevin-run", LANGEVIN, "steps_per_level = 40", "steps_per_level = 0",
+                "[params] steps_per_level: must be >= 1",
+            ),
+            (
+                "svgd-run", SVGD, "iterations = 150", "iterations = 0",
+                "[params] iterations: must be >= 1, got 0",
+            ),
+            (
+                "svgd-run", SVGD, "snapshot_every = 50", "snapshot_every = 0",
+                "[params] snapshot_every: must be >= 1",
+            ),
+            # the config accessors and the mixture records
+            (
+                "score-plot", SCORE_PLOT, "grid_nodes = 801", "grid_nodes = 80.5",
+                "[params] grid_nodes must be an integer, got '80.5'",
+            ),
+            (
+                "score-plot", SCORE_PLOT, "pi_grid = 0.1, 0.5, 0.9", "pi_grid = 0.1, half",
+                "[params] pi_grid must be comma-separated numbers, got '0.1, half'",
+            ),
+            (
+                "fisher-sweep", FISHER, "pi_pairs = 0.5:0.9", "pi_pairs = 0.5",
+                "[params] pi_pairs entries must look like a:b, got '0.5'",
+            ),
+            (
+                "fisher-sweep", FISHER, "pi_pairs = 0.5:0.9", "pi_pairs = 0.5:high",
+                "[params] pi_pairs has non-numeric pair '0.5:high'",
+            ),
+            (
+                "fisher-sweep", FISHER, "pi_pairs = 0.5:0.9", "pi_pairs = ,",
+                "[params] pi_pairs must list at least one pair",
+            ),
+            (
+                "langevin-run", LANGEVIN, "weights=0.3,0.7", "weights=1.5,-0.5",
+                "[params] target: mixing weights must be positive",
+            ),
+            (
+                "langevin-run", LANGEVIN, "means=-4.0,4.0", "means=nan,4.0",
+                "[params] target: means must be finite",
+            ),
+            (
+                "langevin-run", LANGEVIN, "means=-4.0,4.0", "means",
+                "[params] target: malformed mixture record field: 'means'",
+            ),
+            (
+                "ksd-run", KSD, "[models]\nnear = weights=1.0; means=-5.0; stds=1.0\n"
+                "far = weights=1.0; means=5.0; stds=1.0\n", "",
+                "ksd-run needs a [models] section",
+            ),
         ],
         ids=[
             "ksd n", "svgd particles", "langevin particles", "score-plot grid_nodes",
@@ -851,11 +943,16 @@ class TestCliContract:
             "fisher empty separations", "stein empty separations", "svgd pi1_grid weight",
             "svgd zero sigma", "score-plot pi_grid weight", "score-plot witness_pi1 weight",
             "stein pi1 weight", "stein zero sigma", "fisher pi_pairs weight", "fisher zero sigma",
-            "fisher nan sigma",
+            "fisher nan sigma", "langevin levels that round equal", "langevin one level sigma_max square",
+            "langevin sigma_max square", "langevin target and sigma_max squares", "langevin zero levels",
+            "langevin zero steps_per_level", "svgd zero iterations", "svgd zero snapshot_every",
+            "score-plot fractional grid_nodes", "score-plot text in pi_grid", "fisher pair without colon",
+            "fisher text in pair", "fisher no pairs", "langevin negative weight", "langevin nan mean",
+            "langevin field without =", "ksd no models",
         ],
     )
     def test_bad_count_rejected_before_sampling(
-        self, tmp_path, capsys, monkeypatch, command, body, old, new, key
+        self, tmp_path, capsys, monkeypatch, recwarn, command, body, old, new, key
     ):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled or integrated before the params were checked")
@@ -869,6 +966,7 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", changed.format(out=tmp_path / "out"))
         assert cli.main([command, "--config", cfg]) == 2
         assert f"config error: {key}" in capsys.readouterr().err
+        assert not [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)]
         assert_no_outputs(tmp_path)
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):

@@ -46,11 +46,20 @@ class TestSchedule:
         assert sl.geometric_schedule(2.0, 2.0, 1).sigmas == (2.0,)
 
     @pytest.mark.parametrize(
-        "sigma_max, sigma_min, levels", [(0.5, 8.0, 1), (0.5, 8.0, 8), (8.0, 100.0, 1), (2.0, 2.0, 2)]
+        "sigma_max, sigma_min, levels",
+        [(0.5, 8.0, 1), (0.5, 8.0, 8), (8.0, 100.0, 1), (2.0, 2.0, 2), (1.0, 0.9999999999999998, 8)],
     )
     def test_levels_that_cannot_fall_from_sigma_max_to_sigma_min_rejected(self, sigma_max, sigma_min, levels):
         with pytest.raises(ValueError, match="^sigma_max, sigma_min: "):
             sl.geometric_schedule(sigma_max, sigma_min, levels)
+
+    def test_sigma_min_whose_square_overflows_named(self):
+        # the CLI tests cover sigma_max; sigma_min fails alone only above it
+        with pytest.raises(ValueError, match="^sigma_min: must be positive and finite, with a finite square"):
+            sl.geometric_schedule(8.0, 1.7e308, 1)
+
+    def test_tiny_widths_allowed(self):
+        assert sl.geometric_schedule(1e-160, 1e-170, 2).sigmas == (1e-160, 1e-170)
 
     def test_geometric_shape(self):
         sched = sl.geometric_schedule(8.0, 0.5, 8, 200, 0.01)
@@ -186,6 +195,10 @@ class TestAnnealedRun:
                 sl.annealed_langevin_run(
                     4, TARGET, sl.NoiseSchedule((1.0,), 5, 0.01), sl.make_stream(7, 0), init=init
                 )
+
+    def test_particle_count_checked(self):
+        with pytest.raises(ValueError, match="^n_particles must be >= 1"):
+            sl.annealed_langevin_run(0, TARGET, sl.NoiseSchedule((1.0,), 1, 0.01), sl.make_stream(0))
 
     def test_init_shape_checked(self):
         with pytest.raises(ValueError, match="init"):

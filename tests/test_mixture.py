@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,10 @@ class TestConstruction:
         assert np.array_equal(back.means, m.means)
         assert np.array_equal(back.stds, m.stds)
         assert back.log_offset == m.log_offset
+
+    def test_window_needs_a_mixture(self):
+        with pytest.raises(ValueError, match="at least one mixture is required"):
+            sl.quadrature_window()
 
     def test_record_parse_errors(self):
         with pytest.raises(ValueError, match="missing"):
@@ -371,6 +376,20 @@ class TestSmooth:
     def test_rejects_nonpositive_noise(self):
         with pytest.raises(ValueError):
             sl.smooth(STANDARD, 0.0)
+
+    @pytest.mark.parametrize(
+        "m, noise_std, message",
+        [
+            (STANDARD, 1.7e308, "noise_std must be positive, with a finite square"),
+            (sl.gaussian(0.0, 1e154), 1e154, "stds must be positive and finite"),
+        ],
+        ids=["noise_std", "smoothed width"],
+    )
+    def test_square_that_overflows_rejected_without_a_warning(self, m, noise_std, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                sl.smooth(m, noise_std)
 
 
 class TestSample:

@@ -118,6 +118,11 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             QuadratureSpec(0, 1, 7)
 
+    @pytest.mark.parametrize("lower, upper", [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+    def test_nonfinite_bound_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="quadrature bounds must be finite"):
+            QuadratureSpec(lower, upper)
+
     @pytest.mark.parametrize("nodes", [16, 64, 4096])
     def test_even_node_count_rejected(self, nodes):
         # composite Simpson pairs the intervals, so it needs an odd count

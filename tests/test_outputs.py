@@ -115,6 +115,12 @@ CASES = [
         {"phase": PHASES, "particle_id": np.arange(POSITIONS.size), "position": POSITIONS},
     ),
     (
+        # a range narrower than half a bin is drawn as one bin spanning it
+        "one-bin histogram",
+        PlotSpec("histogram", value="position", lo=0.0, hi=0.05),
+        {"position": np.array([0.01, 0.02, 0.04])},
+    ),
+    (
         "zero-row lines",
         PlotSpec("lines", x="x", y=("a",), y2=("b",)),
         {"x": np.array([]), "a": np.array([]), "b": np.array([])},
