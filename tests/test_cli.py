@@ -66,6 +66,22 @@ class TestConfigParsing:
                 write_config(tmp_path / "a.cfg", "[experiment]\ncommand = svgd-run\nseed = xy\n")
             )
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (None, "cannot read config {path}"),
+            ("command = fisher-sweep\n", "config syntax error in {path}"),
+            ("[params]\nsigma = 1\n", "config must have an [experiment] section"),
+        ],
+        ids=["missing file", "no section header", "no experiment section"],
+    )
+    def test_unloadable_config_exits_2(self, tmp_path, capsys, body, message):
+        path = tmp_path / "a.cfg"
+        if body is not None:
+            write_config(path, body)
+        assert cli.main(["fisher-sweep", "--config", str(path)]) == 2
+        assert f"lab: config error: {message.format(path=path)}" in capsys.readouterr().err
+
     def test_param_accessors_name_fields(self, tmp_path):
         cfg = load_config(
             write_config(
