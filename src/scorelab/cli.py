@@ -415,6 +415,9 @@ def _run_remedies(cfg: ExperimentConfig):
     moments = rm.moment_discrepancy(model, samples)
     # the loss is linear in lambda: one unweighted loss serves every lambda
     unit = rm.cml_loss(model, ml, samples)
+    for lam in lambdas:
+        if not np.isfinite(lam * unit):
+            raise ConfigError(f"[params] lambdas: {lam} times the loss {unit} is not finite")
     rows = [
         (scenario, fisher, lam * unit, float(moments[0]), float(moments[1]), lam)
         for lam in lambdas

@@ -137,10 +137,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     # '#' only: ';' separates mixture-record fields and must stay literal
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.optionxform = str  # keys as written: `[models]` keys are labels
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error in {path}: {exc}") from None

@@ -72,13 +72,18 @@ class TestConfigParsing:
             (None, "cannot read config {path}"),
             ("command = fisher-sweep\n", "config syntax error in {path}"),
             ("[params]\nsigma = 1\n", "config must have an [experiment] section"),
+            (
+                "[experiment]\ncommand = fisher-sweep  # caf\xe9\n",
+                "cannot read config {path}: 'utf-8' codec can't decode byte 0xe9",
+            ),
         ],
-        ids=["missing file", "no section header", "no experiment section"],
+        ids=["missing file", "no section header", "no experiment section", "not utf-8"],
     )
     def test_unloadable_config_exits_2(self, tmp_path, capsys, body, message):
         path = tmp_path / "a.cfg"
         if body is not None:
-            write_config(path, body)
+            # latin-1 writes each character as one byte, so \xe9 is not UTF-8
+            path.write_bytes(body.encode("latin-1"))
         assert cli.main(["fisher-sweep", "--config", str(path)]) == 2
         assert f"lab: config error: {message.format(path=path)}" in capsys.readouterr().err
 
@@ -384,6 +389,13 @@ class TestCommands:
         rows = read_rows(tmp_path / "out" / "ksd.csv")
         assert [(r["model"], r["n"]) for r in rows] == [("near", "800"), ("far", "800")]
 
+    def test_ksd_run_writes_model_labels_as_given(self, tmp_path):
+        body = KSD.replace("near = ", "NearModel = ")
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["ksd-run", "--config", cfg]) == 0
+        rows = read_rows(tmp_path / "out" / "ksd.csv")
+        assert [r["model"] for r in rows] == ["NearModel", "far"]
+
     def test_stein_sweep_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", STEIN.format(out=tmp_path / "out"))
         assert cli.main(["stein-sweep", "--config", cfg]) == 0
@@ -484,6 +496,8 @@ class TestCliContract:
                 ["[params] threshold", "[params] trace_every"],
             ),
             ("stein-sweep", STEIN, STEIN + "\n[param]\nseparations = 6\n", ["[param]"]),
+            # keys are read as written, so a key in another case is unread
+            ("ksd-run", KSD, KSD.replace("n = 800\n", "n = 800\nBandwidth = 2\n"), ["[params] Bandwidth"]),
         ):
             results, errs = [], []
             for name, text in ((f"{command}_a", clean), (f"{command}_b", body)):
@@ -584,6 +598,16 @@ class TestCliContract:
         cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
         assert cli.main(["remedies-run", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
+        assert_no_outputs(tmp_path)
+
+    def test_lambda_whose_loss_overflows_named_and_leaves_no_outputs(self, tmp_path, capsys):
+        # the loss is known only after sampling, so this check comes after it
+        body = REMEDIES.replace("lambdas = 0.5, 1.0", "lambdas = 0.5, 1e308")
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["remedies-run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("lab: config error: [params] lambdas: 1e+308 times the loss ")
+        assert err.endswith(" is not finite\n")
         assert_no_outputs(tmp_path)
 
     @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
+import ast
 import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 DIFF_OUTPUTS = ROOT / "tools" / "diff_outputs.py"
-LAYER_BENCH = ROOT / "tools" / "layer_bench.py"
 
 
 def _load(path):
@@ -16,25 +18,69 @@ def _load(path):
     return module
 
 
-class TestLayerBench:
-    def test_every_row_runs_on_this_tree(self, tmp_path):
-        import scorelab as sl
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
 
-        rows = _load(LAYER_BENCH).rows(sl, tmp_path)
-        assert "remedies-run losses 3 lambdas" in rows
-        for fn in rows.values():
-            fn()
 
-    def test_child_times_the_rows_of_its_tree_on_request(self):
-        side = _load(LAYER_BENCH)._Side(ROOT / "src")
-        try:
-            assert "ksd_vstat N=10000" in side.names
-            assert side.ask("score K=2 n=200", 0) >= 1
-            wall, cpu = side.ask("score K=2 n=200", 3)
-            assert wall > 0 and cpu >= 0
-        finally:
-            side.close()
-        assert side.proc.returncode == 0
+def private_scorelab_names(source):
+    """The private scorelab names `source` binds, as dotted names: those
+    imported by `from scorelab... import _x` and those reached as an
+    attribute `_x` of a name bound to scorelab or one of its modules."""
+    found, bound = set(), {}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import scorelab.cli` binds `scorelab`, `... as cli` the module
+                if alias.name.split(".")[0] == "scorelab":
+                    bound[alias.asname or "scorelab"] = alias.name if alias.asname else "scorelab"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scorelab":
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                if _private(alias.name):
+                    found.add(name)
+                bound[alias.asname or alias.name] = name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            chain, root = [node.attr], node.value
+            while isinstance(root, ast.Attribute):
+                chain.append(root.attr)
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.add(".".join([bound[root.id], *reversed(chain)]))
+    return sorted(found)
+
+
+class TestPrivateNames:
+    def test_no_tool_demo_or_benchmark_file_binds_a_private_scorelab_name(self):
+        # only tests/ may bind scorelab internals; the rest of the repository
+        # uses the public API, so a private rename edits tests alone
+        files = [p for folder in ("tools", "demos", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))]
+        assert len(files) > 10
+        found = [
+            f"{path.relative_to(ROOT)}: {name}"
+            for path in files
+            for name in private_scorelab_names(path.read_text(encoding="utf-8"))
+        ]
+        assert found == []
+
+    @pytest.mark.parametrize(
+        "source, names",
+        [
+            ("from scorelab.mixture import _logpdf\n", ["scorelab.mixture._logpdf"]),
+            ("from scorelab.svgd import (\n    svgd_run,\n    _gauss_tile,\n)\n", ["scorelab.svgd._gauss_tile"]),
+            ("from scorelab import _x as y\n", ["scorelab._x"]),
+            ("import scorelab.cli\nscorelab.cli._csv([], [])\n", ["scorelab.cli._csv"]),
+            ("import scorelab as sl\nf = sl.svgd._tile_work\n", ["scorelab.svgd._tile_work"]),
+            ("import scorelab.cli as cli\ncli._csv\n", ["scorelab.cli._csv"]),
+            ("from scorelab import mixture\nmixture._logpdf\n", ["scorelab.mixture._logpdf"]),
+            ("import scorelab as sl\nsl.__file__, sl.score, other._x\n", []),
+        ],
+        ids=["from module", "parenthesised", "from package", "dotted", "alias", "module alias",
+             "imported module", "public and dunder"],
+    )
+    def test_scan_finds_each_form_of_binding(self, source, names):
+        assert private_scorelab_names(source) == names
 
 
 class TestDiffOutputs:
