@@ -25,7 +25,7 @@ print(f"{'init':>16} {'left-mode fraction':>20}")
 for idx, (mu0, sigma0) in enumerate([(-4, 1), (0, 3), (4, 1)]):
     rng = sl.make_stream(42, idx)
     init = mu0 + sigma0 * rng.standard_normal(200)
-    final, _ = sl.svgd_run(init, target, cfg)
+    final = sl.svgd_run(init, target, cfg)
     frac = sl.mode_fraction(final, 0.0)
     print(f"  N({mu0:+d}, {sigma0}^2)  {frac:20.3f}")
 
@@ -43,15 +43,15 @@ skewed = sl.two_component(0.1, -4, 4, 1)
 def annealed(positions):
     for sigma in sl.geometric_schedule(8.0, 0.5, 8).sigmas:
         level = sl.SvgdConfig(kernel=cfg.kernel, step_size=0.1 * (1 + sigma**2), iterations=200)
-        positions, _ = sl.svgd_run(positions, sl.smooth(skewed, sigma), level)
+        positions = sl.svgd_run(positions, sl.smooth(skewed, sigma), level)
     final = sl.SvgdConfig(kernel=cfg.kernel, step_size=0.1, iterations=500)
-    return sl.svgd_run(positions, skewed, final)[0]
+    return sl.svgd_run(positions, skewed, final)
 
 
 print(f"{'init':>16} {'plain, 2000 steps':>18} {'noise-annealed':>15}")
 for idx, (mu0, sigma0) in enumerate([(-4, 1), (0, 3), (4, 1)]):
     rng = sl.make_stream(42, idx)
     init = mu0 + sigma0 * rng.standard_normal(200)
-    plain = sl.mode_fraction(sl.svgd_run(init, skewed, cfg)[0], 0.0)
+    plain = sl.mode_fraction(sl.svgd_run(init, skewed, cfg), 0.0)
     noised = sl.mode_fraction(annealed(init), 0.0)
     print(f"  N({mu0:+d}, {sigma0}^2)  {plain:18.3f} {noised:15.3f}")

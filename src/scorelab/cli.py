@@ -280,15 +280,10 @@ def _run_svgd(cfg: ExperimentConfig):
     iterations = cfg.get_int("iterations", 2000)
     with _as_config_error("[params] bandwidth: "):
         kernel = st.KernelSpec(cfg.get_float("bandwidth", 1.0))
-    snapshot_every = cfg.get_int("snapshot_every", 500)
 
     with _as_config_error("[params] "):
-        run_cfg = sv.SvgdConfig(
-            kernel=kernel,
-            step_size=step_size,
-            iterations=iterations,
-            snapshot_every=snapshot_every,
-        )
+        run_cfg = sv.SvgdConfig(kernel=kernel, step_size=step_size, iterations=iterations)
+    snapshot_every = _count(cfg, "snapshot_every", 500, 1)
     with _as_config_error("[params] pi1_grid, mu1, mu2, sigma: "):
         targets = [mx.two_component(p1, mu1, mu2, sigma) for p1 in pi1_grid]
     with _as_config_error("[params] mu1, mu2, sigma: "):
@@ -299,7 +294,14 @@ def _run_svgd(cfg: ExperimentConfig):
         index, (_, target, mu0, s0) = item
         rng = make_stream(cfg.seed, index)
         init = mu0 + s0 * rng.standard_normal(particles)
-        final, snapshots = sv.svgd_run(init, target, run_cfg)
+        # the start, every snapshot_every-th iteration and the last
+        snapshots = [(0, init)]
+
+        def observer(iteration, positions):
+            if iteration % snapshot_every == 0 or iteration == iterations:
+                snapshots.append((iteration, positions))
+
+        final = sv.svgd_run(init, target, run_cfg, observer)
         return init, final, snapshots
 
     results = _map_cells(one, list(enumerate(grid)), cfg.threads)
@@ -309,7 +311,6 @@ def _run_svgd(cfg: ExperimentConfig):
     for (p1, _, mu0, s0), (init, final, snapshots) in zip(grid, results):
         tag = f"pi{_tag(p1)}_mu{_tag(mu0)}_sd{_tag(s0)}"
         summary_rows.append((cfg.seed, mu0, s0, p1, sv.mode_fraction(final, (mu1 + mu2) / 2.0)))
-        # svgd_run always records the final positions, so snapshots is nonempty
         snapshot_table = {
             "iteration": np.repeat([it for it, _ in snapshots], particles),
             "particle_id": np.tile(np.arange(particles), len(snapshots)),
@@ -368,9 +369,9 @@ def _run_langevin(cfg: ExperimentConfig):
             total = level * steps_per_level + step
             trace_rows.append((level, sigma_j, step, sv.mode_fraction(positions, split), total))
 
-    positions = lv.annealed_langevin_run(
-        particles, target, sched, make_stream(cfg.seed, 0), observer=observer
-    )
+    rng = make_stream(cfg.seed, 0)
+    init = target.mean() + sched.sigmas[0] * rng.standard_normal(particles)
+    positions = lv.annealed_langevin_run(init, target, sched, rng, observer)
 
     levels_table = _by_rows(["level", "sigma_j", "step", "mode_fraction", "total_step"], trace_rows)
     trace = PlotSpec("lines", x="total_step", y=("mode_fraction",), title="mode fraction during annealing")

@@ -132,6 +132,15 @@ class ExperimentConfig:
             return from_record(raw)
 
 
+def _check_case(exp, key: str) -> None:
+    """A ConfigError naming the [experiment] key that differs from the
+    absent `key` only in case, if there is one: keys are read as written."""
+    if key not in exp:
+        for other in exp:
+            if other.lower() == key:
+                raise ConfigError(f"[experiment] {other}: keys are case-sensitive; write it as {key}")
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate an experiment config file."""
     path = Path(path)
@@ -152,6 +161,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     command = exp.get("command", "").strip()
     if command not in COMMANDS:
+        _check_case(exp, "command")
         raise ConfigError(
             f"[experiment] command must be one of {', '.join(COMMANDS)}; got {command!r}"
         )
@@ -159,6 +169,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     seed_raw = exp.get("seed", "").strip()
     if not seed_raw:
         if command in RANDOMIZED:
+            _check_case(exp, "seed")
             raise ConfigError(f"[experiment] seed is required for {command}")
         seed = 0
     else:

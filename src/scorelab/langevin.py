@@ -97,30 +97,21 @@ def langevin_step(x, score_value, eps: float, rng: np.random.Generator):
 
 
 def annealed_langevin_run(
-    n_particles: int,
+    init: np.ndarray,
     target: GaussianMixture1D,
     sched: NoiseSchedule,
     rng: np.random.Generator,
-    init: np.ndarray | None = None,
     observer=None,
 ) -> np.ndarray:
-    """Langevin sampling through the noise levels, largest to smallest.
+    """Langevin sampling through the noise levels, largest to smallest, from
+    the positions `init`, which the run leaves unchanged.
 
-    Particles start from N(target mean, sigma_max^2) unless an explicit init
-    vector is supplied.  At level j the particles follow the score of the
-    sigma_j-smoothed target for `steps_per_level` steps with the schedule's
-    level step.  `observer(level, sigma, step, positions)` is called after
-    every step when provided.  Returns the final positions.
+    At level j the particles follow the score of the sigma_j-smoothed target
+    for `steps_per_level` steps with the schedule's level step.
+    `observer(level, sigma, step, positions)` is called after every step
+    when provided.  Returns the final positions.
     """
-    if n_particles < 1:
-        raise ValueError("n_particles must be >= 1")
-    if init is None:
-        x = target.mean() + sched.sigmas[0] * rng.standard_normal(n_particles)
-    else:
-        x = _samples(init, "init").copy()
-        if x.shape != (n_particles,):
-            raise ValueError(f"init must have shape ({n_particles},), got {x.shape}")
-
+    x = _samples(init, "init")
     for level, sigma_j in enumerate(sched.sigmas):
         noisy = smooth(target, sigma_j)
         eps = sched.step_at(level)

@@ -10,7 +10,7 @@ canonical order makes the update bit-exactly equivariant under particle
 permutation.  `svgd_direction` sorts once per call and scatters the sums
 back to the particles; `svgd_run` carries the ensemble in sorted order with
 the permutation back to the particles, re-sorts only after a step that
-breaks the order, and un-permutes only for snapshots and the final
+breaks the order, and un-permutes only for its observer and the final
 ensemble.  Particles at equal positions get equal sums: the members of a
 run of equal sorted positions can be summed in different orders (as when
 the run straddles a tile edge, or sits in two rows of one BLAS product), so
@@ -111,21 +111,17 @@ def _gauss_tile(xi: np.ndarray, xj: np.ndarray, h2: float, work: np.ndarray):
 
 @dataclass(frozen=True)
 class SvgdConfig:
-    """Run parameters: `iterations` steps of `step_size` with `kernel`;
-    `snapshot_every` records positions every so many iterations."""
+    """Run parameters: `iterations` steps of `step_size` with `kernel`."""
 
     kernel: KernelSpec = field(default_factory=KernelSpec)
     step_size: float = 0.1
     iterations: int = 1000
-    snapshot_every: int | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ValueError(f"step_size: must be positive and finite, got {self.step_size}")
         if self.iterations < 1:
             raise ValueError(f"iterations: must be >= 1, got {self.iterations}")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every: must be >= 1 when given")
 
 
 def _rank3_tile(xs, ss, a, b, c, e, h2, work, phi):
@@ -203,30 +199,24 @@ def svgd_direction(positions: np.ndarray, target: GaussianMixture1D, kernel: Ker
     return _unsorted(_sorted_direction(xs, score(target, xs), kernel.bandwidth, _tile_work(x.size)), order)
 
 
-def svgd_run(
-    init: np.ndarray,
-    target: GaussianMixture1D,
-    cfg: SvgdConfig,
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+def svgd_run(init: np.ndarray, target: GaussianMixture1D, cfg: SvgdConfig, observer=None) -> np.ndarray:
     """Iterate positions <- positions + step * direction from the positions
-    `init`.
+    `init`; returns the final positions.
 
-    Returns the final positions and the list of recorded (iteration,
-    positions) snapshots (empty unless cfg.snapshot_every is set).  The
-    update is deterministic, so the run takes no random stream.  The run
-    carries the positions in sorted order, with the permutation `order`
-    back to the particles, and re-sorts only after a step that breaks the
-    order; the kernel sums of every step reuse one tile workspace.
+    `observer(iteration, positions)` is called after every step when
+    provided, with the number of steps taken and a fresh array of the
+    positions in particle order.  The update is deterministic, so the run
+    takes no random stream.  The run carries the positions in sorted order,
+    with the permutation `order` back to the particles, and re-sorts only
+    after a step that breaks the order; the kernel sums of every step reuse
+    one tile workspace.
     """
     x = _samples(init, "positions")
     order = np.argsort(x, kind="stable")
     xs = x[order]
     work = _tile_work(xs.size)
-    snapshots: list[tuple[int, np.ndarray]] = []
 
     for t in range(cfg.iterations):
-        if cfg.snapshot_every is not None and t % cfg.snapshot_every == 0:
-            snapshots.append((t, _unsorted(xs, order)))
         xs = xs + cfg.step_size * _sorted_direction(xs, score(target, xs), cfg.kernel.bandwidth, work)
         if not np.isfinite(xs).all():
             bad = int(order[~np.isfinite(xs)].min())
@@ -234,11 +224,9 @@ def svgd_run(
         if (xs[1:] < xs[:-1]).any():
             resort = np.argsort(xs, kind="stable")
             xs, order = xs[resort], order[resort]
-
-    x = _unsorted(xs, order)
-    if cfg.snapshot_every is not None:
-        snapshots.append((cfg.iterations, x.copy()))
-    return x, snapshots
+        if observer is not None:
+            observer(t + 1, _unsorted(xs, order))
+    return _unsorted(xs, order)
 
 
 def mode_fraction(positions: np.ndarray, threshold: float) -> float:

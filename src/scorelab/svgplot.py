@@ -9,6 +9,7 @@ their text give the same bytes.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,7 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#1
 # keep distinct (colour, dash) pairs; the first seven lines are solid
 DASHES = ("", ' stroke-dasharray="6,3"', ' stroke-dasharray="1.5,2.5"')
 HIST_BIN_WIDTH = 0.2
+_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -83,9 +85,9 @@ def _groups(spec: PlotSpec, columns) -> list[tuple[str, np.ndarray | slice]]:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    # about six ticks, on steps of 1, 2 or 5 times a power of ten
-    if hi <= lo:
-        return [lo]
+    # about six ticks, on steps of 1, 2 or 5 times a power of ten, up to half
+    # a step past hi, or less where the stop or its distance from the first
+    # tick would overflow
     raw = (hi - lo) / 6
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -93,7 +95,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
             step = mult * mag
             break
     first = np.ceil(lo / step) * step
-    ticks = np.arange(first, hi + step * 0.5, step)
+    ticks = np.arange(first, hi + min(step * 0.5, _MAX + min(first, 0.0) - hi), step)
     return [float(t) for t in ticks]
 
 
@@ -151,8 +153,6 @@ def _pad(v: float) -> float:
 
 class _Scale:
     def __init__(self, lo: float, hi: float, px_lo: float, px_hi: float):
-        if hi <= lo:
-            lo, hi = lo - _pad(lo), hi + _pad(hi)
         self.lo, self.hi = lo, hi
         self.px_lo, self.px_hi = px_lo, px_hi
 
@@ -163,11 +163,14 @@ class _Scale:
 
 
 def _padded(values: np.ndarray) -> tuple[float, float]:
+    """The axis range of a column: 5% of its span beyond either end, or
+    `_pad` of a constant.  Near the largest double the pad shrinks and the
+    ends are clamped, so the range and its span stay finite wherever the
+    column's span is."""
     lo, hi = float(values.min()), float(values.max())
-    if hi == lo:
-        return lo - _pad(lo), hi + _pad(hi)
-    pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+    pad = _pad(lo) if hi == lo else 0.05 * (hi - lo)
+    pad = min(pad, (_MAX - (hi - lo)) / 4)
+    return max(lo - pad, -_MAX), min(hi + pad, _MAX)
 
 
 def _axes(cv: _Canvas, xs: _Scale, ys: _Scale, right: _Scale | None = None):

@@ -1,6 +1,6 @@
 import numpy as np
 
-from scorelab import GaussianMixture1D
+from scorelab import GaussianMixture1D, annealed_langevin_run
 
 # bounded generator: component scores stay mild enough that central
 # differences of the log density are accurate to ~1e-7 everywhere
@@ -20,3 +20,11 @@ def random_mixture(rs: np.random.Generator, max_components: int = 4) -> Gaussian
 def random_mixture_pairs(seed: int, count: int):
     rs = np.random.default_rng(seed)
     return [(random_mixture(rs), random_mixture(rs)) for _ in range(count)]
+
+
+def annealed_from_wide_start(n: int, target, sched, rng, **kwargs):
+    """`annealed_langevin_run` from n draws of N(target mean, sigma_max^2)
+    taken from `rng`, which the run then continues, as `lab langevin-run`
+    starts."""
+    init = target.mean() + sched.sigmas[0] * rng.standard_normal(n)
+    return annealed_langevin_run(init, target, sched, rng, **kwargs)

@@ -18,7 +18,7 @@ from scipy.differentiate import derivative
 
 import scorelab as sl
 import scorelab.cli as cli
-from conftest import random_mixture, random_mixture_pairs
+from conftest import annealed_from_wide_start, random_mixture, random_mixture_pairs
 from scorelab.mixture import _logpdf
 
 
@@ -201,7 +201,7 @@ def test_criterion_08_svgd_initialization_sensitivity():
         for mu0, s0 in cells:
             rng = sl.make_stream(808, index)
             init = mu0 + s0 * rng.standard_normal(200)
-            final, _ = sl.svgd_run(init, target, cfg)
+            final = sl.svgd_run(init, target, cfg)
             fractions[(pi1, mu0, s0)] = sl.mode_fraction(final, 0.0)
             index += 1
     elapsed = time.perf_counter() - t0
@@ -225,16 +225,15 @@ def test_criterion_09_annealed_langevin_recovery():
     gaps = {}
     for pi1 in (0.1, 0.3, 0.5):
         target = sl.two_component(pi1, -4, 4, 1)
-        ens = sl.annealed_langevin_run(
+        ens = annealed_from_wide_start(
             5000, target, sl.geometric_schedule(), sl.make_stream(2024, int(pi1 * 10))
         )
         gaps[pi1] = abs(sl.mode_fraction(ens, 0.0) - pi1)
     baseline = sl.annealed_langevin_run(
-        5000,
+        np.full(5000, -4.0),
         sl.two_component(0.5, -4, 4, 1),
         sl.NoiseSchedule((0.01,), 1600, 0.01),
         sl.make_stream(99, 0),
-        init=np.full(5000, -4.0),
     )
     stuck = sl.mode_fraction(baseline, 0.0)
     elapsed = time.perf_counter() - t0

@@ -14,6 +14,9 @@ from scorelab.config import ConfigError, _as_config_error, load_config
 from scorelab.svgplot import HIST_BIN_WIDTH, PlotSpec, _padded, render_svg
 
 
+MAX = np.finfo(float).max
+
+
 def write_config(path, body):
     path.write_text(body, encoding="utf-8")
     return str(path)
@@ -76,8 +79,20 @@ class TestConfigParsing:
                 "[experiment]\ncommand = fisher-sweep  # caf\xe9\n",
                 "cannot read config {path}: 'utf-8' codec can't decode byte 0xe9",
             ),
+            # keys are read as written; a required key in another case is named
+            (
+                "[experiment]\nCommand = stein-sweep\n",
+                "[experiment] Command: keys are case-sensitive; write it as command",
+            ),
+            (
+                "[experiment]\ncommand = ksd-run\nSeed = 4\n",
+                "[experiment] Seed: keys are case-sensitive; write it as seed",
+            ),
         ],
-        ids=["missing file", "no section header", "no experiment section", "not utf-8"],
+        ids=[
+            "missing file", "no section header", "no experiment section", "not utf-8",
+            "mis-cased command", "mis-cased seed",
+        ],
     )
     def test_unloadable_config_exits_2(self, tmp_path, capsys, body, message):
         path = tmp_path / "a.cfg"
@@ -173,6 +188,22 @@ class TestRenderSvg:
         # v - 1 or v + 1 rounds back to v here, which left a zero-width scale
         lo, hi = _padded(np.array([v, v]))
         assert lo < v < hi and hi - lo <= 2**-48 * abs(v)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, 1.7e308], [-1.7e308, 0.0], [1e308, 1.79e308], [MAX, MAX], [-MAX, -MAX]],
+        ids=["from 0", "to 0", "near the top", "top constant", "bottom constant"],
+    )
+    def test_range_near_the_largest_double_drawn_finite(self, tmp_path, recwarn, values):
+        # 5% of the span beyond these overflowed the bounds, their span or
+        # the tick loop's stop
+        lo, hi = _padded(np.array(values))
+        assert -MAX <= lo < hi <= MAX and np.isfinite(hi - lo)
+        assert lo <= min(values) and max(values) <= hi
+        spec = PlotSpec("lines", x="x", y=("y",))
+        content = render_svg(tmp_path / "t.csv", spec, tmp_path / "t.svg", {"x": values, "y": values}).read_text()
+        assert "inf" not in content and "nan" not in content
+        assert not [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -327,6 +358,21 @@ class TestCommands:
         assert len(rows) == 6
         snaps = read_rows(tmp_path / "out" / "snapshots_pi0.5_mu-4_sd1.csv")
         assert list(snaps[0]) == ["iteration", "particle_id", "position"]
+
+    @pytest.mark.parametrize("iterations, recorded", [(150, [0, 50, 100, 150]), (140, [0, 50, 100, 140])])
+    def test_svgd_snapshots_run_from_the_start_to_the_last_iteration(self, tmp_path, iterations, recorded):
+        body = SVGD.replace("iterations = 150", f"iterations = {iterations}")
+        cfg = write_config(tmp_path / "c.cfg", body.format(out=tmp_path / "out"))
+        assert cli.main(["svgd-run", "--config", cfg]) == 0
+        paths = sorted((tmp_path / "out").glob("snapshots_*.csv"))
+        assert len(paths) == 6
+        for path in paths:
+            snaps = read_rows(path)
+            assert [int(row["iteration"]) for row in snaps] == list(np.repeat(recorded, 60))
+            positions = read_rows(path.with_name(path.name.replace("snapshots_", "positions_")))
+            for block, phase in ((snaps[:60], "initial"), (snaps[-60:], "final")):
+                expected = [(row["particle_id"], row["position"]) for row in positions if row["phase"] == phase]
+                assert [(row["particle_id"], row["position"]) for row in block] == expected
 
     def test_langevin_run_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", LANGEVIN.format(out=tmp_path / "out"))
@@ -599,6 +645,17 @@ class TestCliContract:
         assert cli.main(["remedies-run", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
         assert_no_outputs(tmp_path)
+
+    def test_loss_near_the_largest_double_plots(self, tmp_path, recwarn):
+        # 1.26e301 times this loss is about 1.75e308, where 5% of the loss
+        # range beyond it overflowed the plot's bounds and ended the run
+        body = "[experiment]\ncommand = remedies-run\nseed = 3\n\n[params]\nlambdas = 0, 1.26e301\n"
+        cfg = write_config(tmp_path / "c.cfg", body)
+        assert cli.main(["remedies-run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert float(read_rows(tmp_path / "out" / "report.csv")[1]["cml_loss"]) > 0.95 * MAX
+        svg = (tmp_path / "out" / "report.svg").read_text()
+        assert "inf" not in svg and "nan" not in svg
+        assert not [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_lambda_whose_loss_overflows_named_and_leaves_no_outputs(self, tmp_path, capsys):
         # the loss is known only after sampling, so this check comes after it
@@ -931,7 +988,7 @@ class TestCliContract:
             ),
             (
                 "svgd-run", SVGD, "snapshot_every = 50", "snapshot_every = 0",
-                "[params] snapshot_every: must be >= 1",
+                "[params] snapshot_every: must be at least 1, got 0",
             ),
             # the config accessors and the mixture records
             (

@@ -3,6 +3,7 @@ import pytest
 from scipy.differentiate import derivative
 
 import scorelab as sl
+from conftest import annealed_from_wide_start
 from scorelab.mixture import _logpdf
 
 TARGET = sl.two_component(0.3, -4, 4, 1)
@@ -133,14 +134,14 @@ class TestNoisyScore:
 class TestAnnealedRun:
     def test_deterministic(self):
         sched = sl.geometric_schedule(4.0, 0.5, 4, 50, 0.01)
-        a = sl.annealed_langevin_run(200, TARGET, sched, sl.make_stream(5, 0))
-        b = sl.annealed_langevin_run(200, TARGET, sched, sl.make_stream(5, 0))
+        a = annealed_from_wide_start(200, TARGET, sched, sl.make_stream(5, 0))
+        b = annealed_from_wide_start(200, TARGET, sched, sl.make_stream(5, 0))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("pi1", [0.1, 0.3, 0.5])
     def test_recovers_mixing_proportion(self, pi1):
         target = sl.two_component(pi1, -4, 4, 1)
-        positions = sl.annealed_langevin_run(
+        positions = annealed_from_wide_start(
             5000, target, sl.geometric_schedule(), sl.make_stream(2024, int(pi1 * 10))
         )
         assert abs(sl.mode_fraction(positions, 0.0) - pi1) < 0.05
@@ -149,11 +150,10 @@ class TestAnnealedRun:
         # same step budget, concentrated init, no annealing: no crossings
         single = sl.NoiseSchedule((0.01,), 1600, 0.01)
         positions = sl.annealed_langevin_run(
-            5000,
+            np.full(5000, -4.0),
             sl.two_component(0.5, -4, 4, 1),
             single,
             sl.make_stream(99, 0),
-            init=np.full(5000, -4.0),
         )
         assert sl.mode_fraction(positions, 0.0) > 0.99
 
@@ -161,7 +161,7 @@ class TestAnnealedRun:
         # the run equilibrates to the sigma_min-smoothed law, so recovering
         # the raw target needs a final level well below the target width
         target = sl.gaussian(1.0, 1.0)
-        positions = sl.annealed_langevin_run(
+        positions = annealed_from_wide_start(
             5000, target, sl.geometric_schedule(4.0, 0.1, 8, 500, 0.01), sl.make_stream(41, 0)
         )
         assert abs(positions.mean() - 1.0) < 0.05
@@ -169,7 +169,7 @@ class TestAnnealedRun:
 
     def test_returns_a_float_array_of_the_particles(self):
         sched = sl.geometric_schedule(2.0, 0.5, 2, 5, 0.01)
-        positions = sl.annealed_langevin_run(7, TARGET, sched, sl.make_stream(1, 0), init=np.arange(7))
+        positions = sl.annealed_langevin_run(np.arange(7), TARGET, sched, sl.make_stream(1, 0))
         assert isinstance(positions, np.ndarray)
         assert positions.dtype == np.float64
         assert positions.shape == (7,)
@@ -177,7 +177,7 @@ class TestAnnealedRun:
     def test_observer_sees_every_step(self):
         sched = sl.geometric_schedule(2.0, 0.5, 2, 5, 0.01)
         seen = []
-        sl.annealed_langevin_run(
+        annealed_from_wide_start(
             10, TARGET, sched, sl.make_stream(6, 0), observer=lambda *args: seen.append(args[:3])
         )
         assert len(seen) == 10
@@ -188,20 +188,22 @@ class TestAnnealedRun:
         bad = sl.NoiseSchedule((1.0,), 5, 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"particle 0 at level 0, step \d+"):
-                sl.annealed_langevin_run(4, TARGET, bad, sl.make_stream(7, 0))
+                annealed_from_wide_start(4, TARGET, bad, sl.make_stream(7, 0))
             # only particle 2 starts where the score overflows
             init = np.array([0.0, 0.0, 1e300, 0.0])
             with pytest.raises(FloatingPointError, match=r"particle 2 at level 0, step 0$"):
                 sl.annealed_langevin_run(
-                    4, TARGET, sl.NoiseSchedule((1.0,), 5, 0.01), sl.make_stream(7, 0), init=init
+                    init, TARGET, sl.NoiseSchedule((1.0,), 5, 0.01), sl.make_stream(7, 0)
                 )
 
-    def test_particle_count_checked(self):
-        with pytest.raises(ValueError, match="^n_particles must be >= 1"):
-            sl.annealed_langevin_run(0, TARGET, sl.NoiseSchedule((1.0,), 1, 0.01), sl.make_stream(0))
+    def test_leaves_its_start_unchanged(self):
+        init = np.array([-1.0, 0.5, 2.0])
+        sched = sl.NoiseSchedule((1.0,), 5, 0.01)
+        final = sl.annealed_langevin_run(init, TARGET, sched, sl.make_stream(8, 0))
+        assert np.array_equal(init, [-1.0, 0.5, 2.0])
+        assert not np.array_equal(final, init)
 
-    def test_init_shape_checked(self):
-        with pytest.raises(ValueError, match="init"):
-            sl.annealed_langevin_run(
-                4, TARGET, sl.NoiseSchedule((1.0,), 5, 0.01), sl.make_stream(8, 0), init=np.zeros(3)
-            )
+    def test_empty_start_rejected(self):
+        sched = sl.NoiseSchedule((1.0,), 1, 0.01)
+        with pytest.raises(ValueError, match=r"^init must be a 1-D array of length at least 1, got shape \(0,\)$"):
+            sl.annealed_langevin_run(np.array([]), TARGET, sched, sl.make_stream(0))

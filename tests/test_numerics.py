@@ -22,7 +22,7 @@ SAMPLE_CALLERS = {
     "svgd_run": (lambda x: sl.svgd_run(x, N01, sl.SvgdConfig(iterations=1)), "positions", 1),
     "svgd_direction": (lambda x: sl.svgd_direction(x, N01, sl.KernelSpec(1.0)), "positions", 1),
     "annealed_langevin_run": (
-        lambda x: sl.annealed_langevin_run(3, N01, sl.NoiseSchedule((1.0,), 1, 0.01), make_stream(0), init=x),
+        lambda x: sl.annealed_langevin_run(x, N01, sl.NoiseSchedule((1.0,), 1, 0.01), make_stream(0)),
         "init",
         1,
     ),

@@ -143,7 +143,7 @@ class TestPositionsChecked:
 
     def test_run_leaves_its_start_unchanged(self):
         init = np.array([-1.0, 0.5, 2.0])
-        final, _ = sl.svgd_run(init, TARGET, sl.SvgdConfig(kernel=KERNEL, iterations=3))
+        final = sl.svgd_run(init, TARGET, sl.SvgdConfig(kernel=KERNEL, iterations=3))
         assert np.array_equal(init, [-1.0, 0.5, 2.0])
         assert not np.array_equal(final, init)
 
@@ -151,7 +151,7 @@ class TestPositionsChecked:
 class TestRun:
     def test_single_particle_is_score_ascent(self):
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.05, iterations=40)
-        final, _ = sl.svgd_run(np.array([2.5]), TARGET, cfg)
+        final = sl.svgd_run(np.array([2.5]), TARGET, cfg)
         x = 2.5
         for _ in range(40):
             x = x + 0.05 * sl.score(TARGET, x)
@@ -162,7 +162,7 @@ class TestRun:
         # stale slab contents must not change a bit
         x0 = 3.0 * sl.make_stream(8, 3).standard_normal(2 * TILE + 37)
         cfg = sl.SvgdConfig(kernel=sl.KernelSpec(0.8), step_size=0.1, iterations=20)
-        final, _ = sl.svgd_run(x0, TARGET, cfg)
+        final = sl.svgd_run(x0, TARGET, cfg)
         x = x0
         for _ in range(20):
             x = x + 0.1 * sl.svgd_direction(x, TARGET, cfg.kernel)
@@ -174,7 +174,7 @@ class TestRun:
         # permutation-equivariant
         x0 = 3.0 * sl.make_stream(8, 4).standard_normal(2 * TILE + 37)
         cfg = sl.SvgdConfig(kernel=sl.KernelSpec(0.3), step_size=5.0, iterations=20)
-        final, _ = sl.svgd_run(x0, TARGET, cfg)
+        final = sl.svgd_run(x0, TARGET, cfg)
         x, crossings = x0, 0
         for _ in range(20):
             step = x + 5.0 * sl.svgd_direction(x, TARGET, cfg.kernel)
@@ -183,7 +183,7 @@ class TestRun:
         assert crossings >= 10
         assert np.array_equal(final, x)
         perm = np.random.default_rng(9).permutation(x0.size)
-        moved, _ = sl.svgd_run(x0[perm], TARGET, cfg)
+        moved = sl.svgd_run(x0[perm], TARGET, cfg)
         assert np.array_equal(moved, final[perm])
 
     @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
@@ -220,7 +220,7 @@ for n in json.loads(sys.argv[1]):
     for bandwidth in (1.0, 0.05):
         x = sl.sample(target, n, sl.make_stream(8, n))
         cfg = sl.SvgdConfig(sl.KernelSpec(bandwidth), 0.1, 20)
-        final, _ = sl.svgd_run(x, target, cfg)
+        final = sl.svgd_run(x, target, cfg)
         print(n, bandwidth, paths["rank3"], paths["gauss"], final.tobytes().hex())
 """
         outputs = []
@@ -251,16 +251,16 @@ for n in json.loads(sys.argv[1]):
         rng = sl.make_stream(9, 0)
         init = sl.sample(sl.gaussian(-4, 1), 32, rng)
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=50)
-        base, _ = sl.svgd_run(init, TARGET, cfg)
+        base = sl.svgd_run(init, TARGET, cfg)
         shifted_target = sl.two_component(0.5, -4 + c, 4 + c, 1)
-        moved, _ = sl.svgd_run(init + c, shifted_target, cfg)
+        moved = sl.svgd_run(init + c, shifted_target, cfg)
         assert np.allclose(moved, base + c, atol=1e-9)
 
     def test_mode_seeking_from_left_mode(self):
         rng = sl.make_stream(7, 0)
         init = -4 + rng.standard_normal(200)
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=2000)
-        final, _ = sl.svgd_run(init, TARGET, cfg)
+        final = sl.svgd_run(init, TARGET, cfg)
         assert sl.mode_fraction(final, 0.0) > 0.9
 
     def test_wide_midpoint_init_splits(self):
@@ -268,23 +268,35 @@ for n in json.loads(sys.argv[1]):
         rng = sl.make_stream(7, 1)
         init = 0 + 3 * rng.standard_normal(200)
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=1000)
-        final, _ = sl.svgd_run(init, TARGET, cfg)
+        final = sl.svgd_run(init, TARGET, cfg)
         assert 0.3 <= sl.mode_fraction(final, 0.0) <= 0.7
 
     def test_single_mode_sanity(self):
         rng = sl.make_stream(11, 0)
         init = rng.uniform(-3, 3, 200)
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.05, iterations=2000)
-        final, _ = sl.svgd_run(init, sl.gaussian(0, 1), cfg)
+        final = sl.svgd_run(init, sl.gaussian(0, 1), cfg)
         assert abs(final.mean()) < 0.1
         assert 0.8 <= final.std() <= 1.2
 
-    def test_snapshots_recorded(self):
-        cfg = sl.SvgdConfig(kernel=KERNEL, step_size=0.1, iterations=10, snapshot_every=4)
-        init = np.array([-1.0, 1.0])
-        final, snaps = sl.svgd_run(init, TARGET, cfg)
-        assert [it for it, _ in snaps] == [0, 4, 8, 10]
-        assert np.array_equal(snaps[-1][1], final)
+    def test_observer_sees_every_step_in_particle_order(self):
+        # a large step makes particles cross, so the run re-sorts between
+        # the steps it reports
+        x0 = 3.0 * sl.make_stream(8, 5).standard_normal(40)
+        cfg = sl.SvgdConfig(kernel=sl.KernelSpec(0.3), step_size=5.0, iterations=10)
+        seen = []
+        final = sl.svgd_run(x0, TARGET, cfg, lambda it, positions: seen.append((it, positions)))
+        assert [it for it, _ in seen] == list(range(1, 11))
+        x, crossings = x0, 0
+        for _, positions in seen:
+            step = x + 5.0 * sl.svgd_direction(x, TARGET, cfg.kernel)
+            crossings += not np.array_equal(np.argsort(x, kind="stable"), np.argsort(step, kind="stable"))
+            x = step
+            assert np.array_equal(positions, x)
+        assert crossings >= 3
+        assert np.array_equal(seen[-1][1], final)
+        # each call gets its own array, and the run returns another
+        assert len({id(positions) for _, positions in seen} | {id(final)}) == 11
 
     def test_nonfinite_position_names_iteration_and_particle(self):
         cfg = sl.SvgdConfig(kernel=KERNEL, step_size=1e300, iterations=5)
@@ -307,10 +319,10 @@ for n in json.loads(sys.argv[1]):
             ensemble = init
             for sigma in sl.geometric_schedule(8.0, 0.5, 8).sigmas:
                 level = sl.SvgdConfig(kernel=KERNEL, step_size=0.1 * (1 + sigma**2), iterations=200)
-                ensemble, _ = sl.svgd_run(ensemble, sl.smooth(target, sigma), level)
-            ensemble, _ = sl.svgd_run(ensemble, target, sl.SvgdConfig(kernel=KERNEL, iterations=500))
+                ensemble = sl.svgd_run(ensemble, sl.smooth(target, sigma), level)
+            ensemble = sl.svgd_run(ensemble, target, sl.SvgdConfig(kernel=KERNEL, iterations=500))
             annealed.append(sl.mode_fraction(ensemble, 0.0))
-            final, _ = sl.svgd_run(init, target, sl.SvgdConfig(kernel=KERNEL, iterations=500))
+            final = sl.svgd_run(init, target, sl.SvgdConfig(kernel=KERNEL, iterations=500))
             plain.append(sl.mode_fraction(final, 0.0))
         assert abs(annealed[0] - annealed[1]) <= 0.03
         assert all(0.12 <= f <= 0.19 for f in annealed), annealed

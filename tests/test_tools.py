@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from scorelab.config import COMMANDS
+
 ROOT = Path(__file__).resolve().parent.parent
 DIFF_OUTPUTS = ROOT / "tools" / "diff_outputs.py"
 
@@ -84,6 +86,10 @@ class TestPrivateNames:
 
 
 class TestDiffOutputs:
+    def test_compares_every_lab_command(self):
+        # a command missing here would go unchecked by the byte comparison
+        assert _load(DIFF_OUTPUTS).COMMANDS == COMMANDS
+
     def test_same_source_has_no_differences(self, tmp_path):
         tool = _load(DIFF_OUTPUTS)
         cfgs = tool.write_configs(tool.configs([8], ["score-plot"]), tmp_path / "configs")
