@@ -75,23 +75,16 @@ class GaussianMixture1D:
         return float(np.dot(self.weights, self.means))
 
 
-def gaussian(mean: float, std: float, log_offset: float = 0.0) -> GaussianMixture1D:
+def gaussian(mean: float, std: float) -> GaussianMixture1D:
     """Single-component mixture N(mean, std^2)."""
-    return GaussianMixture1D(np.array([1.0]), np.array([mean]), np.array([std]), log_offset)
+    return GaussianMixture1D(np.array([1.0]), np.array([mean]), np.array([std]))
 
 
-def two_component(
-    pi1: float, mu1: float, mu2: float, sigma: float, log_offset: float = 0.0
-) -> GaussianMixture1D:
+def two_component(pi1: float, mu1: float, mu2: float, sigma: float) -> GaussianMixture1D:
     """Two equal-width components at mu1 and mu2 with weights (pi1, 1 - pi1)."""
     if not 0.0 < pi1 < 1.0:
         raise ValueError(f"pi1 must lie in (0, 1), got {pi1}")
-    return GaussianMixture1D(
-        np.array([pi1, 1.0 - pi1]),
-        np.array([mu1, mu2]),
-        np.array([sigma, sigma]),
-        log_offset,
-    )
+    return GaussianMixture1D(np.array([pi1, 1.0 - pi1]), np.array([mu1, mu2]), np.array([sigma, sigma]))
 
 
 def _as_array(x):

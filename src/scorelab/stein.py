@@ -295,7 +295,7 @@ def ksd_vstats(
             raise ValueError(
                 f"the estimate against model {i} is not finite: value {value}, std_error {std_error}"
             )
-        out.append(DivergenceEstimate(max(value, 0.0), std_error))
+        out.append(DivergenceEstimate(value, std_error))
     return out
 
 

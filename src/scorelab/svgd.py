@@ -7,11 +7,9 @@ for each falling noise level in turn, then on the target.  The kernel
 terms are summed over the sorted positions in fixed square tiles
 (`_upper_tiles`), in a tile workspace that a run allocates once.  This
 canonical order makes the update bit-exactly equivariant under particle
-permutation.  `svgd_direction` sorts once per call and scatters the sums
-back to the particles; `svgd_run` carries the ensemble in sorted order with
-the permutation back to the particles, re-sorts only after a step that
-breaks the order, and un-permutes only for its observer and the final
-ensemble.  Particles at equal positions get equal sums: the members of a
+permutation.  Each direction, in `svgd_direction` and at every step of
+`svgd_run`, sorts the positions once and scatters the sums back to the
+particles.  Particles at equal positions get equal sums: the members of a
 run of equal sorted positions can be summed in different orders (as when
 the run straddles a tile edge, or sits in two rows of one BLAS product), so
 each takes the sums of the run's first member.  A step without ties skips
@@ -180,11 +178,13 @@ def _sorted_direction(xs: np.ndarray, ss: np.ndarray, h: float, work: np.ndarray
     return phi / n
 
 
-def _unsorted(values: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """values given in sorted order, put back in particle order."""
-    out = np.empty_like(values)
-    out[order] = values
-    return out
+def _direction(x: np.ndarray, target: GaussianMixture1D, h: float, work: np.ndarray) -> np.ndarray:
+    """Update direction at the positions x, sorted once, in particle order."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    phi = np.empty_like(xs)
+    phi[order] = _sorted_direction(xs, score(target, xs), h, work)
+    return phi
 
 
 def svgd_direction(positions: np.ndarray, target: GaussianMixture1D, kernel: KernelSpec) -> np.ndarray:
@@ -194,9 +194,7 @@ def svgd_direction(positions: np.ndarray, target: GaussianMixture1D, kernel: Ker
     the kernel-smoothed score plus the repulsion term.
     """
     x = _samples(positions, "positions")
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    return _unsorted(_sorted_direction(xs, score(target, xs), kernel.bandwidth, _tile_work(x.size)), order)
+    return _direction(x, target, kernel.bandwidth, _tile_work(x.size))
 
 
 def svgd_run(init: np.ndarray, target: GaussianMixture1D, cfg: SvgdConfig, observer=None) -> np.ndarray:
@@ -206,27 +204,20 @@ def svgd_run(init: np.ndarray, target: GaussianMixture1D, cfg: SvgdConfig, obser
     `observer(iteration, positions)` is called after every step when
     provided, with the number of steps taken and a fresh array of the
     positions in particle order.  The update is deterministic, so the run
-    takes no random stream.  The run carries the positions in sorted order,
-    with the permutation `order` back to the particles, and re-sorts only
-    after a step that breaks the order; the kernel sums of every step reuse
-    one tile workspace.
+    takes no random stream.  Every step is `svgd_direction`'s, and the
+    kernel sums of every step reuse one tile workspace.
     """
     x = _samples(init, "positions")
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    work = _tile_work(xs.size)
+    work = _tile_work(x.size)
 
     for t in range(cfg.iterations):
-        xs = xs + cfg.step_size * _sorted_direction(xs, score(target, xs), cfg.kernel.bandwidth, work)
-        if not np.isfinite(xs).all():
-            bad = int(order[~np.isfinite(xs)].min())
+        x = x + cfg.step_size * _direction(x, target, cfg.kernel.bandwidth, work)
+        if not np.isfinite(x).all():
+            bad = int(np.flatnonzero(~np.isfinite(x))[0])
             raise FloatingPointError(f"non-finite position at iteration {t}, particle {bad}")
-        if (xs[1:] < xs[:-1]).any():
-            resort = np.argsort(xs, kind="stable")
-            xs, order = xs[resort], order[resort]
         if observer is not None:
-            observer(t + 1, _unsorted(xs, order))
-    return _unsorted(xs, order)
+            observer(t + 1, x.copy())
+    return x
 
 
 def mode_fraction(positions: np.ndarray, threshold: float) -> float:

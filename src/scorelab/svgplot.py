@@ -85,18 +85,14 @@ def _groups(spec: PlotSpec, columns) -> list[tuple[str, np.ndarray | slice]]:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    # about six ticks, on steps of 1, 2 or 5 times a power of ten, up to half
-    # a step past hi, or less where the stop or its distance from the first
-    # tick would overflow
+    # about six ticks, on steps of 1, 2 or 5 times a power of ten: the
+    # multiples k * step inside [lo, hi], with a tick kept that misses an end
+    # by rounding only (0.6 / 0.05 is 11.999...), and zero unsigned
     raw = (hi - lo) / 6
     mag = 10.0 ** np.floor(np.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    first = np.ceil(lo / step) * step
-    ticks = np.arange(first, hi + min(step * 0.5, _MAX + min(first, 0.0) - hi), step)
-    return [float(t) for t in ticks]
+    step = next(m * mag for m in (1.0, 2.0, 5.0, 10.0) if raw <= m * mag)
+    k = np.arange(np.ceil(lo / step - 1e-9), np.floor(hi / step + 1e-9) + 1.0)
+    return [float(t) + 0.0 for t in k * step]
 
 
 def _fmt(v: float) -> str:
@@ -173,6 +169,17 @@ def _padded(values: np.ndarray) -> tuple[float, float]:
     return max(lo - pad, -_MAX), min(hi + pad, _MAX)
 
 
+def _column_scale(source: str, names, cols, px_lo: float, px_hi: float) -> _Scale:
+    """The `_padded` scale of the named columns together, from px_lo to
+    px_hi; rejects columns whose span is wider than the largest double."""
+    values = np.concatenate([cols[name] for name in names])
+    if not np.isfinite(float(values.max()) - float(values.min())):
+        what = ", ".join(map(repr, names))
+        raise ValueError(f"{source}: the scale of column{'s' * (len(names) > 1)} {what} "
+                         "is wider than the largest double")
+    return _Scale(*_padded(values), px_lo, px_hi)
+
+
 def _axes(cv: _Canvas, xs: _Scale, ys: _Scale, right: _Scale | None = None):
     x0, x1 = MARGIN_L, WIDTH - MARGIN_R
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
@@ -211,7 +218,8 @@ def render_svg(csv_path: str | Path, spec: PlotSpec, out_path: str | Path, colum
     file the table is written to, names it in error messages.  A table with
     zero rows yields an axes-only plot.  A table lacking a column named by
     the spec is rejected with the missing column named, and so is a plotted
-    column with a NaN or an infinity.
+    column with a NaN or an infinity, or a scale whose columns span more
+    than the largest double.
     """
     out_path = Path(out_path)
     render = _render_histogram if spec.kind == "histogram" else _render_lines
@@ -229,13 +237,9 @@ def _render_lines(source: str, spec: PlotSpec, columns) -> str:
         _axes(cv, xs, ys)
         return cv.render()
 
-    left = np.concatenate([cols[name] for name in spec.y])
-    xs = _Scale(*_padded(xvals), MARGIN_L, WIDTH - MARGIN_R)
-    ys = _Scale(*_padded(left), HEIGHT - MARGIN_B, MARGIN_T)
-    right = None
-    if spec.y2:
-        rvals = np.concatenate([cols[name] for name in spec.y2])
-        right = _Scale(*_padded(rvals), HEIGHT - MARGIN_B, MARGIN_T)
+    xs = _column_scale(source, (spec.x,), cols, MARGIN_L, WIDTH - MARGIN_R)
+    ys = _column_scale(source, spec.y, cols, HEIGHT - MARGIN_B, MARGIN_T)
+    right = _column_scale(source, spec.y2, cols, HEIGHT - MARGIN_B, MARGIN_T) if spec.y2 else None
     _axes(cv, xs, ys, right)
 
     labels = []

@@ -205,6 +205,22 @@ class TestRenderSvg:
         assert "inf" not in content and "nan" not in content
         assert not [w.message for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "columns, named",
+        [
+            ({"x": [0.0, 1.0], "y": [-1e308, 1e308]}, "column 'y'"),
+            ({"x": [0.0, 1.0], "y": [-1e308, 0.0], "z": [0.0, 1e308]}, "columns 'y', 'z'"),
+            ({"x": [-MAX, MAX], "y": [0.0, 1.0]}, "column 'x'"),
+        ],
+        ids=["one column", "two columns", "x column"],
+    )
+    def test_scale_wider_than_the_largest_double_names_its_columns(self, tmp_path, recwarn, columns, named):
+        # the span overflowed to inf, warned in log10 and left the tick step unset
+        spec = PlotSpec("lines", x="x", y=tuple(name for name in columns if name != "x"))
+        with pytest.raises(ValueError, match=f"t.csv: the scale of {named} is wider than the largest double"):
+            render_svg(tmp_path / "t.csv", spec, tmp_path / "t.svg", columns)
+        assert not recwarn.list
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             PlotSpec("histogram", value="v")  # no range

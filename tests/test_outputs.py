@@ -2,6 +2,9 @@
 memory against the same SVGs drawn from the text of the written CSV."""
 
 import csv
+import importlib.util
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scorelab.cli as cli
-from scorelab.config import load_config
-from scorelab.svgplot import PlotSpec, render_svg
+from scorelab.config import COMMANDS, load_config
+from scorelab.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, PlotSpec, render_svg
+
+DIFF_OUTPUTS = Path(__file__).resolve().parent.parent / "tools" / "diff_outputs.py"
+LINE = re.compile(r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)"')
 
 
 def rowwise_csv(names, rows) -> str:
@@ -190,3 +196,36 @@ class TestNonFinitePlotValues:
         spec = PlotSpec("histogram", value="v", group="phase", lo=0.0, hi=1.0)
         with pytest.raises(ValueError, match="h.csv: column 'v' has non-finite values"):
             render_svg(tmp_path / "h.csv", spec, tmp_path / "h.svg", columns)
+
+
+def default_configs() -> dict[str, str]:
+    """Each command's default config text, as `tools/diff_outputs.py` runs it."""
+    spec = importlib.util.spec_from_file_location("diff_outputs", DIFF_OUTPUTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return {key.split("/")[1]: text for key, text in tool.configs([], COMMANDS).items()}
+
+
+class TestTicks:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_config_ticks_are_unsigned_and_on_their_axes(self, tmp_path, command):
+        # an axis starting just below 0 labelled its first tick -0, and ticks
+        # ran up to half a step past the axis end
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text(default_configs()[command], encoding="utf-8")
+        cfg = load_config(cfg_path)
+        cfg.out_dir = tmp_path / "out"
+        svgs = [p for p in cli.run(cfg) if p.suffix == ".svg"]
+        assert svgs
+        for svg in svgs:
+            text = svg.read_text()
+            assert ">-0<" not in text, svg.name
+            ticks = 0
+            for x1, y1, x2, y2 in (map(float, m) for m in LINE.findall(text)):
+                if x1 == x2 and abs(y2 - y1) == 4:
+                    assert MARGIN_L <= x1 <= WIDTH - MARGIN_R, (svg.name, x1)
+                    ticks += 1
+                elif y1 == y2 and abs(x2 - x1) == 4:
+                    assert MARGIN_T <= y1 <= HEIGHT - MARGIN_B, (svg.name, y1)
+                    ticks += 1
+            assert ticks >= 4, svg.name

@@ -134,7 +134,7 @@ class TestSmObjective:
     def test_log_offset_invariant_bitwise(self):
         xs = sl.sample(N01, 5_000, sl.make_stream(5, 0))
         base = sl.gaussian(0.3, 1.4)
-        shifted = sl.gaussian(0.3, 1.4, log_offset=7.0)
+        shifted = sl.GaussianMixture1D([1.0], [0.3], [1.4], log_offset=7.0)
         assert sl.sm_objective_empirical(xs, base) == sl.sm_objective_empirical(xs, shifted)
 
     @pytest.mark.parametrize(

@@ -186,6 +186,25 @@ class TestRun:
         moved = sl.svgd_run(x0[perm], TARGET, cfg)
         assert np.array_equal(moved, final[perm])
 
+    def test_tied_run_equals_direction_loop(self):
+        # repeated positions, one triple straddling a tile edge, under a
+        # large step that makes particles cross: tied particles move
+        # together, and the run equals the loop bit for bit and is
+        # permutation-equivariant
+        x0 = np.sort(3.0 * sl.make_stream(8, 6).standard_normal(2 * TILE + 37))
+        x0[TILE] = x0[TILE + 1] = x0[TILE - 1]
+        x0[[500, 510, 520]] = x0[[300, 310, 320]]
+        cfg = sl.SvgdConfig(kernel=sl.KernelSpec(0.3), step_size=5.0, iterations=20)
+        final = sl.svgd_run(x0, TARGET, cfg)
+        x = x0
+        for _ in range(20):
+            x = x + 5.0 * sl.svgd_direction(x, TARGET, cfg.kernel)
+        assert np.array_equal(final, x)
+        assert final[TILE - 1] == final[TILE] == final[TILE + 1]
+        assert np.array_equal(final[[500, 510, 520]], final[[300, 310, 320]])
+        perm = np.random.default_rng(10).permutation(x0.size)
+        assert np.array_equal(sl.svgd_run(x0[perm], TARGET, cfg), final[perm])
+
     @pytest.mark.parametrize("perm", list(itertools.permutations(range(3))))
     def test_nonfinite_position_names_lowest_particle_in_input_order(self, perm):
         # the particles at +-1e150 overflow in the first step and the one at

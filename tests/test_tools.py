@@ -164,3 +164,15 @@ class TestDiffOutputs:
             "differs: run/rows.csv",
             "differs: run/value.csv\n  x: 1 of 1 cells moved, largest relative move 1.4e-16",
         ]
+
+    def test_differing_svg_reports_its_first_differing_line(self, tmp_path):
+        base, change = tmp_path / "base", tmp_path / "change"
+        for root, label in ((base, "-0"), (change, "0")):
+            root.mkdir()
+            (root / "plot.svg").write_text(f'<svg>\n<text x="1">{label}</text>\n<line/>\n</svg>\n')
+            (root / "ragged.svg").write_text("<svg>\n" + "<line/>\n" * len(label) + "</svg>\n")
+        assert _load(DIFF_OUTPUTS).compare_trees(base, change) == [
+            "differs: plot.svg\n  1 of 4 lines differ, the first at line 2:\n"
+            '  - <text x="1">-0</text>\n  + <text x="1">0</text>',
+            "differs: ragged.svg",
+        ]

@@ -15,7 +15,9 @@ differs, is missing on one side, or belongs to a run or demo that failed
 (exited non-zero), and exits 1 if there is any; 0 otherwise.
 Under a differing CSV with the same header and row count on both sides
 whose differing cells are all numbers, it prints each differing column,
-how many of its cells moved and the largest relative move.
+how many of its cells moved and the largest relative move.  Under any
+other differing file with the same line count on both sides, it prints how
+many lines differ and the first differing pair.
 Exits 2 if either source tree holds no `scorelab` package, since the child
 would otherwise import an installed scorelab and compare it with itself.
 """
@@ -172,9 +174,22 @@ def column_moves(base_text: str, change_text: str) -> list[str]:
     return out
 
 
+def line_moves(base_text: str, change_text: str) -> list[str]:
+    """`<k> of <n> lines differ, the first at line <i>:` and that line on
+    either side, for two texts of the same line count; empty otherwise."""
+    a, b = base_text.splitlines(), change_text.splitlines()
+    differing = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    if len(a) != len(b) or not differing:
+        return []
+    i = differing[0]
+    return [f"{len(differing)} of {len(a)} lines differ, the first at line {i + 1}:",
+            f"- {a[i]}", f"+ {b[i]}"]
+
+
 def compare_trees(base: Path, change: Path) -> list[str]:
     """Relative paths of files that differ or exist under one root only; a
-    differing CSV carries its `column_moves` lines, indented, after its own."""
+    differing CSV carries its `column_moves` lines, and any other differing
+    file its `line_moves` lines, indented, after its own."""
     def files(root):
         return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
@@ -184,7 +199,7 @@ def compare_trees(base: Path, change: Path) -> list[str]:
     for p in sorted(a & b):
         old, new = (base / p).read_bytes(), (change / p).read_bytes()
         if old != new:
-            moves = column_moves(old.decode(), new.decode()) if p.endswith(".csv") else []
+            moves = (column_moves if p.endswith(".csv") else line_moves)(old.decode(), new.decode())
             out.append("\n  ".join([f"differs: {p}", *moves]))
     return out
 
